@@ -231,7 +231,6 @@ def cmd_power(args) -> int:
         for p in args.grid_p:
             for q in args.grid_q:
                 n_, p_, q_ = int(n), int(p), int(q)
-                print(f"power: regime={args.regime} n={n_} p={p_} q={q_}", file=sys.stderr)
                 try:
                     cfg = ProblemConfig(n=n_, p=p_, q=q_, alpha=args.alpha, beta=args.beta,
                                         b=b if args.regime == "lf" else None)
@@ -239,6 +238,8 @@ def cmd_power(args) -> int:
                         est = estimate_level(cfg, args.trials, args.perms, args.seed, args.workers)
                     else:
                         est = estimate_avg_power(cfg, args.trials, args.perms, args.seed, args.workers)
+                    print(f"power: regime={args.regime} n={n_} p={p_} q={q_} "
+                          f"perms/trial={est.mean_permutations:.1f}", file=sys.stderr)
                     em.row(regime=est.regime, n=n_, p=p_, q=q_, s_or_b=f"{b:.12g}",
                            trials=est.trials, rejections=est.rejections,
                            estimate=f"{est.estimate:.6g}", ci_low=f"{est.ci_low:.6g}",
@@ -261,10 +262,12 @@ def cmd_phase(args) -> int:
         for p in args.grid_p:
             for q in args.grid_q:
                 n_, p_, q_ = int(n), int(p), int(q)
-                print(f"phase: n={n_} p={p_} q={q_} s-grid={args.grid_s}", file=sys.stderr)
                 try:
                     curve = phase_curve(n_, p_, q_, args.grid_s, args.trials, args.perms,
                                         args.seed, alpha=args.alpha, workers=args.workers)
+                    perms = ",".join(f"{est.mean_permutations:.1f}" for _, est in curve)
+                    print(f"phase: n={n_} p={p_} q={q_} s-grid={args.grid_s} perms/trial={perms}",
+                          file=sys.stderr)
                     for s, est in curve:
                         em.row(regime=est.regime, n=n_, p=p_, q=q_, s_or_b=f"{s:g}",
                                trials=est.trials, rejections=est.rejections,

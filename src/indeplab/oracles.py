@@ -14,7 +14,7 @@ from itertools import product
 
 import numpy as np
 
-from .structured_cov import LeastFavorableCov, amplitude, cov_det, cov_inverse
+from .structured_cov import Dataset, LeastFavorableCov, amplitude, cov_det, cov_inverse
 
 MAX_ENUM_DIM = 8  # 4^(p+q) quadruple enumeration cap
 MAX_MC_DIM = 5
@@ -205,3 +205,27 @@ def enumerate_uv_tail(p: int, q: int, threshold: float) -> float:
     prod = np.abs(U[:, None] * V[None, :])
     w = wu[:, None] * wv[None, :]
     return float(w[prod >= threshold].sum())
+
+
+def permuted_stats_loop(
+    ds: Dataset, B: int, rng: np.random.Generator, centered: bool = False
+) -> np.ndarray:
+    """The B permuted cross-covariance statistics, one product per permutation.
+
+    Reference for the chunked kernel ``stat_tests.permuted_stat_chunks``: the
+    same ``rng.permutation(n)`` draws in the same order and the same
+    arithmetic per statistic, so the two agree bit for bit.
+    """
+    x, y = ds.x, ds.y
+    n = ds.n
+    if centered:
+        x = x - x.mean(axis=0)
+        y = y - y.mean(axis=0)
+        denom = n - 1
+    else:
+        denom = n
+    out = np.empty(B)
+    for i in range(B):
+        cross = (x.T @ y[rng.permutation(n)]) / denom
+        out[i] = float(np.sum(cross * cross))
+    return out

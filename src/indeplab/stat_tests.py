@@ -8,7 +8,10 @@ against the uniform mixture alternative.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import os
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -24,8 +27,24 @@ from .structured_cov import (
 )
 
 
+# Permutations evaluated per matrix product, and the cap on the bytes the
+# chunk's permuted Y rows and cross-covariances may take.  Sixteen keeps the
+# Python overhead per permutation small while a sequential decision wastes at
+# most fifteen statistics past its stopping point.
+PERM_CHUNK = 16
+PERM_BUFFER_BYTES = 1 << 27
+
+
 @dataclass(frozen=True)
 class TestDecision:
+    """Outcome of one permutation test.
+
+    ``permutations`` is the number of permuted statistics evaluated: B for the
+    full test.  A sequential test (``stop_early=True``) stops once its verdict
+    is fixed, so it reports fewer and its ``p_value`` is NaN; its ``reject``
+    equals the full test's.
+    """
+
     statistic: float
     p_value: float
     reject: bool
@@ -40,10 +59,15 @@ class PowerEstimate:
     ci_low: float
     ci_high: float
     regime: str
+    permutations: int  # permuted statistics evaluated over all trials
 
     @property
     def stderr(self) -> float:
         return math.sqrt(self.estimate * (1.0 - self.estimate) / self.trials)
+
+    @property
+    def mean_permutations(self) -> float:
+        return self.permutations / self.trials
 
 
 @dataclass(frozen=True)
@@ -95,21 +119,38 @@ def cross_cov_stat(ds: Dataset, centered: bool = False) -> float:
     return float(np.sum(cross * cross))
 
 
-def permutation_test(
-    ds: Dataset,
-    B: int,
-    alpha: float,
-    rng: np.random.Generator,
-    centered: bool = False,
-) -> TestDecision:
-    """Permutation calibration: permute Y rows B times, X fixed.
+def rejection_limit(B: int, alpha: float) -> int:
+    """Largest count c with (1 + c) / (B + 1) <= alpha, or -1 if there is none.
 
-    p = (1 + #{permuted >= observed}) / (B + 1), which is exactly level alpha
-    under row exchangeability.
+    Evaluates the p-value expression itself, so ``count <= limit`` agrees bit
+    for bit with ``p_value <= alpha`` at every count 0..B.
     """
-    if B < 19:
-        raise ValueError("need at least 19 permutations")
-    observed = cross_cov_stat(ds, centered=centered)
+    c = min(max(math.floor(alpha * (B + 1)) - 1, -1), B)
+    while c < B and (2 + c) / (B + 1) <= alpha:
+        c += 1
+    while c >= 0 and (1 + c) / (B + 1) > alpha:
+        c -= 1
+    return c
+
+
+def perm_chunk_size(n: int, p: int, q: int) -> int:
+    """Permutations per product: PERM_CHUNK, fewer if the chunk would exceed
+    PERM_BUFFER_BYTES, never less than one."""
+    per_perm = 8 * q * (n + p)  # permuted Y rows plus the p x q product
+    return max(1, min(PERM_CHUNK, PERM_BUFFER_BYTES // per_perm))
+
+
+def permuted_stat_chunks(
+    ds: Dataset, B: int, rng: np.random.Generator, centered: bool = False
+) -> Iterator[np.ndarray]:
+    """The B permuted statistics, one array per chunk of permutations.
+
+    Draws one ``rng.permutation(n)`` per statistic, in order, and only when
+    the chunk holding it is requested, so a caller that stops early leaves the
+    remaining draws unmade.  The chunk's products run as one stacked matmul;
+    each statistic is bitwise equal to the one-product-per-permutation loop
+    (``oracles.permuted_stats_loop``).
+    """
     x, y = ds.x, ds.y
     n = ds.n
     if centered:
@@ -119,12 +160,42 @@ def permutation_test(
         denom = n - 1
     else:
         denom = n
+    chunk = perm_chunk_size(n, ds.p, ds.q)
+    for start in range(0, B, chunk):
+        perms = np.stack([rng.permutation(n) for _ in range(min(chunk, B - start))])
+        cross = np.matmul(x.T, y[perms]) / denom
+        yield np.sum((cross * cross).reshape(len(perms), -1), axis=1)
+
+
+def permutation_test(
+    ds: Dataset,
+    B: int,
+    alpha: float,
+    rng: np.random.Generator,
+    centered: bool = False,
+    stop_early: bool = False,
+) -> TestDecision:
+    """Permutation calibration: permute Y rows B times, X fixed.
+
+    p = (1 + #{permuted >= observed}) / (B + 1), which is exactly level alpha
+    under row exchangeability.  With ``stop_early`` the test is sequential
+    (Besag & Clifford 1991): it stops after the first chunk at which the count
+    already exceeds the rejection limit (accept) or can no longer reach it
+    (reject).  The decision is the full test's; see ``TestDecision``.
+    """
+    if B < 19:
+        raise ValueError("need at least 19 permutations")
+    observed = cross_cov_stat(ds, centered=centered)
+    limit = rejection_limit(B, alpha)
+    chunks = permuted_stat_chunks(ds, B, rng, centered)
     count = 0
-    for _ in range(B):
-        perm = rng.permutation(n)
-        cross = (x.T @ y[perm]) / denom
-        if float(np.sum(cross * cross)) >= observed:
-            count += 1
+    done = 0
+    while done < B and not (stop_early and (count > limit or count + B - done <= limit)):
+        stats = next(chunks)
+        count += int(np.count_nonzero(stats >= observed))
+        done += len(stats)
+    if stop_early:
+        return TestDecision(statistic=observed, p_value=math.nan, reject=count <= limit, permutations=done)
     p_value = (1 + count) / (B + 1)
     return TestDecision(statistic=observed, p_value=p_value, reject=p_value <= alpha, permutations=B)
 
@@ -148,16 +219,19 @@ def _trial_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed, index])
 
 
-def _null_trial(args) -> bool:
-    seed, index, n, p, q, B, alpha = args
-    rng = _trial_rng(seed, index)
-    ds = sample_dataset(None, n, rng, p=p, q=q)
-    return permutation_test(ds, B, alpha, rng).reject
+# Data generators for the trial runner: module-level so that they pickle by
+# name for the process pool.  Each draws from the trial's rng before the
+# permutation test does, in a fixed order.
+def _null_data(rng: np.random.Generator, n: int, p: int, q: int) -> Dataset:
+    return sample_dataset(None, n, rng, p=p, q=q)
 
 
-def _phase_trial(args) -> bool:
-    seed, index, n, p, q, sigma, B, alpha = args
-    rng = _trial_rng(seed, index)
+def _lf_data(rng: np.random.Generator, n: int, p: int, q: int, a: float) -> Dataset:
+    lf = sample_direction(p, q, rng, a=a)
+    return sample_dataset(lf, n, rng)
+
+
+def _phase_data(rng: np.random.Generator, n: int, p: int, q: int, sigma: float) -> Dataset:
     m = min(p, q)
     # Canonical-correlation alternative: m coordinate pairs with correlation
     # sigma (random sign per pair per trial), remaining coordinates standard
@@ -167,23 +241,31 @@ def _phase_trial(args) -> bool:
     x = rng.standard_normal((n, p))
     y = rng.standard_normal((n, q))
     y[:, :m] = signs * sigma * x[:, :m] + math.sqrt(1.0 - sigma * sigma) * y[:, :m]
-    ds = Dataset(values=np.hstack([x, y]), p=p, q=q)
-    return permutation_test(ds, B, alpha, rng).reject
+    return Dataset(values=np.hstack([x, y]), p=p, q=q)
 
 
-def _lf_trial(args) -> bool:
-    seed, index, n, p, q, a, B, alpha = args
+def _trial(args) -> tuple[bool, int]:
+    """One Monte-Carlo trial: (reject, permuted statistics evaluated)."""
+    generate, params, seed, index, B, alpha = args
     rng = _trial_rng(seed, index)
-    lf = sample_direction(p, q, rng, a=a)
-    ds = sample_dataset(lf, n, rng)
-    return permutation_test(ds, B, alpha, rng).reject
+    dec = permutation_test(generate(rng, *params), B, alpha, rng, stop_early=True)
+    return dec.reject, dec.permutations
 
 
-def _run_trials(fn, args_list, workers: int) -> int:
+def _estimate(generate, params: tuple, trials: int, B: int, alpha: float, seed: int,
+              workers: int, regime: str) -> PowerEstimate:
+    """Rejection rate over ``trials`` trials on data from ``generate(rng, *params)``."""
+    args = [(generate, params, seed, i, B, alpha) for i in range(trials)]
+    workers = min(workers, os.cpu_count() or 1, trials)
     if workers <= 1:
-        return sum(fn(args) for args in args_list)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(fn, args_list, chunksize=32))
+        results = [_trial(a) for a in args]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_trial, args, chunksize=32))
+    rej = sum(r for r, _ in results)
+    perms = sum(k for _, k in results)
+    lo, hi = wilson_interval(rej, trials)
+    return PowerEstimate(trials, rej, rej / trials, lo, hi, regime, perms)
 
 
 def estimate_level(
@@ -192,10 +274,7 @@ def estimate_level(
     """Empirical type-I error over fresh null datasets."""
     if trials < 100:
         raise ValueError("need at least 100 trials")
-    args = [(seed, i, cfg.n, cfg.p, cfg.q, B, cfg.alpha) for i in range(trials)]
-    rej = _run_trials(_null_trial, args, workers)
-    lo, hi = wilson_interval(rej, trials)
-    return PowerEstimate(trials, rej, rej / trials, lo, hi, regime="null")
+    return _estimate(_null_data, (cfg.n, cfg.p, cfg.q), trials, B, cfg.alpha, seed, workers, "null")
 
 
 def estimate_avg_power(
@@ -209,10 +288,8 @@ def estimate_avg_power(
     a = amplitude(cfg.n, cfg.p, cfg.q, cfg.b)
     if a * a * cfg.p * cfg.q >= 1.0:
         raise ValueError("a^2 p q >= 1: alternative covariance not positive definite")
-    args = [(seed, i, cfg.n, cfg.p, cfg.q, a, B, cfg.alpha) for i in range(trials)]
-    rej = _run_trials(_lf_trial, args, workers)
-    lo, hi = wilson_interval(rej, trials)
-    return PowerEstimate(trials, rej, rej / trials, lo, hi, regime=f"least_favorable(b={cfg.b:g})")
+    return _estimate(_lf_data, (cfg.n, cfg.p, cfg.q, a), trials, B, cfg.alpha, seed, workers,
+                     f"least_favorable(b={cfg.b:g})")
 
 
 def phase_curve(
@@ -251,11 +328,9 @@ def phase_curve(
                 raise ValueError(
                     f"s = {s:g} needs per-pair correlation^2 = {sigma_sq:.3g} >= 1: not attainable"
                 )
-            args = [(sub_seed, i, n, p, q, math.sqrt(sigma_sq), B, alpha) for i in range(trials)]
-            rej = _run_trials(_phase_trial, args, workers)
-            lo, hi = wilson_interval(rej, trials)
-            est = PowerEstimate(trials, rej, rej / trials, lo, hi, regime="phase")
-        out.append((s, PowerEstimate(est.trials, est.rejections, est.estimate, est.ci_low, est.ci_high, regime=f"s={s:g}")))
+            est = _estimate(_phase_data, (n, p, q, math.sqrt(sigma_sq)), trials, B, alpha,
+                            sub_seed, workers, "phase")
+        out.append((s, dataclasses.replace(est, regime=f"s={s:g}")))
     return out
 
 

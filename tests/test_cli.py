@@ -69,7 +69,7 @@ class TestVerify:
 
 class TestPowerAndPhase:
     def test_null_regime_level(self, capsys):
-        code, out, _ = run_cli(
+        code, out, err = run_cli(
             capsys, "power", "--regime", "null", "--grid-n", "30", "--grid-p", "3",
             "--grid-q", "3", "--trials", "200", "--perms", "39", "--seed", "4",
         )
@@ -78,9 +78,11 @@ class TestPowerAndPhase:
         est = float(rows[0]["estimate"])
         se = math.sqrt(0.05 * 0.95 / 200)
         assert abs(est - 0.05) < 4 * se
+        # Progress line reports the mean permuted statistics evaluated per trial.
+        assert 0 < float(err.split("perms/trial=")[1].split()[0]) < 39
 
     def test_phase_grid_monotone(self, capsys):
-        code, out, _ = run_cli(
+        code, out, err = run_cli(
             capsys, "phase", "--grid-n", "80", "--grid-p", "4", "--grid-q", "4",
             "--grid-s", "0,10,40", "--trials", "150", "--perms", "39", "--seed", "4",
         )
@@ -89,6 +91,8 @@ class TestPowerAndPhase:
         ests = [float(r["estimate"]) for r in rows]
         assert len(ests) == 3
         assert ests[2] > 0.85 and ests[0] < 0.2
+        perms = [float(v) for v in err.split("perms/trial=")[1].split()[0].split(",")]
+        assert len(perms) == 3 and all(0 < k <= 39 for k in perms)
 
     def test_seed_reproducibility(self, capsys):
         argv = ["power", "--regime", "null", "--grid-n", "20", "--grid-p", "2",

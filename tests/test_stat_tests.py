@@ -2,9 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from indeplab import stat_tests
 from indeplab.divergence import select_b
+from indeplab.oracles import permuted_stats_loop
 from indeplab.stat_tests import (
+    PERM_BUFFER_BYTES,
+    PERM_CHUNK,
     Dataset,
     PowerEstimate,
     ProblemConfig,
@@ -12,8 +18,11 @@ from indeplab.stat_tests import (
     cross_cov_stat,
     estimate_avg_power,
     estimate_level,
+    perm_chunk_size,
     permutation_test,
+    permuted_stat_chunks,
     phase_curve,
+    rejection_limit,
     scenario_regression,
     scenario_two_sample,
     wilson_interval,
@@ -103,6 +112,164 @@ class TestPermutationTest:
             rejections += permutation_test(ds, 99, 0.1, rng).reject
         se = math.sqrt(0.1 * 0.9 / trials)
         assert rejections / trials <= 0.1 + 3 * se
+
+
+@st.composite
+def alphas(draw, B: int) -> float:
+    """An alpha below 1/(B+1) (limit -1), on a p-value grid point (c+1)/(B+1)
+    or one ulp either side of it, or anywhere in (0, 1)."""
+    kind = draw(st.sampled_from(["below", "at_grid", "uniform"]))
+    if kind == "below":
+        return draw(st.floats(1e-6, 1.0 / (B + 1), exclude_max=True))
+    if kind == "at_grid":
+        grid = (draw(st.integers(0, B)) + 1) / (B + 1)
+        return float(np.nextafter(grid, grid + draw(st.sampled_from([-1.0, 0.0, 1.0]))))
+    return draw(st.floats(1e-3, 0.999))
+
+
+@st.composite
+def perm_cases(draw):
+    """Random (n, p, q) data with a random amount of X-Y coupling, a B from
+    the supported mix and an alpha from ``alphas``."""
+    n = draw(st.integers(3, 40))
+    p = draw(st.integers(1, 6))
+    q = draw(st.integers(1, 6))
+    B = draw(st.sampled_from([19, 20, 99, 200]))
+    alpha = draw(alphas(B))
+    coupling = draw(st.floats(0.0, 2.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, p))
+    y = coupling * x[:, :1] + rng.standard_normal((n, q))
+    ds = Dataset(values=np.hstack([x, y]), p=p, q=q)
+    return ds, B, alpha, draw(st.booleans()), seed
+
+
+class TestSequentialPermutationTest:
+    @settings(max_examples=60, deadline=None)
+    @given(perm_cases())
+    def test_decision_matches_full_test(self, case):
+        ds, B, alpha, centered, seed = case
+        full = permutation_test(ds, B, alpha, np.random.default_rng(seed), centered=centered)
+        seq = permutation_test(ds, B, alpha, np.random.default_rng(seed), centered=centered, stop_early=True)
+        assert seq.reject == full.reject
+        assert seq.statistic == full.statistic
+        assert 0 <= seq.permutations <= B
+        assert math.isnan(seq.p_value)
+        assert full.permutations == B
+        if seq.reject:
+            # A rejection is fixed only once too few statistics remain to pass the limit.
+            assert seq.permutations >= B - rejection_limit(B, alpha)
+
+    @settings(max_examples=60, deadline=None)
+    @given(perm_cases())
+    def test_chunked_statistics_bitwise_equal_loop(self, case):
+        ds, B, _, centered, seed = case
+        chunked = np.concatenate(list(permuted_stat_chunks(ds, B, np.random.default_rng(seed), centered)))
+        loop = permuted_stats_loop(ds, B, np.random.default_rng(seed), centered)
+        assert np.array_equal(chunked, loop)
+
+    @pytest.mark.parametrize("n,p,q", [(50, 5, 5), (200, 10, 10), (200, 50, 50), (30, 3, 7)])
+    def test_chunked_statistics_bitwise_equal_loop_at_benchmark_shapes(self, n, p, q):
+        ds = sample_dataset(None, n, np.random.default_rng(n + p), p=p, q=q)
+        for centered in (False, True):
+            chunked = np.concatenate(list(permuted_stat_chunks(ds, 40, np.random.default_rng(1), centered)))
+            assert np.array_equal(chunked, permuted_stats_loop(ds, 40, np.random.default_rng(1), centered))
+
+    @pytest.mark.parametrize("B", [19, 20, 99, 200])
+    def test_limit_agrees_with_p_value_rule(self, B):
+        # Every p-value grid point and its float neighbours, where a limit
+        # derived from floor(alpha (B+1)) alone would be off by one.
+        grid = [(c + 1) / (B + 1) for c in range(-1, B + 1)]
+        candidates = [-0.5, 1e-6, 1.5] + [float(np.nextafter(g, g + d)) for g in grid for d in (-1.0, 0.0, 1.0)]
+        counts = np.arange(B + 1)
+        for alpha in candidates:
+            limit = rejection_limit(B, alpha)
+            assert -1 <= limit <= B
+            assert np.array_equal(counts <= limit, (1 + counts) / (B + 1) <= alpha)
+
+    @pytest.mark.parametrize("alpha", [0.05, 9 / 201, 8 / 201])
+    def test_strong_signal_stops_at_first_fixed_chunk(self, alpha):
+        # No permuted statistic reaches the observed one, so the rejection is
+        # fixed once B - limit statistics are in: at the next chunk boundary.
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((60, 3))
+        ds = Dataset(values=np.hstack([x, x + 0.1 * rng.standard_normal((60, 3))]), p=3, q=3)
+        B = 200
+        dec = permutation_test(ds, B, alpha, rng, stop_early=True)
+        needed = B - rejection_limit(B, alpha)
+        assert dec.reject
+        assert dec.permutations == min(B, -(-needed // PERM_CHUNK) * PERM_CHUNK)
+
+    def test_alpha_below_grid_never_rejects_and_evaluates_nothing(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((60, 3))
+        ds = Dataset(values=np.hstack([x, x]), p=3, q=3)
+        dec = permutation_test(ds, 99, 0.5 / 100, rng, stop_early=True)
+        assert not dec.reject and dec.permutations == 0
+
+    def test_estimator_matches_full_tests_per_trial(self):
+        # Same per-trial streams as the full test: rejections unchanged, fewer statistics.
+        cfg = ProblemConfig(n=30, p=3, q=3, alpha=0.1, beta=0.5)
+        est = estimate_level(cfg, trials=100, B=39, seed=7)
+        full = 0
+        for i in range(100):
+            rng = np.random.default_rng([7, i])
+            full += permutation_test(sample_dataset(None, 30, rng, p=3, q=3), 39, 0.1, rng).reject
+        assert est.rejections == full
+        assert 0 < est.permutations < 100 * 39
+
+
+class TestChunkSize:
+    def test_small_inputs_use_full_chunk(self):
+        assert perm_chunk_size(50, 5, 5) == PERM_CHUNK
+        assert perm_chunk_size(200, 50, 50) == PERM_CHUNK
+
+    def test_buffer_within_budget_at_large_shape(self):
+        n, p, q = 20000, 500, 500
+        k = perm_chunk_size(n, p, q)
+        assert k >= 1
+        assert k * 8 * (n * q + p * q) <= PERM_BUFFER_BYTES
+
+    def test_never_below_one(self):
+        assert perm_chunk_size(10**8, 1, 10) == 1
+
+
+class _RecordingPool:
+    """Stand-in for ProcessPoolExecutor: records max_workers, runs in-process."""
+
+    def __init__(self, record, max_workers):
+        record.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+class TestWorkerCap:
+    def test_pool_size_capped_by_cpus_and_trials(self, monkeypatch):
+        record = []
+        monkeypatch.setattr(stat_tests, "ProcessPoolExecutor",
+                            lambda max_workers: _RecordingPool(record, max_workers))
+        monkeypatch.setattr(stat_tests.os, "cpu_count", lambda: 4)
+
+        def run(trials, workers):
+            return stat_tests._estimate(stat_tests._null_data, (10, 2, 2), trials, 19, 0.1, 3, workers, "null")
+
+        serial = run(6, 1)
+        assert record == []
+        assert run(6, 10**9) == serial
+        run(3, 10**9)
+        run(6, 2)
+        assert record == [4, 3, 2]
+        monkeypatch.setattr(stat_tests.os, "cpu_count", lambda: None)
+        assert run(6, 10**9) == serial
+        assert record == [4, 3, 2]
 
 
 class TestWilson:
