@@ -198,9 +198,9 @@ def cmd_bound(args) -> int:
                            tv_upper=f"{rep.tv_upper:.12g}",
                            power_upper=f"{rep.power_upper:.12g}",
                            pd_ok=rep.pd_ok, mgf_ok=rep.mgf_ok, b_caps_ok=rep.b_caps_ok, error="")
-                except (ValueError, ArithmeticError) as exc:
+                except (ValueError, ArithmeticError, MemoryError) as exc:
                     had_error = True
-                    em.row(n=n_, p=p_, q=q_, b=f"{b:.12g}", error=str(exc),
+                    em.row(n=n_, p=p_, q=q_, b=f"{b:.12g}", error=str(exc) or type(exc).__name__,
                            chi2_exact="", chi2_closed_bound="", tv_upper="", power_upper="",
                            pd_ok="", mgf_ok="", b_caps_ok="")
     em.close()
@@ -286,8 +286,8 @@ def cmd_divergence(args) -> int:
     b = _resolve_b(args)
     try:
         rep = dv.minimax_power_upper(args.n, args.p, args.q, b, args.alpha)
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, ArithmeticError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_NUMERIC
     print(f"n={args.n} p={args.p} q={args.q} b={b:.12g}")
     print(f"chi2_exact={rep.chi2_exact:.12g}")

@@ -8,11 +8,22 @@ N(0, I).  The n-sample chi-square divergence reduces to a double binomial sum
 over U = sum of p signs, V = sum of q signs, which this module evaluates
 exactly, together with the closed-form upper bound 4 b^2 log4 / (1 - b^2 log4)
 and the induced total-variation and power bounds.
+
+Cost.  The divergence check and the choice between the two summation paths
+read one corner of the (p+1) x (q+1) support grid.  The small-value path walks
+the grid in row blocks and sums them with ``exact_sum``, a correctly rounded
+(fsum-equal) blocked summation, in O(BLOCK) memory.  The logsumexp path, taken
+when some exponent reaches 500, still builds the whole O(pq) grid; moving it
+to blocks is the remaining follow-up.  MGF validity is an O(1) check at the
+corner of the (u'g, v'h) grid where t * gamma peaks.  The full-grid forms are
+kept as oracles: ``oracles.chi_square_grid`` (bitwise reference) and
+``oracles.gamma_grid``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +32,17 @@ from scipy.special import gammaln, logsumexp
 from .structured_cov import amplitude
 
 LOG4 = math.log(4.0)
+
+# Elements per block of the small-value path and per slice of exact_sum.
+BLOCK = 1 << 16
+# np.frexp exponents of finite doubles run from -1073 to 1024; an element
+# M * 2^(e - 53) lands in bin e + 1073 and weighs 2^(bin - 1126).
+_EXP_OFFSET = 1073
+_NBINS = 2098
+_MANT_SHIFT = 1126
+# Slices between folds of the int64 bins, each of which grows by less than
+# 2^43 per slice.
+_FOLD_EVERY = 1 << 16
 
 
 class DivergenceInfiniteError(ValueError):
@@ -95,36 +117,14 @@ def gamma_eigs(a: float, p: int, q: int, ug: int, vh: int) -> GammaQuad:
     return GammaQuad(gammas=tuple(gammas), t=t, a=a, p=p, q=q, ug=ug, vh=vh)
 
 
-def _gamma_grid(a: float, p: int, q: int) -> np.ndarray:
-    """All gamma_ij over the full achievable (ug, vh) grid, vectorized.
-
-    Returns shape (len(Us), len(Vs), 4).
-    """
-    Us = np.arange(-p, p + 1, 2, dtype=float)[:, None]
-    Vs = np.arange(-q, q + 1, 2, dtype=float)[None, :]
-    out = np.empty((Us.shape[0], Vs.shape[1], 4))
-    k = 0
-    for i in (0, 1):
-        si = (-1.0) ** i
-        R = (
-            4.0 * p * q
-            - si * 4.0 * q * Us
-            + a * a * q * q * Us**2
-            - si * 4.0 * p * Vs
-            + 4.0 * Us * Vs
-            - 2.0 * a * a * p * q * Us * Vs
-            + a * a * p * p * Vs**2
-        )
-        root = np.sqrt(np.maximum(R, 0.0))
-        for j in (0, 1):
-            out[:, :, k] = 0.5 * (-2.0 * a * p * q + si * a * q * Us + si * a * p * Vs - (-1.0) ** j * root)
-            k += 1
-    return out
-
-
 def mgf_validity(a: float, p: int, q: int) -> bool:
     """True iff t * gamma_ij < 1 for every achievable (ug, vh) configuration.
 
+    The largest t * gamma_ij over the (ug, vh) grid is 2c / (1 + c), with
+    c = |a| sqrt(pq), at the corners (p, q) and (-p, -q); mapping (ug, vh) to
+    (-ug, -vh) swaps i = 0 and i = 1, so the two share their eigenvalues.  The
+    corners (p, -q) and (-p, q) give t * gamma_ij <= 0.  So only (p, q) is
+    evaluated, and the full grid is kept as the oracle ``oracles.gamma_grid``.
     Returns False outright when a^2 pq >= 1 (the family is not even PD).
     """
     if a == 0.0:
@@ -133,21 +133,78 @@ def mgf_validity(a: float, p: int, q: int) -> bool:
     if denom <= 0:
         return False
     t = a / denom
-    return bool(np.all(t * _gamma_grid(a, p, q) < 1.0))
+    return max(t * g for g in gamma_eigs(a, p, q, p, q).gammas) < 1.0
+
+
+def exact_sum(chunks: Iterable[np.ndarray]) -> float:
+    """Correctly rounded sum of all elements of an iterable of finite float arrays.
+
+    Bit for bit equal to ``math.fsum`` over the same elements, in any order:
+    both round the exact sum once, half to even.  Each slice of at most BLOCK
+    elements is split by ``np.frexp`` into integer mantissas
+    M = hi * 2^27 + lo (|M| < 2^53) that ``np.bincount`` sums per binary
+    exponent.  Those are float sums of at most 2^16 integers below 2^27, hence
+    exact, and accumulate in int64 bins that are folded into one Python int
+    every _FOLD_EVERY slices, well before they could overflow.  The single
+    rounding is the int true division at the end, which CPython rounds
+    correctly.
+    """
+    total = 0
+    bins_total = np.zeros((2, _NBINS), np.int64)
+    count = 0
+    for chunk in chunks:
+        flat = np.ravel(chunk)
+        for start in range(0, flat.size, BLOCK):
+            mant, exp = np.frexp(flat[start : start + BLOCK])
+            mant *= 2.0**53
+            hi = np.floor(mant * 2.0**-27)
+            lo = mant - hi * 2.0**27
+            bins = exp + _EXP_OFFSET
+            lo_sums = np.bincount(bins, lo, _NBINS)
+            # An infinite or NaN element makes its lo NaN.
+            if not np.isfinite(lo_sums).all():
+                raise ValueError("exact_sum needs finite elements")
+            bins_total[0] += np.bincount(bins, hi, _NBINS).astype(np.int64)
+            bins_total[1] += lo_sums.astype(np.int64)
+            count += 1
+            if count % _FOLD_EVERY == 0:
+                total += _fold(bins_total)
+                bins_total[:] = 0
+    return (total + _fold(bins_total)) / (1 << _MANT_SHIFT)
+
+
+def _fold(bins_total: np.ndarray) -> int:
+    """sum_k (hi_k * 2^27 + lo_k) * 2^k over the (2, _NBINS) bin sums."""
+    his, los = bins_total.tolist()
+    return sum(((hi << 27) + lo) << k for k, (hi, lo) in enumerate(zip(his, los)) if hi or lo)
+
+
+def _support_block(
+    a: float, n: int, Us: np.ndarray, Vs: np.ndarray, logw_p: np.ndarray, logw_q: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Log-weights and exponents -n log(1 - a^2 U V) over Us x Vs."""
+    x = a * a * Us[:, None] * Vs[None, :]
+    return logw_p[:, None] + logw_q[None, :], -n * np.log1p(-x)
 
 
 def chi_square_exact(n: int, p: int, q: int, b: float) -> float:
     """Exact chi-square divergence via the double binomial sum, in log space.
 
     chi2 = sum_{k,l} C(p,k) C(q,l) 2^-(p+q) (1 - a^2 (p-2k)(q-2l))^-n  -  1.
+
+    The largest a^2 U V sits at the corner U = p, V = q, so the divergence
+    check and the choice of path read that corner alone.  Small-value path
+    (largest exponent below 500): the weighted expm1 terms, accurate when chi2
+    is near 0, are summed by ``exact_sum`` in row blocks of about BLOCK
+    elements.  Otherwise the whole grid goes through logsumexp.
     """
     if b == 0.0:
         return 0.0
     a = amplitude(n, p, q, b)
     Us = np.arange(-p, p + 1, 2, dtype=float)
     Vs = np.arange(-q, q + 1, 2, dtype=float)
-    x = a * a * Us[:, None] * Vs[None, :]
-    if np.any(1.0 - x <= 0.0):
+    xmax = a * a * Us[-1] * Vs[-1]
+    if 1.0 - xmax <= 0.0:
         raise DivergenceInfiniteError(
             "1 - a^2 U V <= 0 at some support point: the integral diverges"
         )
@@ -155,13 +212,15 @@ def chi_square_exact(n: int, p: int, q: int, b: float) -> float:
     l = np.arange(q + 1, dtype=float)
     logw_p = gammaln(p + 1) - gammaln(k + 1) - gammaln(p - k + 1) - p * math.log(2.0)
     logw_q = gammaln(q + 1) - gammaln(l + 1) - gammaln(q - l + 1) - q * math.log(2.0)
-    logw = logw_p[::-1, None] + logw_q[::-1, None].T  # index order matches Us, Vs
-    exponent = -n * np.log1p(-x)
-    if np.max(exponent) < 500.0:
-        # Small-value path: sum weighted expm1 terms with compensated
-        # summation, accurate when chi2 is near 0.
-        terms = np.exp(logw) * np.expm1(exponent)
-        return math.fsum(np.sort(terms, axis=None))
+    logw_p, logw_q = logw_p[::-1], logw_q[::-1]  # index order matches Us, Vs
+    if -n * np.log1p(-xmax) < 500.0:
+        rows = max(1, BLOCK // (q + 1))
+        blocks = (
+            _support_block(a, n, Us[i : i + rows], Vs, logw_p[i : i + rows], logw_q)
+            for i in range(0, p + 1, rows)
+        )
+        return exact_sum(np.exp(logw) * np.expm1(exponent) for logw, exponent in blocks)
+    logw, exponent = _support_block(a, n, Us, Vs, logw_p, logw_q)
     return float(np.expm1(logsumexp(logw + exponent)))
 
 

@@ -3,17 +3,20 @@
 Everything here is deliberately independent of the closed forms it checks:
 enumeration over sign vectors, dense eigendecompositions, and Monte-Carlo
 integration of the exact density ratio.  Feasible only at tiny dimensions;
-that is the point.
+that is the point.  The full-grid kernels (``chi_square_grid``,
+``gamma_grid``, ``permuted_stats_loop``) are the straightforward forms that
+the package's fast paths replaced, kept as their references.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
+from scipy.special import gammaln, logsumexp
 
+from .divergence import DivergenceInfiniteError
 from .structured_cov import Dataset, LeastFavorableCov, amplitude, cov_det, cov_inverse
 
 MAX_ENUM_DIM = 8  # 4^(p+q) quadruple enumeration cap
@@ -23,31 +26,6 @@ MAX_MC_N = 4
 
 class InfeasibleSizeError(ValueError):
     """Requested brute-force computation is too large to enumerate."""
-
-
-@dataclass(frozen=True)
-class OracleReport:
-    """Outcome of one closed-form vs brute-force comparison."""
-
-    name: str
-    closed_form: float
-    brute_force: float
-    tolerance: float
-
-    @property
-    def abs_err(self) -> float:
-        return abs(self.closed_form - self.brute_force)
-
-    @property
-    def rel_err(self) -> float:
-        scale = max(abs(self.closed_form), abs(self.brute_force))
-        return self.abs_err / scale if scale > 0 else 0.0
-
-    @property
-    def passed(self) -> bool:
-        if self.closed_form == 0.0 or self.brute_force == 0.0:
-            return self.abs_err <= self.tolerance
-        return self.rel_err <= self.tolerance
 
 
 def _sign_vectors(d: int) -> np.ndarray:
@@ -74,6 +52,40 @@ def enumerate_chi_square(n: int, p: int, q: int, b: float) -> float:
         raise ValueError("1 - a^2 (u'g)(v'h) <= 0: divergent configuration")
     terms = np.expm1(-n * np.log1p(-x))
     return math.fsum(np.sort(terms, axis=None)) / terms.size
+
+
+def chi_square_grid(n: int, p: int, q: int, b: float) -> float:
+    """Exact chi-square divergence via the double binomial sum over the full grid.
+
+    chi2 = sum_{k,l} C(p,k) C(q,l) 2^-(p+q) (1 - a^2 (p-2k)(q-2l))^-n  -  1.
+
+    Reference for the blocked ``divergence.chi_square_exact``: the whole
+    (p+1) x (q+1) grid in O(pq) memory, checked for divergence and for the
+    path switch on every element, with sort + ``math.fsum`` on the small-value
+    path.  The two agree bit for bit.
+    """
+    if b == 0.0:
+        return 0.0
+    a = amplitude(n, p, q, b)
+    Us = np.arange(-p, p + 1, 2, dtype=float)
+    Vs = np.arange(-q, q + 1, 2, dtype=float)
+    x = a * a * Us[:, None] * Vs[None, :]
+    if np.any(1.0 - x <= 0.0):
+        raise DivergenceInfiniteError(
+            "1 - a^2 U V <= 0 at some support point: the integral diverges"
+        )
+    k = np.arange(p + 1, dtype=float)
+    l = np.arange(q + 1, dtype=float)
+    logw_p = gammaln(p + 1) - gammaln(k + 1) - gammaln(p - k + 1) - p * math.log(2.0)
+    logw_q = gammaln(q + 1) - gammaln(l + 1) - gammaln(q - l + 1) - q * math.log(2.0)
+    logw = logw_p[::-1, None] + logw_q[::-1, None].T  # index order matches Us, Vs
+    exponent = -n * np.log1p(-x)
+    if np.max(exponent) < 500.0:
+        # Small-value path: sum weighted expm1 terms with compensated
+        # summation, accurate when chi2 is near 0.
+        terms = np.exp(logw) * np.expm1(exponent)
+        return math.fsum(np.sort(terms, axis=None))
+    return float(np.expm1(logsumexp(logw + exponent)))
 
 
 def mc_chi_square(
@@ -120,6 +132,43 @@ def mc_chi_square(
     return mean - 1.0, stderr
 
 
+def gamma_grid(a: float, p: int, q: int) -> np.ndarray:
+    """All gamma_ij over the full achievable (ug, vh) grid, vectorized.
+
+    The expanded-polynomial discriminant, independent of the stable scalar
+    ``divergence.gamma_eigs``; reference for the corner maximum in
+    ``divergence.mgf_validity``.  Returns shape (len(Us), len(Vs), 4).
+    """
+    Us = np.arange(-p, p + 1, 2, dtype=float)[:, None]
+    Vs = np.arange(-q, q + 1, 2, dtype=float)[None, :]
+    out = np.empty((Us.shape[0], Vs.shape[1], 4))
+    k = 0
+    for i in (0, 1):
+        si = (-1.0) ** i
+        R = (
+            4.0 * p * q
+            - si * 4.0 * q * Us
+            + a * a * q * q * Us**2
+            - si * 4.0 * p * Vs
+            + 4.0 * Us * Vs
+            - 2.0 * a * a * p * q * Us * Vs
+            + a * a * p * p * Vs**2
+        )
+        root = np.sqrt(np.maximum(R, 0.0))
+        for j in (0, 1):
+            out[:, :, k] = 0.5 * (-2.0 * a * p * q + si * a * q * Us + si * a * p * Vs - (-1.0) ** j * root)
+            k += 1
+    return out
+
+
+def _coupling_matrix(p: int, q: int, a: float) -> np.ndarray:
+    """The 4x4 A of chi' A chi, chi = (u'z, v'z, g'z, h'z)."""
+    return np.array(
+        [[-q * a, 1, 0, 0], [1, -p * a, 0, 0], [0, 0, -q * a, 1], [0, 0, 1, -p * a]],
+        dtype=float,
+    )
+
+
 def gamma_numeric(
     u: np.ndarray, v: np.ndarray, g: np.ndarray, h: np.ndarray, a: float
 ) -> np.ndarray:
@@ -135,10 +184,7 @@ def gamma_numeric(
     p, q = u.size, v.size
     ug = float(u @ g)
     vh = float(v @ h)
-    A = np.array(
-        [[-q * a, 1, 0, 0], [1, -p * a, 0, 0], [0, 0, -q * a, 1], [0, 0, 1, -p * a]],
-        dtype=float,
-    )
+    A = _coupling_matrix(p, q, a)
     # S has fixed eigenvectors (1,0,+-1,0)/sqrt(2), (0,1,0,+-1)/sqrt(2) with
     # eigenvalues p +- ug and q +- vh; forming the PSD square root from them
     # avoids the precision loss of a generic eigh near singular S.
@@ -176,10 +222,7 @@ def quad_form_pair(u, v, g, h, a: float, z: np.ndarray) -> tuple[float, float]:
 
     lhs = T(u, v) + T(g, h)
     chi = np.array([u @ zx, v @ zy, g @ zx, h @ zy])
-    A = np.array(
-        [[-q * a, 1, 0, 0], [1, -p * a, 0, 0], [0, 0, -q * a, 1], [0, 0, 1, -p * a]],
-        dtype=float,
-    )
+    A = _coupling_matrix(p, q, a)
     rhs = float(chi @ A @ chi)
     return lhs, rhs
 

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from indeplab.cli import EXIT_CONFIG, EXIT_OK, EXIT_ORACLE, main
+from indeplab import divergence
+from indeplab.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_ORACLE, main
 from indeplab.divergence import chi_square_exact, select_b
 
 
@@ -50,6 +51,19 @@ class TestBound:
         assert float(rows[0]["chi2_exact"]) == pytest.approx(
             chi_square_exact(100, 10, 10, b), rel=1e-12
         )
+
+
+    def test_memory_error_is_an_error_row(self, capsys, monkeypatch):
+        monkeypatch.setattr(divergence, "chi_square_exact", _out_of_memory)
+        code, out, _ = run_cli(capsys, "bound", "--grid-n", "100", "--grid-p", "10,20", "--grid-q", "10")
+        assert code == EXIT_NUMERIC
+        _, rows = parse_csv(out)
+        assert [r["error"] for r in rows] == ["MemoryError", "MemoryError"]
+        assert all(r["chi2_exact"] == "" for r in rows)
+
+
+def _out_of_memory(*args):
+    raise MemoryError
 
 
 class TestVerify:
@@ -107,6 +121,12 @@ class TestDivergenceCommand:
         code, out, _ = run_cli(capsys, "divergence", "--n", "100", "--p", "10", "--q", "10")
         assert code == EXIT_OK
         assert "chi2_exact=" in out and "power_upper=" in out
+
+    def test_memory_error_exits_numeric(self, capsys, monkeypatch):
+        monkeypatch.setattr(divergence, "chi_square_exact", _out_of_memory)
+        code, out, err = run_cli(capsys, "divergence", "--n", "100", "--p", "10", "--q", "10")
+        assert code == EXIT_NUMERIC
+        assert out == "" and "MemoryError" in err
 
 
 class TestValidation:

@@ -1,15 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from indeplab import oracles
+from indeplab import divergence, oracles
 from indeplab.divergence import (
+    BLOCK,
     DivergenceInfiniteError,
     chi_square_closed_bound,
     chi_square_exact,
+    exact_sum,
     gamma_eigs,
     hoeffding_tail_bound,
     mgf_validity,
@@ -70,6 +73,168 @@ def test_chi_square_large_dimensions_no_overflow():
     assert np.isfinite(val) and val >= 0.0
 
 
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def _outcome(fn, *args):
+    """The bits of fn's value, or the type of the exception it raises."""
+    try:
+        return _bits(fn(*args))
+    except Exception as exc:  # the type itself is compared
+        return type(exc)
+
+
+def _assert_matches_grid(n, p, q, b):
+    assert _outcome(chi_square_exact, n, p, q, b) == _outcome(oracles.chi_square_grid, n, p, q, b)
+
+
+def _max_exponent(n, p, q, b):
+    """Largest -n log1p(-a^2 U V) over the full grid, as the reference computes it."""
+    a = amplitude(n, p, q, b)
+    Us = np.arange(-p, p + 1, 2, dtype=float)
+    Vs = np.arange(-q, q + 1, 2, dtype=float)
+    return float(np.max(-n * np.log1p(-(a * a * Us[:, None] * Vs[None, :]))))
+
+
+class TestExactSum:
+    @staticmethod
+    def _check(values, chunk=None):
+        values = np.asarray(values, dtype=float)
+        chunks = [values] if chunk is None else [values[i : i + chunk] for i in range(0, values.size, chunk)]
+        assert _bits(exact_sum(chunks)) == _bits(math.fsum(values))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.floats(-1e300, 1e300, allow_subnormal=True), max_size=200),
+        st.integers(1, 50),
+    )
+    def test_mixed_exponents(self, values, chunk):
+        self._check(values)
+        self._check(values, chunk)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(-1e300, 1e300, allow_subnormal=True), min_size=1, max_size=100),
+        st.floats(-1e300, 1e300, allow_subnormal=True),
+        st.randoms(use_true_random=False),
+    )
+    def test_exact_cancellation(self, values, extra, rnd):
+        mixed = values + [-v for v in values] + [extra]
+        rnd.shuffle(mixed)
+        self._check(mixed)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-960, 960), st.sampled_from([1.0, -1.0]), st.integers(-3, 3))
+    def test_half_way_cases(self, k, sign, nudge):
+        # 1 + 2^-53 is a tie; the 2^-106 tail and its sign decide the rounding.
+        tail = 2.0 ** (-106 + nudge) if nudge else 0.0
+        for values in ([1.0, 2.0**-53, tail], [1.0, 2.0**-53, -tail], [1.0 + 2.0**-52, 2.0**-53, -tail]):
+            self._check([sign * math.ldexp(v, k) for v in values])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(-1074 + 53, 960), st.integers(0, 3))
+    def test_full_block_of_largest_mantissas(self, k, extra):
+        value = math.ldexp(2.0**53 - 1.0, k - 53)
+        self._check(np.full(BLOCK + extra, value))
+        self._check(np.concatenate([np.full(BLOCK, value), [-value] * extra]))
+
+    def test_subnormals_and_signed_zeros(self):
+        tiny = 5e-324
+        self._check([-0.0, -0.0])
+        self._check([0.0, -0.0, tiny, -tiny])
+        self._check([tiny] * 7 + [2.2250738585072014e-308, -3 * tiny])
+        self._check([])
+
+    def test_folds_between_slices(self, monkeypatch):
+        monkeypatch.setattr(divergence, "BLOCK", 3)
+        monkeypatch.setattr(divergence, "_FOLD_EVERY", 2)
+        rng = np.random.default_rng(11)
+        values = rng.standard_normal(101) * 10.0 ** rng.integers(-300, 300, 101)
+        self._check(values)
+        self._check(values, 7)
+
+    def test_rejects_non_finite(self):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+                exact_sum([np.array([1.0, bad])])
+
+
+class TestChiSquareMatchesGrid:
+    """chi_square_exact equals the full-grid oracle bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 10**5),
+        st.integers(1, 60),
+        st.integers(1, 60),
+        st.one_of(st.floats(0.0, 3.0), st.floats(1e-300, 1e-3)),
+    )
+    def test_random_points(self, n, p, q, b):
+        with np.errstate(over="ignore"):
+            _assert_matches_grid(n, p, q, b)
+
+    @pytest.mark.parametrize("n,p,q", [(1000, 3, 5), (40, 7, 2), (10**5, 30, 30)])
+    def test_path_switch_at_exponent_500(self, n, p, q):
+        # Bisect b to where the largest exponent crosses 500, then compare
+        # every b within a few ulps of it on both sides.
+        x = 1.0 - math.exp(-500.0 / n)
+        lo = hi = math.sqrt(2.0 * n * x / math.sqrt(p * q))
+        lo, hi = lo * (1 - 1e-9), hi * (1 + 1e-9)
+        assert _max_exponent(n, p, q, lo) < 500.0 <= _max_exponent(n, p, q, hi)
+        while np.nextafter(lo, hi) < hi:
+            mid = 0.5 * (lo + hi)
+            if _max_exponent(n, p, q, mid) < 500.0:
+                lo = mid
+            else:
+                hi = mid
+        window = [lo]
+        for direction in (-math.inf, math.inf):
+            b = lo
+            for _ in range(6):
+                b = float(np.nextafter(b, direction))
+                window.append(b)
+        exponents = [_max_exponent(n, p, q, b) for b in window]
+        assert min(exponents) < 500.0 <= max(exponents)
+        for b in window:
+            _assert_matches_grid(n, p, q, b)
+
+    @pytest.mark.parametrize("b,small_path", [(0.3, True), (1.9, False)])
+    def test_rows_longer_than_a_block(self, b, small_path):
+        # q + 1 > BLOCK: one row per block, each split inside exact_sum.
+        n, p, q = 1000, 2, BLOCK + 5
+        assert (_max_exponent(n, p, q, b) < 500.0) == small_path
+        _assert_matches_grid(n, p, q, b)
+
+    def test_ragged_last_block(self):
+        n, p, q = 8000, 200, 1000
+        rows = BLOCK // (q + 1)
+        assert (p + 1) % rows != 0
+        for b in (0.05, select_b(1.0, 0.05, 0.35), 1.2, 1.5):
+            _assert_matches_grid(n, p, q, b)
+        assert _max_exponent(n, p, q, 1.2) < 500.0 <= _max_exponent(n, p, q, 1.5)
+
+    def test_divergent_and_near_divergent(self):
+        n, p, q = 50, 6, 9
+        b_edge = math.sqrt(2.0 * n / math.sqrt(p * q))  # a^2 pq = 1
+        with np.errstate(over="ignore"):
+            for b in (b_edge * (1 - 1e-6), b_edge * (1 - 1e-15), b_edge, b_edge * (1 + 1e-15), 2 * b_edge):
+                _assert_matches_grid(n, p, q, b)
+        with pytest.raises(DivergenceInfiniteError):
+            chi_square_exact(n, p, q, 2 * b_edge)
+
+    def test_memory_is_blocked(self):
+        b = select_b(1.0, 0.05, 0.35)
+        tracemalloc.start()
+        try:
+            chi_square_exact(8000, 2000, 2000, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The full grid would hold several 32 MB (2001 x 2001 float) arrays.
+        assert peak < 16 * 2**20
+
+
 class TestGammaEigs:
     def test_matches_numeric_small_amplitude(self):
         # a -> 0 limit with aligned sign vectors: eigenvalues +-2 sqrt(pq), 0, 0
@@ -121,6 +286,44 @@ class TestMgfValidity:
 
     def test_non_pd_fails(self):
         assert not mgf_validity(0.5, 4, 4)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 60),
+        st.integers(1, 60),
+        st.floats(1e-6, 0.999),
+        st.sampled_from([1.0, -1.0]),
+    )
+    def test_grid_maximum_sits_at_a_corner(self, p, q, c, sign):
+        a = sign * c / math.sqrt(p * q)
+        t = a / (1.0 - p * q * a * a)
+        grid_max = float(np.max(t * oracles.gamma_grid(a, p, q)))
+        corners = {
+            (ug, vh): [t * g for g in gamma_eigs(a, p, q, ug, vh).gammas] for ug in (-p, p) for vh in (-q, q)
+        }
+        corner_max = max(corners[p, q])
+        assert sorted(corners[p, q]) == sorted(corners[-p, -q])
+        assert max(corners[p, -q] + corners[-p, q]) <= 0.0
+        assert grid_max == pytest.approx(corner_max, rel=1e-12)
+        c = abs(a) * math.sqrt(p * q)
+        assert corner_max == pytest.approx(2.0 * c / (1.0 + c), rel=1e-12)
+        assert mgf_validity(a, p, q) == (grid_max < 1.0)
+
+    @pytest.mark.parametrize("gap", [1e-3, 1e-6, 1e-8, 2e-8, 1e-9])
+    def test_near_boundary_matches_full_stable_grid(self, gap):
+        # c = 1 - gap; the stable kernel over every (ug, vh) is the reference.
+        for p in range(1, 9):
+            for q in range(1, 9):
+                for sign in (1.0, -1.0):
+                    a = sign * (1.0 - gap) / math.sqrt(p * q)
+                    t = a / (1.0 - p * q * a * a)
+                    full = all(
+                        t * g < 1.0
+                        for ug in range(-p, p + 1, 2)
+                        for vh in range(-q, q + 1, 2)
+                        for g in gamma_eigs(a, p, q, ug, vh).gammas
+                    )
+                    assert mgf_validity(a, p, q) == full
 
 
 class TestClosedBoundAndSelectB:
