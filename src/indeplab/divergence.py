@@ -10,38 +10,42 @@ exactly, together with the closed-form upper bound 4 b^2 log4 / (1 - b^2 log4)
 and the induced total-variation and power bounds.
 
 Cost.  The divergence check and the choice between the two summation paths
-read one corner of the (p+1) x (q+1) support grid.  The small-value path walks
-the grid in row blocks and sums them with ``exact_sum``, a correctly rounded
-(fsum-equal) blocked summation, in O(BLOCK) memory.  The logsumexp path, taken
-when some exponent reaches 500, still builds the whole O(pq) grid; moving it
-to blocks is the remaining follow-up.  MGF validity is an O(1) check at the
-corner of the (u'g, v'h) grid where t * gamma peaks.  The full-grid forms are
-kept as oracles: ``oracles.chi_square_grid`` (bitwise reference) and
-``oracles.gamma_grid``.
+read one corner of the (p+1) x (q+1) support grid.  Both paths generate the
+grid in slices of at most BLOCK elements, in O(BLOCK) memory.  The small-value
+path sums them with ``exact_sum``, a correctly rounded (fsum-equal) blocked
+summation.  The logsumexp path, taken when some exponent reaches 500, finds
+the maximum in one pass and, in a second, replays the pairwise-sum tree of
+numpy's ``np.sum`` over slices generated on demand, so it reproduces
+``scipy.special.logsumexp`` of the whole grid bit for bit.  MGF validity is an
+O(1) check at the corner of the (u'g, v'h) grid where t * gamma peaks.  The
+full-grid forms are kept as oracles: ``oracles.chi_square_grid`` (bitwise
+reference) and ``oracles.gamma_grid``.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .structured_cov import amplitude
 
 LOG4 = math.log(4.0)
 
-# Elements per block of the small-value path and per slice of exact_sum.
-BLOCK = 1 << 16
+# Elements per slice of the support grid and of exact_sum.  A slice's float
+# temporaries (128 KiB each) stay in a 2 MiB L2 cache; at 2^16 elements the
+# logsumexp path ran about 1.7x slower.
+BLOCK = 1 << 14
 # np.frexp exponents of finite doubles run from -1073 to 1024; an element
 # M * 2^(e - 53) lands in bin e + 1073 and weighs 2^(bin - 1126).
 _EXP_OFFSET = 1073
 _NBINS = 2098
 _MANT_SHIFT = 1126
 # Slices between folds of the int64 bins, each of which grows by less than
-# 2^43 per slice.
+# BLOCK * 2^27 = 2^41 per slice.
 _FOLD_EVERY = 1 << 16
 
 
@@ -143,7 +147,7 @@ def exact_sum(chunks: Iterable[np.ndarray]) -> float:
     both round the exact sum once, half to even.  Each slice of at most BLOCK
     elements is split by ``np.frexp`` into integer mantissas
     M = hi * 2^27 + lo (|M| < 2^53) that ``np.bincount`` sums per binary
-    exponent.  Those are float sums of at most 2^16 integers below 2^27, hence
+    exponent.  Those are float sums of at most BLOCK integers below 2^27, hence
     exact, and accumulate in int64 bins that are folded into one Python int
     every _FOLD_EVERY slices, well before they could overflow.  The single
     rounding is the int true division at the end, which CPython rounds
@@ -179,12 +183,81 @@ def _fold(bins_total: np.ndarray) -> int:
     return sum(((hi << 27) + lo) << k for k, (hi, lo) in enumerate(zip(his, los)) if hi or lo)
 
 
-def _support_block(
-    a: float, n: int, Us: np.ndarray, Vs: np.ndarray, logw_p: np.ndarray, logw_q: np.ndarray
+def _support_slice(
+    a: float, n: int, Us: np.ndarray, Vs: np.ndarray, logw_p: np.ndarray, logw_q: np.ndarray,
+    start: int, stop: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Log-weights and exponents -n log(1 - a^2 U V) over Us x Vs."""
-    x = a * a * Us[:, None] * Vs[None, :]
-    return logw_p[:, None] + logw_q[None, :], -n * np.log1p(-x)
+    """Log-weights and exponents -n log(1 - a^2 U V) at row-major indices [start, stop) of Us x Vs.
+
+    A partial first row, the whole rows between and a partial last row are
+    evaluated apart, so the cost is O(stop - start) whatever the grid's shape.
+    """
+    width = Vs.size
+    r0, c0 = divmod(start, width)
+    r1, c1 = divmod(stop, width)
+    if r0 == r1:
+        spans = [(r0, r0 + 1, c0, c1)]
+    else:
+        spans = [(r0, r0 + 1, c0, width), (r0 + 1, r1, 0, width), (r1, r1 + 1, 0, c1)]
+    logw, exponent = [], []
+    for i, j, k, l in spans:
+        x = a * a * Us[i:j, None] * Vs[None, k:l]
+        logw.append((logw_p[i:j, None] + logw_q[None, k:l]).ravel())
+        exponent.append((-n * np.log1p(-x)).ravel())
+    return np.concatenate(logw), np.concatenate(exponent)
+
+
+def _pairwise_sum(leaf_sum: Callable[[int, int], np.float64], start: int, length: int) -> np.float64:
+    """numpy's pairwise sum of the elements [start, start + length), leaf by leaf.
+
+    ``np.sum`` of a contiguous run of k > 128 float64 elements returns
+    pairwise(k2) + pairwise(k - k2) with k2 = k // 2 rounded down to a multiple
+    of 8, and sums runs of at most 128 in one unrolled loop (Higham 1993).  The
+    split depends on k alone, so any node of this tree, summed by ``np.sum``,
+    has the bits it has inside the whole sum.  Nodes of at most
+    max(BLOCK, 128) elements are leaves, passed to ``leaf_sum(start, stop)``.
+    """
+    if length <= max(BLOCK, 128):
+        return leaf_sum(start, start + length)
+    half = length // 2
+    half -= half % 8
+    return _pairwise_sum(leaf_sum, start, half) + _pairwise_sum(leaf_sum, start + half, length - half)
+
+
+def _expm1_logsumexp(terms: Callable[[int, int], np.ndarray], size: int) -> float:
+    """expm1 of scipy's logsumexp over z[0:size], z[i:j] = terms(i, j), in O(BLOCK) memory.
+
+    Bit for bit equal to the call on the whole array, which takes zmax = max(z)
+    and the number m of elements equal to it, sets those to -inf, sums
+    exp(z - zmax) with ``np.sum``, divides a nonzero sum by m and returns
+    log1p(s) + log(m) + zmax.  The first pass finds zmax and m block by block;
+    the second replays the sum's pairwise tree over slices made on demand.
+    Raises OverflowError when the result does not fit a double.
+    """
+    zmax, m = -np.inf, 0
+    for start in range(0, size, BLOCK):
+        z = terms(start, min(start + BLOCK, size))
+        top = z.max()
+        if top > zmax:
+            zmax, m = top, 0
+        if top == zmax:
+            m += int(np.count_nonzero(z == top))
+
+    def leaf_sum(start: int, stop: int) -> np.float64:
+        z = terms(start, stop)
+        shifted = np.exp(z - zmax)
+        shifted[z == zmax] = 0.0
+        return np.sum(shifted)
+
+    s = _pairwise_sum(leaf_sum, 0, size)
+    count = np.float64(m)
+    if s != 0:
+        s = s / count
+    with np.errstate(over="ignore"):
+        chi2 = np.expm1(np.log1p(s) + np.log(count) + zmax)
+    if not np.isfinite(chi2):
+        raise OverflowError("the chi-square divergence overflows a double")
+    return float(chi2)
 
 
 def chi_square_exact(n: int, p: int, q: int, b: float) -> float:
@@ -193,10 +266,14 @@ def chi_square_exact(n: int, p: int, q: int, b: float) -> float:
     chi2 = sum_{k,l} C(p,k) C(q,l) 2^-(p+q) (1 - a^2 (p-2k)(q-2l))^-n  -  1.
 
     The largest a^2 U V sits at the corner U = p, V = q, so the divergence
-    check and the choice of path read that corner alone.  Small-value path
-    (largest exponent below 500): the weighted expm1 terms, accurate when chi2
-    is near 0, are summed by ``exact_sum`` in row blocks of about BLOCK
-    elements.  Otherwise the whole grid goes through logsumexp.
+    check and the choice of path read that corner alone.  Both paths walk the
+    row-major grid in slices of at most BLOCK elements, in O(BLOCK) memory.
+    Small-value path (largest exponent below 500): the weighted expm1 terms,
+    accurate when chi2 is near 0, are summed by ``exact_sum``, correctly
+    rounded.  Otherwise ``_expm1_logsumexp`` reproduces scipy's logsumexp of
+    the log-terms bit for bit; it loses digits where zmax + log(...) cancels,
+    and its result agrees with the small-value path across the switch to
+    about 1e-10 relative.  Raises OverflowError if chi2 exceeds a double.
     """
     if b == 0.0:
         return 0.0
@@ -213,15 +290,15 @@ def chi_square_exact(n: int, p: int, q: int, b: float) -> float:
     logw_p = gammaln(p + 1) - gammaln(k + 1) - gammaln(p - k + 1) - p * math.log(2.0)
     logw_q = gammaln(q + 1) - gammaln(l + 1) - gammaln(q - l + 1) - q * math.log(2.0)
     logw_p, logw_q = logw_p[::-1], logw_q[::-1]  # index order matches Us, Vs
+    size = (p + 1) * (q + 1)
+
+    def block(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        return _support_slice(a, n, Us, Vs, logw_p, logw_q, start, stop)
+
     if -n * np.log1p(-xmax) < 500.0:
-        rows = max(1, BLOCK // (q + 1))
-        blocks = (
-            _support_block(a, n, Us[i : i + rows], Vs, logw_p[i : i + rows], logw_q)
-            for i in range(0, p + 1, rows)
-        )
+        blocks = (block(start, min(start + BLOCK, size)) for start in range(0, size, BLOCK))
         return exact_sum(np.exp(logw) * np.expm1(exponent) for logw, exponent in blocks)
-    logw, exponent = _support_block(a, n, Us, Vs, logw_p, logw_q)
-    return float(np.expm1(logsumexp(logw + exponent)))
+    return _expm1_logsumexp(lambda start, stop: np.add(*block(start, stop)), size)
 
 
 def chi_square_closed_bound(b: float) -> float:

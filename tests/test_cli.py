@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import warnings
 
 import pytest
 
@@ -60,6 +61,20 @@ class TestBound:
         _, rows = parse_csv(out)
         assert [r["error"] for r in rows] == ["MemoryError", "MemoryError"]
         assert all(r["chi2_exact"] == "" for r in rows)
+
+    def test_overflow_is_an_error_row(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            # The divergence at this point exceeds the largest double.
+            code, out, err = run_cli(
+                capsys, "bound", "--grid-n", "8000", "--grid-p", "200", "--grid-q", "1000", "--b", "3"
+            )
+        assert code == EXIT_NUMERIC
+        _, rows = parse_csv(out)
+        assert len(rows) == 1 and "overflows" in rows[0]["error"]
+        assert rows[0]["chi2_exact"] == ""
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def _out_of_memory(*args):
@@ -127,6 +142,15 @@ class TestDivergenceCommand:
         code, out, err = run_cli(capsys, "divergence", "--n", "100", "--p", "10", "--q", "10")
         assert code == EXIT_NUMERIC
         assert out == "" and "MemoryError" in err
+
+    def test_overflow_exits_numeric(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "divergence", "--n", "8000", "--p", "200", "--q", "1000", "--b", "3")
+        assert code == EXIT_NUMERIC
+        assert out == "" and "overflows" in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestValidation:

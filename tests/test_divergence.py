@@ -1,10 +1,12 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln, logsumexp
 
 from indeplab import divergence, oracles
 from indeplab.divergence import (
@@ -86,7 +88,13 @@ def _outcome(fn, *args):
 
 
 def _assert_matches_grid(n, p, q, b):
-    assert _outcome(chi_square_exact, n, p, q, b) == _outcome(oracles.chi_square_grid, n, p, q, b)
+    """Same bits as the oracle, or the same exception; where the oracle
+    overflows to inf, chi_square_exact raises OverflowError instead."""
+    with np.errstate(over="ignore"):
+        want = _outcome(oracles.chi_square_grid, n, p, q, b)
+    if want == _bits(math.inf):
+        want = OverflowError
+    assert _outcome(chi_square_exact, n, p, q, b) == want
 
 
 def _max_exponent(n, p, q, b):
@@ -95,6 +103,39 @@ def _max_exponent(n, p, q, b):
     Us = np.arange(-p, p + 1, 2, dtype=float)
     Vs = np.arange(-q, q + 1, 2, dtype=float)
     return float(np.max(-n * np.log1p(-(a * a * Us[:, None] * Vs[None, :]))))
+
+
+def _b_for_exponent(n, p, q, exponent):
+    """b at which the corner exponent -n log1p(-a^2 pq) is about ``exponent``."""
+    x = -math.expm1(-exponent / n)
+    return math.sqrt(2.0 * n * x / math.sqrt(p * q))
+
+
+def _max_count(n, p, q, b):
+    """How many log-terms equal the largest one over the full grid."""
+    a = amplitude(n, p, q, b)
+    Us = np.arange(-p, p + 1, 2, dtype=float)
+    Vs = np.arange(-q, q + 1, 2, dtype=float)
+    k = np.arange(p + 1, dtype=float)
+    l = np.arange(q + 1, dtype=float)
+    logw_p = gammaln(p + 1) - gammaln(k + 1) - gammaln(p - k + 1) - p * math.log(2.0)
+    logw_q = gammaln(q + 1) - gammaln(l + 1) - gammaln(q - l + 1) - q * math.log(2.0)
+    z = logw_p[::-1, None] + logw_q[None, ::-1] - n * np.log1p(-(a * a * Us[:, None] * Vs[None, :]))
+    return int(np.count_nonzero(z == z.max()))
+
+
+def _switch_window(n, p, q):
+    """Adjacent doubles lo < hi of b with the largest exponent below 500 at lo, not at hi."""
+    lo = hi = _b_for_exponent(n, p, q, 500.0)
+    lo, hi = lo * (1 - 1e-9), hi * (1 + 1e-9)
+    assert _max_exponent(n, p, q, lo) < 500.0 <= _max_exponent(n, p, q, hi)
+    while np.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if _max_exponent(n, p, q, mid) < 500.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 class TestExactSum:
@@ -171,23 +212,13 @@ class TestChiSquareMatchesGrid:
         st.one_of(st.floats(0.0, 3.0), st.floats(1e-300, 1e-3)),
     )
     def test_random_points(self, n, p, q, b):
-        with np.errstate(over="ignore"):
-            _assert_matches_grid(n, p, q, b)
+        _assert_matches_grid(n, p, q, b)
 
     @pytest.mark.parametrize("n,p,q", [(1000, 3, 5), (40, 7, 2), (10**5, 30, 30)])
     def test_path_switch_at_exponent_500(self, n, p, q):
         # Bisect b to where the largest exponent crosses 500, then compare
         # every b within a few ulps of it on both sides.
-        x = 1.0 - math.exp(-500.0 / n)
-        lo = hi = math.sqrt(2.0 * n * x / math.sqrt(p * q))
-        lo, hi = lo * (1 - 1e-9), hi * (1 + 1e-9)
-        assert _max_exponent(n, p, q, lo) < 500.0 <= _max_exponent(n, p, q, hi)
-        while np.nextafter(lo, hi) < hi:
-            mid = 0.5 * (lo + hi)
-            if _max_exponent(n, p, q, mid) < 500.0:
-                lo = mid
-            else:
-                hi = mid
+        lo, _ = _switch_window(n, p, q)
         window = [lo]
         for direction in (-math.inf, math.inf):
             b = lo
@@ -199,17 +230,17 @@ class TestChiSquareMatchesGrid:
         for b in window:
             _assert_matches_grid(n, p, q, b)
 
-    @pytest.mark.parametrize("b,small_path", [(0.3, True), (1.9, False)])
-    def test_rows_longer_than_a_block(self, b, small_path):
-        # q + 1 > BLOCK: one row per block, each split inside exact_sum.
+    @pytest.mark.parametrize("exponent,small_path", [(30.0, True), (600.0, False)])
+    def test_rows_longer_than_a_block(self, exponent, small_path):
+        # q + 1 > BLOCK: slices start and end inside rows.
         n, p, q = 1000, 2, BLOCK + 5
+        b = _b_for_exponent(n, p, q, exponent)
         assert (_max_exponent(n, p, q, b) < 500.0) == small_path
         _assert_matches_grid(n, p, q, b)
 
     def test_ragged_last_block(self):
         n, p, q = 8000, 200, 1000
-        rows = BLOCK // (q + 1)
-        assert (p + 1) % rows != 0
+        assert (p + 1) * (q + 1) % BLOCK != 0
         for b in (0.05, select_b(1.0, 0.05, 0.35), 1.2, 1.5):
             _assert_matches_grid(n, p, q, b)
         assert _max_exponent(n, p, q, 1.2) < 500.0 <= _max_exponent(n, p, q, 1.5)
@@ -217,22 +248,126 @@ class TestChiSquareMatchesGrid:
     def test_divergent_and_near_divergent(self):
         n, p, q = 50, 6, 9
         b_edge = math.sqrt(2.0 * n / math.sqrt(p * q))  # a^2 pq = 1
-        with np.errstate(over="ignore"):
-            for b in (b_edge * (1 - 1e-6), b_edge * (1 - 1e-15), b_edge, b_edge * (1 + 1e-15), 2 * b_edge):
-                _assert_matches_grid(n, p, q, b)
+        for b in (b_edge * (1 - 1e-6), b_edge * (1 - 1e-15), b_edge, b_edge * (1 + 1e-15), 2 * b_edge):
+            _assert_matches_grid(n, p, q, b)
         with pytest.raises(DivergenceInfiniteError):
             chi_square_exact(n, p, q, 2 * b_edge)
 
     def test_memory_is_blocked(self):
-        b = select_b(1.0, 0.05, 0.35)
-        tracemalloc.start()
-        try:
-            chi_square_exact(8000, 2000, 2000, b)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # The full grid would hold several 32 MB (2001 x 2001 float) arrays.
-        assert peak < 16 * 2**20
+        # The default b takes the small-value path, b = 0.8 the logsumexp path.
+        n, p, q = 8000, 2000, 2000
+        assert _max_exponent(n, p, q, select_b(1.0, 0.05, 0.35)) < 500.0 <= _max_exponent(n, p, q, 0.8)
+        for b in (select_b(1.0, 0.05, 0.35), 0.8):
+            tracemalloc.start()
+            try:
+                chi_square_exact(n, p, q, b)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # The full grid would hold several 32 MB (2001 x 2001 float) arrays.
+            assert peak < 16 * 2**20, b
+
+
+class TestLogsumexpPath:
+    """The streamed logsumexp path equals the full-grid oracle bit for bit.
+
+    chi_square_exact replays the pairwise summation tree of numpy's ``np.sum``
+    over slices of the grid, so these tests are also the guard against a
+    change in numpy's summation tree (its split rule or its 128-element
+    leaves): such a change makes them fail, not the results drift silently.
+    The chi-square values keep few of the sum's last bits (zmax + log(...)
+    cancels), so the replay itself is checked on standard normal data too,
+    where any other tree changes the bits.
+    """
+
+    SIZES = (1, 127, 128, 129, 248, 264, 1016, 1032, BLOCK - 8, BLOCK + 8, 2**17 - 8, 2**17 + 8, 300_007)
+
+    @pytest.mark.parametrize("block", [3, 100, 128, 200, BLOCK])
+    def test_pairwise_replay_matches_np_sum(self, monkeypatch, block):
+        monkeypatch.setattr(divergence, "BLOCK", block)
+        rng = np.random.default_rng(5)
+        for size in self.SIZES:
+            x = rng.standard_normal(size)
+            got = divergence._pairwise_sum(lambda i, j: np.sum(x[i:j]), 0, size)
+            assert _bits(got) == _bits(np.sum(x)), size
+
+    @pytest.mark.parametrize("block", [3, 128, BLOCK])
+    @pytest.mark.parametrize("maxima", [1, 2, 5])
+    def test_streamed_logsumexp_matches_scipy(self, monkeypatch, block, maxima):
+        monkeypatch.setattr(divergence, "BLOCK", block)
+        rng = np.random.default_rng(maxima)
+        for size in self.SIZES:
+            z = 1e-3 * rng.standard_normal(size)
+            z[rng.integers(0, size, maxima)] = 0.01
+            got = divergence._expm1_logsumexp(lambda i, j: z[i:j], size)
+            assert _bits(got) == _bits(np.expm1(logsumexp(z.reshape(1, -1)))), size
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(200, 10**5),
+        st.integers(1, 120),
+        st.integers(1, 120),
+        st.floats(500.0, 3000.0),
+    )
+    def test_random_points(self, n, p, q, exponent):
+        b = _b_for_exponent(n, p, q, exponent)
+        assume(_max_exponent(n, p, q, b) >= 500.0)
+        _assert_matches_grid(n, p, q, b)
+
+    @pytest.mark.parametrize(
+        "p,q",
+        [
+            (2, BLOCK + 5),  # rows longer than a block and than a leaf
+            (BLOCK + 5, 1),  # many two-element rows
+            (1, BLOCK // 2 - 5),  # BLOCK - 8 elements: a single leaf
+            (1, BLOCK // 2 + 3),  # BLOCK + 8 elements: two leaves
+            (7, 2**14 - 2),  # 2^17 - 8 elements
+            (7, 2**14),  # 2^17 + 8 elements
+        ],
+    )
+    def test_grid_shapes(self, p, q):
+        n = 1000
+        for exponent in (510.0, 900.0):
+            b = _b_for_exponent(n, p, q, exponent)
+            assert _max_exponent(n, p, q, b) >= 500.0
+            _assert_matches_grid(n, p, q, b)
+
+    @pytest.mark.parametrize("block", [3, 100, 128, 200])
+    @pytest.mark.parametrize("p,q", [(2, 42), (7, 30), (7, 32), (7, 126), (7, 128), (30, 70)])
+    def test_small_leaves(self, monkeypatch, block, p, q):
+        # Grids of 129, 2^k +- 8 and 2201 elements: the half % 8 rounding at
+        # every level, and no split of a run of 128 or fewer, whatever BLOCK is.
+        monkeypatch.setattr(divergence, "BLOCK", block)
+        n = 1000
+        for exponent in (510.0, 900.0):
+            _assert_matches_grid(n, p, q, _b_for_exponent(n, p, q, exponent))
+
+    @pytest.mark.parametrize("p,q,m", [(100, 312, 1), (100, 100, 2)])
+    def test_count_of_maxima(self, p, q, m):
+        # logsumexp divides the rest of the sum by the number of maxima.
+        n = 1000
+        b = _b_for_exponent(n, p, q, 520.0)
+        assert _max_count(n, p, q, b) == m
+        _assert_matches_grid(n, p, q, b)
+
+    def test_overflow_raises(self):
+        n, p, q, b = 8000, 200, 1000, 3.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                chi_square_exact(n, p, q, b)
+        _assert_matches_grid(n, p, q, b)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(100, 10**5), st.integers(1, 300), st.integers(1, 300))
+    def test_continuous_across_the_switch(self, n, p, q):
+        # One ulp of b apart, the small-value path and the logsumexp path
+        # agree to 1e-9 relative.  From n = 100 up, chi2 itself moves by less
+        # than 1e-11 over that ulp; below, its slope 2n e^(500/n) takes over
+        # (about 5e-10 at n = 50).
+        lo, hi = _switch_window(n, p, q)
+        below, above = chi_square_exact(n, p, q, lo), chi_square_exact(n, p, q, hi)
+        assert above == pytest.approx(below, rel=1e-9)
 
 
 class TestGammaEigs:
