@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import sys
 
 from . import divergence as dv
@@ -100,30 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
-    if not getattr(args, "config", None):
-        return
-    file_vals = _load_config_file(args.config)
-    # Explicit CLI flags take precedence over the config file.
-    explicit = {a.lstrip("-").replace("-", "_").split("=")[0] for a in argv if a.startswith("--")}
-    casts = {"seed": int, "trials": int, "perms": int, "workers": int}
-    for key, val in file_vals.items():
-        if not hasattr(args, key):
-            raise ValueError(f"unknown config key {key!r}")
-        if key in explicit:
-            continue
-        if key in casts:
-            setattr(args, key, casts[key](val))
-        elif key.startswith("grid_"):
-            setattr(args, key, _parse_grid(val))
-        elif key in ("regime", "out"):
-            setattr(args, key, val)
-        elif key == "inject_fault":
-            setattr(args, key, val.lower() in ("1", "true", "yes"))
-        else:
-            setattr(args, key, float(val))
-
-
 def _validate(args: argparse.Namespace) -> list[str]:
     errs = []
     if not (0.0 < args.alpha < 1.0):
@@ -180,29 +157,30 @@ def _resolve_b(args: argparse.Namespace) -> float:
     return dv.select_b(args.kappa, args.alpha, args.beta)
 
 
+def _grid(args: argparse.Namespace) -> list[tuple[int, int, int]]:
+    """The (n, p, q) points of the grid flags, n outermost."""
+    grid = itertools.product(args.grid_n, args.grid_p, args.grid_q)
+    return [(int(n), int(p), int(q)) for n, p, q in grid]
+
+
 def cmd_bound(args) -> int:
     b = _resolve_b(args)
     cols = ["n", "p", "q", "b", "chi2_exact", "chi2_closed_bound", "tv_upper", "power_upper",
             "pd_ok", "mgf_ok", "b_caps_ok", "error"]
     em = _Emitter(args, cols)
     had_error = False
-    for n in args.grid_n:
-        for p in args.grid_p:
-            for q in args.grid_q:
-                n_, p_, q_ = int(n), int(p), int(q)
-                try:
-                    rep = dv.minimax_power_upper(n_, p_, q_, b, args.alpha)
-                    em.row(n=n_, p=p_, q=q_, b=f"{b:.12g}",
-                           chi2_exact=f"{rep.chi2_exact:.12g}",
-                           chi2_closed_bound=f"{rep.chi2_closed_bound:.12g}",
-                           tv_upper=f"{rep.tv_upper:.12g}",
-                           power_upper=f"{rep.power_upper:.12g}",
-                           pd_ok=rep.pd_ok, mgf_ok=rep.mgf_ok, b_caps_ok=rep.b_caps_ok, error="")
-                except (ValueError, ArithmeticError, MemoryError) as exc:
-                    had_error = True
-                    em.row(n=n_, p=p_, q=q_, b=f"{b:.12g}", error=str(exc) or type(exc).__name__,
-                           chi2_exact="", chi2_closed_bound="", tv_upper="", power_upper="",
-                           pd_ok="", mgf_ok="", b_caps_ok="")
+    for n, p, q in _grid(args):
+        try:
+            rep = dv.minimax_power_upper(n, p, q, b, args.alpha)
+            em.row(n=n, p=p, q=q, b=f"{b:.12g}",
+                   chi2_exact=f"{rep.chi2_exact:.12g}",
+                   chi2_closed_bound=f"{rep.chi2_closed_bound:.12g}",
+                   tv_upper=f"{rep.tv_upper:.12g}",
+                   power_upper=f"{rep.power_upper:.12g}",
+                   pd_ok=rep.pd_ok, mgf_ok=rep.mgf_ok, b_caps_ok=rep.b_caps_ok, error="")
+        except (ValueError, ArithmeticError, MemoryError) as exc:
+            had_error = True
+            em.row(n=n, p=p, q=q, b=f"{b:.12g}", error=str(exc) or type(exc).__name__)
     em.close()
     return EXIT_NUMERIC if had_error else EXIT_OK
 
@@ -221,65 +199,56 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_pass else EXIT_ORACLE
 
 
-def cmd_power(args) -> int:
+def _write_mc(args, progress: str, points, error_row: dict) -> int:
+    """Rows of a Monte-Carlo command, one per (s_or_b, PowerEstimate) pair that
+    ``points(n, p, q)`` returns at each grid point.
+
+    ``progress`` is the stderr line for a point, formatted with ``a=args`` and
+    the point's n, p, q; the mean permuted statistics per trial follow it.  A
+    point that fails writes one row holding ``error_row`` and the error.
+    """
     cols = ["regime", "n", "p", "q", "s_or_b", "trials", "rejections", "estimate",
             "ci_low", "ci_high", "seed", "error"]
     em = _Emitter(args, cols)
     had_error = False
-    b = _resolve_b(args) if args.regime == "lf" else 0.0
-    for n in args.grid_n:
-        for p in args.grid_p:
-            for q in args.grid_q:
-                n_, p_, q_ = int(n), int(p), int(q)
-                try:
-                    cfg = ProblemConfig(n=n_, p=p_, q=q_, alpha=args.alpha, beta=args.beta,
-                                        b=b if args.regime == "lf" else None)
-                    if args.regime == "null":
-                        est = estimate_level(cfg, args.trials, args.perms, args.seed, args.workers)
-                    else:
-                        est = estimate_avg_power(cfg, args.trials, args.perms, args.seed, args.workers)
-                    print(f"power: regime={args.regime} n={n_} p={p_} q={q_} "
-                          f"perms/trial={est.mean_permutations:.1f}", file=sys.stderr)
-                    em.row(regime=est.regime, n=n_, p=p_, q=q_, s_or_b=f"{b:.12g}",
-                           trials=est.trials, rejections=est.rejections,
-                           estimate=f"{est.estimate:.6g}", ci_low=f"{est.ci_low:.6g}",
-                           ci_high=f"{est.ci_high:.6g}", seed=args.seed, error="")
-                except ValueError as exc:
-                    had_error = True
-                    em.row(regime=args.regime, n=n_, p=p_, q=q_, s_or_b=f"{b:.12g}",
-                           trials="", rejections="", estimate="", ci_low="", ci_high="",
-                           seed=args.seed, error=str(exc))
+    for n, p, q in _grid(args):
+        try:
+            curve = points(n, p, q)
+            perms = ",".join(f"{est.mean_permutations:.1f}" for _, est in curve)
+            print(f"{progress.format(a=args, n=n, p=p, q=q)} perms/trial={perms}", file=sys.stderr)
+            for s_or_b, est in curve:
+                em.row(regime=est.regime, n=n, p=p, q=q, s_or_b=s_or_b,
+                       trials=est.trials, rejections=est.rejections,
+                       estimate=f"{est.estimate:.6g}", ci_low=f"{est.ci_low:.6g}",
+                       ci_high=f"{est.ci_high:.6g}", seed=args.seed, error="")
+        except (ValueError, ArithmeticError, MemoryError) as exc:
+            had_error = True
+            em.row(**error_row, n=n, p=p, q=q, seed=args.seed, error=str(exc) or type(exc).__name__)
     em.close()
     return EXIT_NUMERIC if had_error else EXIT_OK
+
+
+def cmd_power(args) -> int:
+    b = _resolve_b(args) if args.regime == "lf" else 0.0
+
+    def points(n, p, q):
+        cfg = ProblemConfig(n=n, p=p, q=q, alpha=args.alpha, beta=args.beta,
+                            b=b if args.regime == "lf" else None)
+        estimate = estimate_level if args.regime == "null" else estimate_avg_power
+        return [(f"{b:.12g}", estimate(cfg, args.trials, args.perms, args.seed, args.workers))]
+
+    return _write_mc(args, "power: regime={a.regime} n={n} p={p} q={q}", points,
+                     {"regime": args.regime, "s_or_b": f"{b:.12g}"})
 
 
 def cmd_phase(args) -> int:
-    cols = ["regime", "n", "p", "q", "s_or_b", "trials", "rejections", "estimate",
-            "ci_low", "ci_high", "seed", "error"]
-    em = _Emitter(args, cols)
-    had_error = False
-    for n in args.grid_n:
-        for p in args.grid_p:
-            for q in args.grid_q:
-                n_, p_, q_ = int(n), int(p), int(q)
-                try:
-                    curve = phase_curve(n_, p_, q_, args.grid_s, args.trials, args.perms,
-                                        args.seed, alpha=args.alpha, workers=args.workers)
-                    perms = ",".join(f"{est.mean_permutations:.1f}" for _, est in curve)
-                    print(f"phase: n={n_} p={p_} q={q_} s-grid={args.grid_s} perms/trial={perms}",
-                          file=sys.stderr)
-                    for s, est in curve:
-                        em.row(regime=est.regime, n=n_, p=p_, q=q_, s_or_b=f"{s:g}",
-                               trials=est.trials, rejections=est.rejections,
-                               estimate=f"{est.estimate:.6g}", ci_low=f"{est.ci_low:.6g}",
-                               ci_high=f"{est.ci_high:.6g}", seed=args.seed, error="")
-                except ValueError as exc:
-                    had_error = True
-                    em.row(regime="phase", n=n_, p=p_, q=q_, s_or_b="", trials="",
-                           rejections="", estimate="", ci_low="", ci_high="",
-                           seed=args.seed, error=str(exc))
-    em.close()
-    return EXIT_NUMERIC if had_error else EXIT_OK
+    def points(n, p, q):
+        curve = phase_curve(n, p, q, args.grid_s, args.trials, args.perms, args.seed,
+                            alpha=args.alpha, workers=args.workers)
+        return [(f"{s:g}", est) for s, est in curve]
+
+    return _write_mc(args, "phase: n={n} p={p} q={q} s-grid={a.grid_s}", points,
+                     {"regime": "phase", "s_or_b": ""})
 
 
 def cmd_divergence(args) -> int:
@@ -298,17 +267,44 @@ def cmd_divergence(args) -> int:
     return EXIT_OK
 
 
+def _config_tokens(argv: list[str]) -> tuple[list[str], list[str]]:
+    """``--key=value`` tokens for the entries of the ``--config`` file in argv,
+    and the entries' keys.
+
+    The ``=`` form keeps values such as ``-1,2`` from reading as flags.  A
+    true ``inject_fault`` becomes the bare flag; any other value adds nothing.
+    """
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config", nargs="?")  # a missing path is the full parser's error
+    path = pre.parse_known_args(argv)[0].config
+    entries = _load_config_file(path) if path else {}
+    tokens = []
+    for key, val in entries.items():
+        flag = "--" + key.replace("_", "-")
+        if key != "inject_fault":
+            tokens.append(f"{flag}={val}")
+        elif val.lower() in ("1", "true", "yes"):
+            tokens.append(flag)
+    return tokens, list(entries)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(argv)
     try:
-        _apply_config_file(args, argv)
+        tokens, keys = _config_tokens(argv)
+        # File entries go just after the subcommand name, so the command
+        # line's own flags, parsed later, win.
+        args = parser.parse_args(argv[:1] + tokens + argv[1:])
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    errs = _validate(args)
+    except SystemExit as exc:
+        # argparse has printed its usage error (or the help, code 0).
+        return EXIT_CONFIG if exc.code else EXIT_OK
+    # argparse takes a prefix of a flag, so `see = 3` would have set seed.
+    errs = [f"unknown config key {key!r}" for key in keys if not hasattr(args, key)] + _validate(args)
     if errs:
         for e in errs:
             print(f"invalid config: {e}", file=sys.stderr)

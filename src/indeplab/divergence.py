@@ -72,11 +72,6 @@ class GammaQuad:
 
     gammas: tuple[float, float, float, float]
     t: float
-    a: float
-    p: int
-    q: int
-    ug: int
-    vh: int
 
 
 def gamma_eigs(a: float, p: int, q: int, ug: int, vh: int) -> GammaQuad:
@@ -118,7 +113,7 @@ def gamma_eigs(a: float, p: int, q: int, ug: int, vh: int) -> GammaQuad:
         gammas.extend([lo, hi])
     denom = 1.0 - p * q * a * a
     t = a / denom if denom > 0 else math.inf
-    return GammaQuad(gammas=tuple(gammas), t=t, a=a, p=p, q=q, ug=ug, vh=vh)
+    return GammaQuad(gammas=tuple(gammas), t=t)
 
 
 def mgf_validity(a: float, p: int, q: int) -> bool:

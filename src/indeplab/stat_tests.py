@@ -19,7 +19,6 @@ import numpy as np
 
 from .structured_cov import (
     Dataset,
-    LeastFavorableCov,
     ProblemConfig,
     amplitude,
     sample_dataset,
@@ -72,50 +71,45 @@ class PowerEstimate:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Data-generating scenario: a linear regression or a two-sample mixture."""
+    """Linear-regression scenario for ``scenario_regression``; ``kind`` must
+    be ``"regression"``."""
 
     kind: str
     coefficients: np.ndarray | None = None
     noise: float = 1.0
     sigma_x: np.ndarray | None = None
-    mu1: np.ndarray | None = None
-    mu2: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind == "regression":
-            if self.coefficients is None:
-                raise ValueError("regression scenario needs coefficients")
-            if self.noise <= 0:
-                raise ValueError("noise standard deviation must be positive")
-            if self.sigma_x is not None:
-                sx = np.asarray(self.sigma_x, float)
-                if np.any(np.linalg.eigvalsh(sx) <= 0):
-                    raise ValueError("sigma_x must be positive definite")
-        elif self.kind == "two_sample":
-            if self.mu1 is None or self.mu2 is None:
-                raise ValueError("two_sample scenario needs mu1 and mu2")
-            if np.asarray(self.mu1).shape != np.asarray(self.mu2).shape:
-                raise ValueError("mu1 and mu2 must have equal length")
-        else:
+        if self.kind != "regression":
             raise ValueError(f"unknown scenario kind {self.kind!r}")
+        if self.coefficients is None:
+            raise ValueError("regression scenario needs coefficients")
+        if self.noise <= 0:
+            raise ValueError("noise standard deviation must be positive")
+        if self.sigma_x is not None:
+            sx = np.asarray(self.sigma_x, float)
+            if np.any(np.linalg.eigvalsh(sx) <= 0):
+                raise ValueError("sigma_x must be positive definite")
+
+
+def _blocks(ds: Dataset, centered: bool) -> tuple[np.ndarray, np.ndarray, int]:
+    """X and Y blocks and the divisor of the cross-covariance X'Y / divisor.
+
+    Uncentered: the raw blocks and n (population mean known to be zero).
+    Centered: column-centred blocks and n - 1.
+    """
+    n = ds.n
+    if not centered:
+        return ds.x, ds.y, n
+    if n < 2:
+        raise ValueError("centered statistic requires n >= 2")
+    return ds.x - ds.x.mean(axis=0), ds.y - ds.y.mean(axis=0), n - 1
 
 
 def cross_cov_stat(ds: Dataset, centered: bool = False) -> float:
-    """Squared Frobenius norm of the empirical cross-covariance.
-
-    Uncentered uses (1/n) X'Y (population mean known to be zero); centered
-    subtracts column means and divides by n-1.
-    """
-    x, y = ds.x, ds.y
-    n = ds.n
-    if centered:
-        if n < 2:
-            raise ValueError("centered statistic requires n >= 2")
-        x = x - x.mean(axis=0)
-        y = y - y.mean(axis=0)
-        cross = (x.T @ y) / (n - 1)
-    else:
-        cross = (x.T @ y) / n
+    """Squared Frobenius norm of the empirical cross-covariance (see ``_blocks``)."""
+    x, y, divisor = _blocks(ds, centered)
+    cross = (x.T @ y) / divisor
     return float(np.sum(cross * cross))
 
 
@@ -151,19 +145,13 @@ def permuted_stat_chunks(
     each statistic is bitwise equal to the one-product-per-permutation loop
     (``oracles.permuted_stats_loop``).
     """
-    x, y = ds.x, ds.y
+    # Row permutation leaves column means unchanged, so center once.
+    x, y, divisor = _blocks(ds, centered)
     n = ds.n
-    if centered:
-        # Row permutation leaves column means unchanged, so center once.
-        x = x - x.mean(axis=0)
-        y = y - y.mean(axis=0)
-        denom = n - 1
-    else:
-        denom = n
     chunk = perm_chunk_size(n, ds.p, ds.q)
     for start in range(0, B, chunk):
         perms = np.stack([rng.permutation(n) for _ in range(min(chunk, B - start))])
-        cross = np.matmul(x.T, y[perms]) / denom
+        cross = np.matmul(x.T, y[perms]) / divisor
         yield np.sum((cross * cross).reshape(len(perms), -1), axis=1)
 
 
@@ -336,8 +324,6 @@ def phase_curve(
 
 def scenario_regression(spec: ScenarioSpec, n: int, rng: np.random.Generator) -> Dataset:
     """Linear-model data: X ~ N(0, Sigma_X), Y = X beta + noise, q = 1."""
-    if spec.kind != "regression":
-        raise ValueError("spec must be a regression scenario")
     beta = np.asarray(spec.coefficients, float)
     p = beta.size
     if spec.sigma_x is None:

@@ -13,7 +13,7 @@ when a^2 * p * q < 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,8 +99,6 @@ class Dataset:
     values: np.ndarray
     p: int
     q: int
-    meta: ProblemConfig | None = None
-    lf: LeastFavorableCov | None = field(default=None, compare=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -218,7 +216,6 @@ def sample_dataset(
     rng: np.random.Generator,
     p: int | None = None,
     q: int | None = None,
-    meta: ProblemConfig | None = None,
 ) -> Dataset:
     """Draw n i.i.d. rows from N(0, Sigma_uv), or from N(0, I) when lf is None.
 
@@ -228,7 +225,7 @@ def sample_dataset(
         if p is None or q is None:
             raise ValueError("p and q required for null-hypothesis sampling")
         values = rng.standard_normal((n, p + q))
-        return Dataset(values=values, p=p, q=q, meta=meta)
+        return Dataset(values=values, p=p, q=q)
     z = rng.standard_normal((n, lf.p + lf.q))
     values = cov_sqrt_apply(lf, z)
-    return Dataset(values=values, p=lf.p, q=lf.q, meta=meta, lf=lf)
+    return Dataset(values=values, p=lf.p, q=lf.q)

@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from indeplab import divergence
+from indeplab import cli, divergence
 from indeplab.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_ORACLE, main
 from indeplab.divergence import chi_square_exact, select_b
 
@@ -77,7 +77,7 @@ class TestBound:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
-def _out_of_memory(*args):
+def _out_of_memory(*args, **kwargs):
     raise MemoryError
 
 
@@ -122,6 +122,26 @@ class TestPowerAndPhase:
         assert ests[2] > 0.85 and ests[0] < 0.2
         perms = [float(v) for v in err.split("perms/trial=")[1].split()[0].split(",")]
         assert len(perms) == 3 and all(0 < k <= 39 for k in perms)
+
+    def test_memory_error_is_an_error_row(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "estimate_level", _out_of_memory)
+        code, out, _ = run_cli(
+            capsys, "power", "--regime", "null", "--grid-n", "20", "--grid-p", "2,3", "--grid-q", "2",
+            "--trials", "100", "--perms", "19",
+        )
+        assert code == EXIT_NUMERIC
+        _, rows = parse_csv(out)
+        assert [(r["regime"], r["p"], r["s_or_b"], r["error"]) for r in rows] == [
+            ("null", "2", "0", "MemoryError"), ("null", "3", "0", "MemoryError")
+        ]
+        assert all(r["estimate"] == "" and r["seed"] == "0" for r in rows)
+
+    def test_phase_error_row(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "phase_curve", _out_of_memory)
+        code, out, _ = run_cli(capsys, "phase", "--grid-n", "20", "--grid-p", "2", "--grid-q", "2")
+        assert code == EXIT_NUMERIC
+        _, rows = parse_csv(out)
+        assert [(r["regime"], r["s_or_b"], r["error"]) for r in rows] == [("phase", "", "MemoryError")]
 
     def test_seed_reproducibility(self, capsys):
         argv = ["power", "--regime", "null", "--grid-n", "20", "--grid-p", "2",
@@ -172,6 +192,21 @@ class TestValidation:
         assert code == EXIT_CONFIG
         assert "b must be nonnegative" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["power", "--regime", "nul"], "invalid choice"),
+        (["power", "--trials", "ten"], "--trials"),
+        (["divergence", "--n", "100", "--p", "10"], "--q"),
+    ], ids=["bad_choice", "bad_type", "missing_required"])
+    def test_usage_error_exits_config(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_CONFIG
+        assert out == "" and message in err
+
+    def test_help_exits_ok(self, capsys):
+        code, out, _ = run_cli(capsys, "power", "-h")
+        assert code == EXIT_OK
+        assert "--regime" in out
+
 
 class TestConfigFile:
     def test_file_values_and_flag_precedence(self, tmp_path, capsys):
@@ -196,3 +231,43 @@ class TestConfigFile:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "bound", "--config", "/nonexistent.cfg")
         assert code == EXIT_CONFIG
+
+    def test_required_flags_from_file(self, tmp_path, capsys):
+        cfg = tmp_path / "point.cfg"
+        cfg.write_text("n = 100\np = 10\nq = 10\n")
+        code, out, _ = run_cli(capsys, "divergence", "--config", str(cfg))
+        assert code == EXIT_OK
+        _, flag_out, _ = run_cli(capsys, "divergence", "--n", "100", "--p", "10", "--q", "10")
+        assert out == flag_out
+
+    @pytest.mark.parametrize("command, entry, message", [
+        ("power", "regime = nul", "invalid choice"),
+        ("bound", "grid-n = 10.5x", "'10.5x'"),
+        # argparse alone would take `see` as a prefix of --seed.
+        ("bound", "see = 3", "unknown config key 'see'"),
+        # The --key=value form keeps a leading '-' from reading as a flag.
+        ("bound", "grid-p = -1,2", "grid_p entries must be positive integers, got -1.0"),
+    ], ids=["bad_choice", "bad_type", "flag_prefix", "negative_list"])
+    def test_bad_entry_exits_config(self, tmp_path, capsys, command, entry, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(entry + "\n")
+        code, out, err = run_cli(capsys, command, "--config", str(cfg))
+        assert code == EXIT_CONFIG
+        assert out == "" and message in err
+
+    @pytest.mark.parametrize("value, expected", [("true", EXIT_ORACLE), ("no", EXIT_OK)])
+    def test_inject_fault_from_file(self, tmp_path, capsys, value, expected):
+        cfg = tmp_path / "fault.cfg"
+        cfg.write_text(f"inject_fault = {value}\n")
+        code, _, _ = run_cli(capsys, "verify", "--config", str(cfg))
+        assert code == expected
+
+    def test_file_run_matches_flags(self, tmp_path, capsys):
+        flags = ["--regime", "null", "--grid-n", "20", "--grid-p", "2,3", "--grid-q", "2",
+                 "--trials", "100", "--perms", "19", "--seed", "5", "--alpha", "0.1"]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{flags[i][2:]} = {flags[i + 1]}\n" for i in range(0, len(flags), 2)))
+        code, out, _ = run_cli(capsys, "power", "--config", str(cfg))
+        assert code == EXIT_OK
+        _, flag_out, _ = run_cli(capsys, "power", *flags)
+        assert out == flag_out  # header fingerprint included
