@@ -15,9 +15,9 @@ import csv
 import hashlib
 import itertools
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 from . import divergence as dv
-from . import oracles_suite
 from .stat_tests import ProblemConfig, estimate_avg_power, estimate_level, phase_curve
 
 EXIT_OK = 0
@@ -60,18 +60,18 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--beta", type=float, default=0.35)
         sp.add_argument("--kappa", type=float, default=1.0)
 
-    sp = sub.add_parser("bound", help="divergence and power bounds over a grid")
+    sp = sub.add_parser("bound", allow_abbrev=False, help="divergence and power bounds over a grid")
     common(sp)
     sp.add_argument("--b", type=float, help="signal constant; default select_b(kappa, alpha, beta)")
     sp.add_argument("--grid-n", type=_parse_grid, default=[100.0])
     sp.add_argument("--grid-p", type=_parse_grid, default=[10.0])
     sp.add_argument("--grid-q", type=_parse_grid, default=[10.0])
 
-    sp = sub.add_parser("verify", help="run the brute-force oracle suite")
+    sp = sub.add_parser("verify", allow_abbrev=False, help="run the brute-force oracle suite")
     common(sp)
     sp.add_argument("--inject-fault", action="store_true", help="negative control: perturb one closed form")
 
-    sp = sub.add_parser("power", help="Monte-Carlo level / power estimation")
+    sp = sub.add_parser("power", allow_abbrev=False, help="Monte-Carlo level / power estimation")
     common(sp)
     sp.add_argument("--regime", choices=["null", "lf"], default="lf")
     sp.add_argument("--b", type=float, help="signal constant; default select_b(kappa, alpha, beta)")
@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid-p", type=_parse_grid, default=[10.0])
     sp.add_argument("--grid-q", type=_parse_grid, default=[10.0])
 
-    sp = sub.add_parser("phase", help="power curve over the dimensionless signal axis")
+    sp = sub.add_parser("phase", allow_abbrev=False, help="power curve over the dimensionless signal axis")
     common(sp)
     sp.add_argument("--trials", type=int, default=1000)
     sp.add_argument("--perms", type=int, default=200)
@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid-q", type=_parse_grid, default=[10.0])
     sp.add_argument("--grid-s", type=_parse_grid, default=[0.0, 1.0, 5.0, 25.0, 50.0])
 
-    sp = sub.add_parser("divergence", help="single-point divergence report")
+    sp = sub.add_parser("divergence", allow_abbrev=False, help="single-point divergence report")
     common(sp)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--p", type=int, required=True)
@@ -186,6 +186,9 @@ def cmd_bound(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # Imported here: the oracles pull in scipy.special, which only verify needs.
+    from . import oracles_suite
+
     rows = oracles_suite.run_suite(seed=args.seed, inject_fault=args.inject_fault)
     cols = ["name", "closed_form", "brute_force", "abs_err", "rel_err", "pass"]
     em = _Emitter(args, cols)
@@ -221,7 +224,7 @@ def _write_mc(args, progress: str, points, error_row: dict) -> int:
                        trials=est.trials, rejections=est.rejections,
                        estimate=f"{est.estimate:.6g}", ci_low=f"{est.ci_low:.6g}",
                        ci_high=f"{est.ci_high:.6g}", seed=args.seed, error="")
-        except (ValueError, ArithmeticError, MemoryError) as exc:
+        except (ValueError, ArithmeticError, MemoryError, BrokenProcessPool) as exc:
             had_error = True
             em.row(**error_row, n=n, p=p, q=q, seed=args.seed, error=str(exc) or type(exc).__name__)
     em.close()
@@ -288,23 +291,37 @@ def _config_tokens(argv: list[str]) -> tuple[list[str], list[str]]:
     return tokens, list(entries)
 
 
+def _unknown_keys(parser: argparse.ArgumentParser, argv: list[str], keys: list[str]) -> list[str]:
+    """The config-file keys that name no flag of the subcommand argv[0].
+
+    Checked before parsing: argparse would reject such a token as an
+    unrecognized argument, not as a key of the file.
+    """
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    command = subparsers.choices.get(argv[0]) if argv else None
+    if command is None:
+        return []  # argparse reports a missing or unknown command itself
+    dests = {action.dest for action in command._actions}
+    return [key for key in keys if key not in dests]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
         tokens, keys = _config_tokens(argv)
+        unknown = _unknown_keys(parser, argv, keys)
         # File entries go just after the subcommand name, so the command
         # line's own flags, parsed later, win.
-        args = parser.parse_args(argv[:1] + tokens + argv[1:])
+        args = None if unknown else parser.parse_args(argv[:1] + tokens + argv[1:])
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SystemExit as exc:
         # argparse has printed its usage error (or the help, code 0).
         return EXIT_CONFIG if exc.code else EXIT_OK
-    # argparse takes a prefix of a flag, so `see = 3` would have set seed.
-    errs = [f"unknown config key {key!r}" for key in keys if not hasattr(args, key)] + _validate(args)
+    errs = [f"unknown config key {key!r}" for key in unknown] or _validate(args)
     if errs:
         for e in errs:
             print(f"invalid config: {e}", file=sys.stderr)

@@ -11,28 +11,46 @@ and the induced total-variation and power bounds.
 
 Cost.  The divergence check and the choice between the two summation paths
 read one corner of the (p+1) x (q+1) support grid.  Both paths generate the
-grid in slices of at most BLOCK elements, in O(BLOCK) memory.  The small-value
-path sums them with ``exact_sum``, a correctly rounded (fsum-equal) blocked
-summation.  The logsumexp path, taken when some exponent reaches 500, finds
-the maximum in one pass and, in a second, replays the pairwise-sum tree of
-numpy's ``np.sum`` over slices generated on demand, so it reproduces
-``scipy.special.logsumexp`` of the whole grid bit for bit.  MGF validity is an
-O(1) check at the corner of the (u'g, v'h) grid where t * gamma peaks.  The
-full-grid forms are kept as oracles: ``oracles.chi_square_grid`` (bitwise
-reference) and ``oracles.gamma_grid``.
+grid in slices of at most BLOCK elements, in O(BLOCK) memory, and evaluate
+only the cells that a bound per row (and per column) cannot rule out of the
+result's bits.  The bound: e(x) = -n log1p(-x) is convex with e(0) = 0, so
+for V on U's side e(a^2 U V) <= (|V|/q) E_U with E_U = e(a^2 |U| q), and
+e <= 0 on the other side.  With lambda = E_U / q and
+E[e^(lambda V)] = cosh(lambda)^q <= e^(lambda^2 q / 2) (Hoeffding 1963), the
+row's sum of w |expm1(e)| or of w e^e, and its largest log-term, are at most
+w_U (1 + cosh(lambda)^q).  Slack for float error: a^2 |U| q and E_U are
+raised by 2^-40 relative, the bound by a factor 2, its log by
+2^-40 (|log w_U| + q log 2 + E_U + 1), and each dropped cell adds 2^-1072
+(1 + e^(emax + 1)), emax the corner exponent, for rounding in the subnormal
+range.  The small-value path
+sums the window |U| <= T_U, |V| <= T_V exactly, with ``_exact_total``; the
+dropped cells' bound eps is kept below 2^-72 of n(n+1)/2 a^4 pq, the series'
+first term and a lower bound on chi2.  When the window total minus eps and
+plus eps round to the same nonzero double, rounding is monotone, so that
+double is the full grid's correctly rounded (fsum-equal) sum; otherwise the
+full grid is summed.  The logsumexp path, taken when some exponent reaches
+500, scans rows by decreasing bound for the maximum and its count until a
+bound falls below it, then replays the pairwise-sum tree of numpy's
+``np.sum`` over slices generated on demand, skipping each node whose bound
+(its rows' bounds times e^-zmax, plus 2^-1074 per cell) is below half an ulp
+of its sibling's sum; so it reproduces ``scipy.special.logsumexp`` of the
+whole grid bit for bit.  MGF validity is an O(1) check at the corner of the
+(u'g, v'h) grid where t * gamma peaks.  The full-grid forms are kept as
+oracles: ``oracles.chi_square_grid`` (bitwise reference) and
+``oracles.gamma_grid``.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .structured_cov import amplitude
 
+LOG2 = math.log(2.0)
 LOG4 = math.log(4.0)
 
 # Elements per slice of the support grid and of exact_sum.  A slice's float
@@ -47,6 +65,11 @@ _MANT_SHIFT = 1126
 # Slices between folds of the int64 bins, each of which grows by less than
 # BLOCK * 2^27 = 2^41 per slice.
 _FOLD_EVERY = 1 << 16
+# Relative margin on the inputs and outputs of the row bounds (_log_row_bounds).
+_BOUND_SLACK = 2.0**-40
+# The small-value path drops outer cells whose bounds sum to at most this
+# fraction of chi2's first series term, 2^-19 of an ulp of that term.
+_WINDOW_MARGIN = 2.0**-72
 
 
 class DivergenceInfiniteError(ValueError):
@@ -139,14 +162,21 @@ def exact_sum(chunks: Iterable[np.ndarray]) -> float:
     """Correctly rounded sum of all elements of an iterable of finite float arrays.
 
     Bit for bit equal to ``math.fsum`` over the same elements, in any order:
-    both round the exact sum once, half to even.  Each slice of at most BLOCK
-    elements is split by ``np.frexp`` into integer mantissas
-    M = hi * 2^27 + lo (|M| < 2^53) that ``np.bincount`` sums per binary
-    exponent.  Those are float sums of at most BLOCK integers below 2^27, hence
-    exact, and accumulate in int64 bins that are folded into one Python int
-    every _FOLD_EVERY slices, well before they could overflow.  The single
-    rounding is the int true division at the end, which CPython rounds
-    correctly.
+    both round the exact sum once, half to even.  The exact sum is
+    ``_exact_total(chunks) / 2^_MANT_SHIFT``, and CPython rounds that int true
+    division correctly.
+    """
+    return _exact_total(chunks) / (1 << _MANT_SHIFT)
+
+
+def _exact_total(chunks: Iterable[np.ndarray]) -> int:
+    """The exact sum of all elements, times 2^_MANT_SHIFT, as an int.
+
+    Each slice of at most BLOCK elements is split by ``np.frexp`` into integer
+    mantissas M = hi * 2^27 + lo (|M| < 2^53) that ``np.bincount`` sums per
+    binary exponent.  Those are float sums of at most BLOCK integers below
+    2^27, hence exact, and accumulate in int64 bins that are folded into one
+    Python int every _FOLD_EVERY slices, well before they could overflow.
     """
     total = 0
     bins_total = np.zeros((2, _NBINS), np.int64)
@@ -169,7 +199,7 @@ def exact_sum(chunks: Iterable[np.ndarray]) -> float:
             if count % _FOLD_EVERY == 0:
                 total += _fold(bins_total)
                 bins_total[:] = 0
-    return (total + _fold(bins_total)) / (1 << _MANT_SHIFT)
+    return total + _fold(bins_total)
 
 
 def _fold(bins_total: np.ndarray) -> int:
@@ -202,7 +232,73 @@ def _support_slice(
     return np.concatenate(logw), np.concatenate(exponent)
 
 
-def _pairwise_sum(leaf_sum: Callable[[int, int], np.float64], start: int, length: int) -> np.float64:
+def _log_row_bounds(a: float, n: int, Us: np.ndarray, d: int, logw: np.ndarray) -> np.ndarray:
+    """Upper bounds, one per row U of the grid Us x V (V a sum of d signs), on
+    log sum_V w_U w_V max(e^e, |expm1(e)|) with e = -n log1p(-a^2 U V): the
+    log of w_U (1 + cosh(E_U / d)^d), E_U = e at V = d sign(U), with the
+    slack the module docstring lists.  A row whose a^2 |U| d reaches 1 after
+    that slack gets +inf.
+    """
+    x = a * a * np.abs(Us) * d * (1.0 + _BOUND_SLACK)
+    with np.errstate(divide="ignore"):
+        e = -n * np.log1p(-np.minimum(x, 1.0)) * (1.0 + _BOUND_SLACK)
+    lam = e / d
+    log_mgf = d * (lam + np.log1p(np.exp(-2.0 * lam)) - LOG2)
+    slack = LOG2 + _BOUND_SLACK * (np.abs(logw) + d * LOG2 + e + 1.0)
+    return logw + np.logaddexp(0.0, log_mgf) + slack
+
+
+def _trim(bounds: np.ndarray, budget: float) -> tuple[int, float]:
+    """The most entries k at each end whose 2k bounds sum to at most ``budget``
+    (at most (size - 1) // 2, so something is left), and that sum."""
+    half = (bounds.size - 1) // 2
+    tails = np.cumsum(bounds[:half] + bounds[::-1][:half])
+    k = int(np.searchsorted(tails, budget, side="right"))
+    return k, float(tails[k - 1]) if k else 0.0
+
+
+def _expm1_terms(
+    a: float, n: int, Us: np.ndarray, Vs: np.ndarray, logw_p: np.ndarray, logw_q: np.ndarray,
+) -> Iterator[np.ndarray]:
+    """w expm1(e) over the row-major grid Us x Vs, in slices of at most BLOCK elements."""
+    size = Us.size * Vs.size
+    for start in range(0, size, BLOCK):
+        logw, exponent = _support_slice(a, n, Us, Vs, logw_p, logw_q, start, min(start + BLOCK, size))
+        yield np.exp(logw) * np.expm1(exponent)
+
+
+def _small_value_sum(
+    a: float, n: int, Us: np.ndarray, Vs: np.ndarray, logw_p: np.ndarray, logw_q: np.ndarray,
+    row_bounds: np.ndarray, emax: float,
+) -> float:
+    """The correctly rounded sum of w expm1(e) over the whole grid, from a window when certified.
+
+    The window drops the outer rows and columns whose bounds sum to at most
+    _WINDOW_MARGIN / 2 of n(n+1)/2 a^4 pq each.  With N the exact window total
+    and eps the dropped cells' bound, both times 2^_MANT_SHIFT, if N - eps and
+    N + eps round to the same nonzero double, so does the full grid's total.
+    """
+    p, q = Us.size - 1, Vs.size - 1
+    budget = 0.5 * _WINDOW_MARGIN * 0.5 * n * (n + 1.0) * (a * a) ** 2 * p * q  # half to rows, half to columns
+    with np.errstate(over="ignore"):
+        r0, row_tail = _trim(np.exp(row_bounds), budget)
+        c0, col_tail = _trim(np.exp(_log_row_bounds(a, n, Vs, p, logw_q)), budget)
+    rows, cols = slice(r0, p + 1 - r0), slice(c0, q + 1 - c0)
+    total = _exact_total(_expm1_terms(a, n, Us[rows], Vs[cols], logw_p[rows], logw_q[cols]))
+    dropped = (p + 1) * (q + 1) - (p + 1 - 2 * r0) * (q + 1 - 2 * c0)
+    eps = row_tail + col_tail + dropped * 2.0**-1072 * (1.0 + math.exp(emax + 1.0))
+    num, den = eps.as_integer_ratio()
+    slack = -(-(num << _MANT_SHIFT) // den)
+    lo, hi = (total - slack) / (1 << _MANT_SHIFT), (total + slack) / (1 << _MANT_SHIFT)
+    if lo == hi and (lo != 0.0 or slack == 0):
+        return lo
+    return exact_sum(_expm1_terms(a, n, Us, Vs, logw_p, logw_q))
+
+
+def _pairwise_sum(
+    leaf_sum: Callable[[int, int], np.float64], start: int, length: int,
+    bound: Callable[[int, int], float] = lambda start, stop: math.inf,
+) -> np.float64:
     """numpy's pairwise sum of the elements [start, start + length), leaf by leaf.
 
     ``np.sum`` of a contiguous run of k > 128 float64 elements returns
@@ -211,32 +307,70 @@ def _pairwise_sum(leaf_sum: Callable[[int, int], np.float64], start: int, length
     split depends on k alone, so any node of this tree, summed by ``np.sum``,
     has the bits it has inside the whole sum.  Nodes of at most
     max(BLOCK, 128) elements are leaves, passed to ``leaf_sum(start, stop)``.
+
+    For nonnegative elements, ``bound(start, stop)`` may bound the sum of
+    [start, stop).  The child with the larger bound is then summed first, and
+    the other is skipped when its bound lies below half an ulp of the first:
+    adding it would leave the first unchanged, so the result keeps its bits.
     """
     if length <= max(BLOCK, 128):
         return leaf_sum(start, start + length)
     half = length // 2
     half -= half % 8
-    return _pairwise_sum(leaf_sum, start, half) + _pairwise_sum(leaf_sum, start + half, length - half)
+    first, second = (start, half), (start + half, length - half)
+    first_bound, second_bound = bound(start, start + half), bound(start + half, start + length)
+    if second_bound > first_bound:
+        first, second, second_bound = second, first, first_bound
+    total = _pairwise_sum(leaf_sum, *first, bound)
+    if second_bound < 0.5 * np.spacing(total):
+        return total
+    return total + _pairwise_sum(leaf_sum, *second, bound)
 
 
-def _expm1_logsumexp(terms: Callable[[int, int], np.ndarray], size: int) -> float:
+def _expm1_logsumexp(
+    terms: Callable[[int, int], np.ndarray], size: int, log_row_bounds: np.ndarray | None = None,
+) -> float:
     """expm1 of scipy's logsumexp over z[0:size], z[i:j] = terms(i, j), in O(BLOCK) memory.
 
     Bit for bit equal to the call on the whole array, which takes zmax = max(z)
     and the number m of elements equal to it, sets those to -inf, sums
     exp(z - zmax) with ``np.sum``, divides a nonzero sum by m and returns
-    log1p(s) + log(m) + zmax.  The first pass finds zmax and m block by block;
-    the second replays the sum's pairwise tree over slices made on demand.
-    Raises OverflowError when the result does not fit a double.
+    log1p(s) + log(m) + zmax.  z is read as a row-major grid with one row per
+    entry of ``log_row_bounds``, each an upper bound on log sum exp(z) over its
+    row (default: a single row, unbounded).  The first pass evaluates rows in
+    order of decreasing bound and stops at the first bound below the running
+    zmax, since no later row can reach it; so it finds zmax and m.  The second
+    replays the sum's pairwise tree over slices made on demand, skipping each
+    node whose bound, the sum of its rows' bounds times e^-zmax plus 2^-1074
+    per element (an exp rounded in the subnormal range), cannot change its
+    sibling's sum.  Raises OverflowError when the result does not fit a double.
     """
+    if log_row_bounds is None:
+        log_row_bounds = np.array([math.inf])
+    width = size // log_row_bounds.size
     zmax, m = -np.inf, 0
-    for start in range(0, size, BLOCK):
-        z = terms(start, min(start + BLOCK, size))
-        top = z.max()
-        if top > zmax:
-            zmax, m = top, 0
-        if top == zmax:
-            m += int(np.count_nonzero(z == top))
+    order = np.argsort(-log_row_bounds, kind="stable")
+    per_batch = max(1, BLOCK // width)
+    for i in range(0, order.size, per_batch):
+        batch = order[i : i + per_batch]
+        batch = np.sort(batch[log_row_bounds[batch] >= zmax])
+        if batch.size == 0:
+            break
+        for run in np.split(batch, np.flatnonzero(np.diff(batch) != 1) + 1):
+            stop = (int(run[-1]) + 1) * width
+            for start in range(int(run[0]) * width, stop, BLOCK):
+                z = terms(start, min(start + BLOCK, stop))
+                top = z.max()
+                if top > zmax:
+                    zmax, m = top, 0
+                if top == zmax:
+                    m += int(np.count_nonzero(z == top))
+
+    with np.errstate(over="ignore"):
+        row_sums = np.exp(log_row_bounds - zmax)
+
+    def bound(start: int, stop: int) -> float:
+        return row_sums[start // width : (stop - 1) // width + 1].sum() + (stop - start) * 2.0**-1074
 
     def leaf_sum(start: int, stop: int) -> np.float64:
         z = terms(start, stop)
@@ -244,7 +378,7 @@ def _expm1_logsumexp(terms: Callable[[int, int], np.ndarray], size: int) -> floa
         shifted[z == zmax] = 0.0
         return np.sum(shifted)
 
-    s = _pairwise_sum(leaf_sum, 0, size)
+    s = _pairwise_sum(leaf_sum, 0, size, bound)
     count = np.float64(m)
     if s != 0:
         s = s / count
@@ -262,14 +396,33 @@ def chi_square_exact(n: int, p: int, q: int, b: float) -> float:
 
     The largest a^2 U V sits at the corner U = p, V = q, so the divergence
     check and the choice of path read that corner alone.  Both paths walk the
-    row-major grid in slices of at most BLOCK elements, in O(BLOCK) memory.
+    row-major grid in slices of at most BLOCK elements, in O(BLOCK) memory,
+    and evaluate only the cells that the bounds of ``_log_row_bounds`` cannot
+    rule out of the result's bits.  Per row U, with w_V = C(q,l) 2^-q,
+    e = -n log1p(-a^2 U V), E_U = e at V = q sign(U) and lambda = E_U / q:
+    e <= (|V|/q) E_U for V on U's side (e is convex in a^2 U V and 0 at 0),
+    e <= 0 on the other side, and sum_V w_V e^(lambda V) = cosh(lambda)^q
+    <= e^(lambda^2 q / 2) (Hoeffding 1963).  So w_U (1 + cosh(lambda)^q)
+    bounds the row's sum of w |expm1(e)| and of w e^e, and its largest term.
+    Slack: a^2 |U| q and E_U gain 2^-40 relative, the bound a factor 2 and,
+    in logs, 2^-40 (|log w_U| + q log 2 + E_U + 1); columns likewise.
     Small-value path (largest exponent below 500): the weighted expm1 terms,
-    accurate when chi2 is near 0, are summed by ``exact_sum``, correctly
-    rounded.  Otherwise ``_expm1_logsumexp`` reproduces scipy's logsumexp of
-    the log-terms bit for bit; it loses digits where zmax + log(...) cancels,
-    and its result agrees with the small-value path across the switch to
-    about 1e-10 relative.  Raises OverflowError if chi2 exceeds a double.
+    accurate when chi2 is near 0, are summed exactly over a window whose
+    dropped cells are bounded by eps < 2^-72 n(n+1)/2 a^4 pq <= 2^-72 chi2,
+    plus 2^-1072 (1 + e^(emax + 1)) per cell for subnormal rounding; if the
+    window total -/+ eps round to the same nonzero double, that is the full
+    grid's fsum-equal sum, or else the full grid is summed
+    (``_small_value_sum``).  Otherwise ``_expm1_logsumexp`` reproduces
+    scipy's logsumexp of the log-terms bit for bit, scanning rows by
+    decreasing bound for the maximum and skipping tree nodes whose bound is
+    below half an ulp of their sibling's sum; it loses digits where
+    zmax + log(...) cancels, and its result agrees with the small-value path
+    across the switch to about 1e-10 relative.  Raises OverflowError if chi2
+    exceeds a double.
     """
+    # scipy.special takes most of the package's import time; only this needs it.
+    from scipy.special import gammaln
+
     if b == 0.0:
         return 0.0
     a = amplitude(n, p, q, b)
@@ -285,15 +438,15 @@ def chi_square_exact(n: int, p: int, q: int, b: float) -> float:
     logw_p = gammaln(p + 1) - gammaln(k + 1) - gammaln(p - k + 1) - p * math.log(2.0)
     logw_q = gammaln(q + 1) - gammaln(l + 1) - gammaln(q - l + 1) - q * math.log(2.0)
     logw_p, logw_q = logw_p[::-1], logw_q[::-1]  # index order matches Us, Vs
-    size = (p + 1) * (q + 1)
+    row_bounds = _log_row_bounds(a, n, Us, q, logw_p)
+    emax = -n * np.log1p(-xmax)
+    if emax < 500.0:
+        return _small_value_sum(a, n, Us, Vs, logw_p, logw_q, row_bounds, float(emax))
 
-    def block(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        return _support_slice(a, n, Us, Vs, logw_p, logw_q, start, stop)
+    def terms(start: int, stop: int) -> np.ndarray:
+        return np.add(*_support_slice(a, n, Us, Vs, logw_p, logw_q, start, stop))
 
-    if -n * np.log1p(-xmax) < 500.0:
-        blocks = (block(start, min(start + BLOCK, size)) for start in range(0, size, BLOCK))
-        return exact_sum(np.exp(logw) * np.expm1(exponent) for logw, exponent in blocks)
-    return _expm1_logsumexp(lambda start, stop: np.add(*block(start, stop)), size)
+    return _expm1_logsumexp(terms, (p + 1) * (q + 1), row_bounds)
 
 
 def chi_square_closed_bound(b: float) -> float:

@@ -1,11 +1,17 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 import warnings
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
-from indeplab import cli, divergence
+import indeplab
+from indeplab import cli, divergence, stat_tests
 from indeplab.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_ORACLE, main
 from indeplab.divergence import chi_square_exact, select_b
 
@@ -136,6 +142,32 @@ class TestPowerAndPhase:
         ]
         assert all(r["estimate"] == "" and r["seed"] == "0" for r in rows)
 
+    @pytest.mark.parametrize("command, regime", [("power", "null"), ("phase", "phase")])
+    def test_broken_pool_is_an_error_row(self, capsys, monkeypatch, command, regime):
+        class BrokenPool:
+            """A pool whose worker died: map raises as concurrent.futures does."""
+
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                raise BrokenProcessPool("a child process terminated abruptly")
+
+        monkeypatch.setattr(stat_tests, "ProcessPoolExecutor", BrokenPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        argv = ["--grid-n", "20", "--grid-p", "2", "--grid-q", "2", "--trials", "100", "--perms", "19",
+                "--workers", "2"]
+        code, out, _ = run_cli(capsys, command, *argv, *(["--regime", "null"] if command == "power" else []))
+        assert code == EXIT_NUMERIC
+        _, rows = parse_csv(out)
+        assert [(r["regime"], r["error"]) for r in rows] == [(regime, "a child process terminated abruptly")]
+
     def test_phase_error_row(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "phase_curve", _out_of_memory)
         code, out, _ = run_cli(capsys, "phase", "--grid-n", "20", "--grid-p", "2", "--grid-q", "2")
@@ -196,7 +228,9 @@ class TestValidation:
         (["power", "--regime", "nul"], "invalid choice"),
         (["power", "--trials", "ten"], "--trials"),
         (["divergence", "--n", "100", "--p", "10"], "--q"),
-    ], ids=["bad_choice", "bad_type", "missing_required"])
+        # No prefix matching: phase has no --b, and --b is not taken as --beta.
+        (["phase", "--b", "0.9"], "unrecognized arguments: --b"),
+    ], ids=["bad_choice", "bad_type", "missing_required", "flag_prefix"])
     def test_usage_error_exits_config(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_CONFIG
@@ -271,3 +305,13 @@ class TestConfigFile:
         assert code == EXIT_OK
         _, flag_out, _ = run_cli(capsys, "power", *flags)
         assert out == flag_out  # header fingerprint included
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # scipy.special dominates import time; only chi_square_exact and verify load it.
+    src = str(Path(indeplab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, indeplab.cli; print('scipy.special' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -370,6 +370,110 @@ class TestLogsumexpPath:
         assert above == pytest.approx(below, rel=1e-9)
 
 
+def _counting_slices(mp):
+    """Wrap ``divergence._support_slice``; the list returned holds the number of cells it evaluated."""
+    evaluated = [0]
+    slicer = divergence._support_slice
+
+    def counting(a, n, Us, Vs, logw_p, logw_q, start, stop):
+        evaluated[0] += stop - start
+        return slicer(a, n, Us, Vs, logw_p, logw_q, start, stop)
+
+    mp.setattr(divergence, "_support_slice", counting)
+    return evaluated
+
+
+def _checked_cells(n, p, q, b):
+    """Check chi_square_exact against the oracle bit for bit; return the cells it evaluated."""
+    with pytest.MonkeyPatch.context() as mp:
+        evaluated = _counting_slices(mp)
+        _assert_matches_grid(n, p, q, b)
+    return evaluated[0]
+
+
+class TestCertifiedWindows:
+    """Both paths evaluate only the cells their row and column bounds cannot
+    rule out of the result, and keep the full grid's bits (the oracle's)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(100, 10**5), st.integers(150, 600), st.integers(150, 600), st.floats(1e-3, 499.0))
+    def test_small_path_window(self, n, p, q, exponent):
+        b = _b_for_exponent(n, p, q, exponent)
+        assume(_max_exponent(n, p, q, b) < 500.0)
+        # Fewer cells than the grid: the window dropped some and was certified.
+        assume(_checked_cells(n, p, q, b) < (p + 1) * (q + 1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(200, 10**5), st.integers(150, 600), st.integers(150, 600), st.floats(500.0, 1500.0))
+    def test_logsumexp_skips(self, n, p, q, exponent):
+        b = _b_for_exponent(n, p, q, exponent)
+        assume(_max_exponent(n, p, q, b) >= 500.0)
+        # The first pass reads at least one row, so the second skipped nodes.
+        assume(_checked_cells(n, p, q, b) < (p + 1) * (q + 1))
+
+    # At p = 4 no row is dropped, so only the columns' bounds fail the certificate.
+    @pytest.mark.parametrize("n,p,q,exponent", [(8000, 400, 300, 2.0), (30, 300, 200, 100.0), (8000, 4, 600, 2.0)])
+    def test_forced_fallback(self, monkeypatch, n, p, q, exponent):
+        # A margin of 1 leaves dropped cells worth up to half of chi2, far
+        # more than an ulp, so the certificate fails and the full grid is summed.
+        b = _b_for_exponent(n, p, q, exponent)
+        assert _max_exponent(n, p, q, b) < 500.0
+        assert _checked_cells(n, p, q, b) < (p + 1) * (q + 1)
+        full_sums = []
+        summed = divergence.exact_sum
+        monkeypatch.setattr(divergence, "exact_sum", lambda chunks: full_sums.append(1) or summed(chunks))
+        monkeypatch.setattr(divergence, "_WINDOW_MARGIN", 1.0)
+        assert _checked_cells(n, p, q, b) > (p + 1) * (q + 1)
+        assert full_sums == [1]
+
+    @pytest.mark.parametrize("block", [128, 200])
+    @pytest.mark.parametrize("n,p,q,exponent", [(1000, 300, 300, 900.0), (1000, 3000, 3, 600.0), (1000, 2000, 20, 900.0)])
+    def test_deep_skips_with_tiny_blocks(self, monkeypatch, block, n, p, q, exponent):
+        monkeypatch.setattr(divergence, "BLOCK", block)
+        visited = []
+        pairwise = divergence._pairwise_sum
+
+        def recording(leaf_sum, start, length, *bound):
+            visited.append((start, length))
+            return pairwise(leaf_sum, start, length, *bound)
+
+        monkeypatch.setattr(divergence, "_pairwise_sum", recording)
+        size = (p + 1) * (q + 1)
+        assert _checked_cells(n, p, q, _b_for_exponent(n, p, q, exponent)) < size
+        # A child of a visited inner node that was never visited was skipped.
+        seen = set(visited)
+        skipped = []
+        for start, length in visited:
+            if length > block:
+                half = length // 2 - length // 2 % 8
+                skipped += [c for c in ((start, half), (start + half, length - half)) if c not in seen]
+        # At least three levels below the root.
+        assert skipped and min(length for _, length in skipped) <= size // 8
+
+    @pytest.mark.parametrize("p,exponent", [(300, 600.0), (400, 700.0)])
+    def test_count_of_maxima(self, p, exponent):
+        n = 1000
+        b = _b_for_exponent(n, p, p, exponent)
+        assert _max_count(n, p, p, b) == 2
+        assert _checked_cells(n, p, p, b) < (p + 1) ** 2
+
+    @pytest.mark.parametrize("n", [1, 50])
+    def test_near_divergent_rows(self, n):
+        # Rows whose bound argument a^2 |U| q reaches 1 get an infinite bound
+        # and are always evaluated.  n = 1 stays on the small-value path.
+        p, q = 300, 400
+        b_edge = math.sqrt(2.0 * n / math.sqrt(p * q))
+        for gap in (1e-6, 1e-12, 1e-15):
+            b = b_edge * (1 - gap)
+            assert (_max_exponent(n, p, q, b) < 500.0) == (n == 1)
+            _checked_cells(n, p, q, b)
+
+    def test_cells_evaluated_at_the_benchmark_point(self):
+        n, p, q = 8000, 2000, 2000
+        for b, share in ((select_b(1.0, 0.05, 0.35), 0.1), (0.8, 0.4)):
+            assert _checked_cells(n, p, q, b) < share * (p + 1) * (q + 1), b
+
+
 class TestGammaEigs:
     def test_matches_numeric_small_amplitude(self):
         # a -> 0 limit with aligned sign vectors: eigenvalues +-2 sqrt(pq), 0, 0
