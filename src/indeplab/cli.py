@@ -14,6 +14,7 @@ import argparse
 import csv
 import hashlib
 import itertools
+import math
 import sys
 from concurrent.futures.process import BrokenProcessPool
 
@@ -102,30 +103,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args: argparse.Namespace) -> list[str]:
+    # Each check states the condition that must hold, so NaN and inf fail it.
     errs = []
     if not (0.0 < args.alpha < 1.0):
         errs.append(f"alpha must be in (0,1), got {args.alpha}")
     if not (args.alpha < args.beta < 1.0):
         errs.append(f"beta must be in (alpha,1), got {args.beta}")
-    if args.kappa <= 0:
+    if not (0.0 < args.kappa < math.inf):
         errs.append(f"kappa must be positive, got {args.kappa}")
-    if getattr(args, "seed", 0) < 0 or getattr(args, "seed", 0) >= 2**64:
+    if not (0 <= args.seed < 2**64):
         errs.append("seed must fit in an unsigned 64-bit integer")
     for name in ("trials", "perms", "workers"):
         if hasattr(args, name) and getattr(args, name) < 1:
             errs.append(f"{name} must be positive")
-    if hasattr(args, "perms") and getattr(args, "perms", 200) < 19:
+    if hasattr(args, "perms") and args.perms < 19:
         errs.append("perms must be at least 19")
     for gname in ("grid_n", "grid_p", "grid_q"):
         if hasattr(args, gname):
             for val in getattr(args, gname):
-                if val < 1 or val != int(val):
+                if not (val >= 1 and val.is_integer()):
                     errs.append(f"{gname} entries must be positive integers, got {val}")
     if hasattr(args, "grid_s"):
         for val in args.grid_s:
-            if val < 0:
+            if not (0.0 <= val < math.inf):
                 errs.append(f"grid_s entries must be nonnegative, got {val}")
-    if getattr(args, "b", None) is not None and args.b < 0:
+    if getattr(args, "b", None) is not None and not (0.0 <= args.b < math.inf):
         errs.append(f"b must be nonnegative, got {args.b}")
     return errs
 
@@ -137,9 +139,9 @@ def _fingerprint(args: argparse.Namespace) -> str:
 
 class _Emitter:
     def __init__(self, args: argparse.Namespace, columns: list[str]):
-        self.path = getattr(args, "out", None)
+        self.path = args.out
         self.fh = open(self.path, "w", newline="") if self.path else sys.stdout
-        self.fh.write(f"# command={args.command} seed={getattr(args, 'seed', 0)} fingerprint={_fingerprint(args)}\n")
+        self.fh.write(f"# command={args.command} seed={args.seed} fingerprint={_fingerprint(args)}\n")
         self.writer = csv.DictWriter(self.fh, fieldnames=columns, lineterminator="\n")
         self.writer.writeheader()
 
@@ -152,7 +154,7 @@ class _Emitter:
 
 
 def _resolve_b(args: argparse.Namespace) -> float:
-    if getattr(args, "b", None) is not None:
+    if args.b is not None:
         return args.b
     return dv.select_b(args.kappa, args.alpha, args.beta)
 

@@ -34,10 +34,10 @@ bound falls below it, then replays the pairwise-sum tree of numpy's
 ``np.sum`` over slices generated on demand, skipping each node whose bound
 (its rows' bounds times e^-zmax, plus 2^-1074 per cell) is below half an ulp
 of its sibling's sum; so it reproduces ``scipy.special.logsumexp`` of the
-whole grid bit for bit.  MGF validity is an O(1) check at the corner of the
-(u'g, v'h) grid where t * gamma peaks.  The full-grid forms are kept as
-oracles: ``oracles.chi_square_grid`` (bitwise reference) and
-``oracles.gamma_grid``.
+whole grid bit for bit.  MGF validity is the closed form c = |a| sqrt(pq) < 1,
+the same test as ``pd_ok``, since t * gamma peaks at 2c / (1 + c).  The
+full-grid forms are kept as oracles: ``oracles.chi_square_grid`` (bitwise
+reference) and ``oracles.gamma_grid``.
 """
 
 from __future__ import annotations
@@ -143,19 +143,13 @@ def mgf_validity(a: float, p: int, q: int) -> bool:
     """True iff t * gamma_ij < 1 for every achievable (ug, vh) configuration.
 
     The largest t * gamma_ij over the (ug, vh) grid is 2c / (1 + c), with
-    c = |a| sqrt(pq), at the corners (p, q) and (-p, -q); mapping (ug, vh) to
-    (-ug, -vh) swaps i = 0 and i = 1, so the two share their eigenvalues.  The
-    corners (p, -q) and (-p, q) give t * gamma_ij <= 0.  So only (p, q) is
-    evaluated, and the full grid is kept as the oracle ``oracles.gamma_grid``.
-    Returns False outright when a^2 pq >= 1 (the family is not even PD).
+    c = |a| sqrt(pq), at the corners (p, q) and (-p, -q).  It is below 1
+    exactly when c < 1, the condition for Sigma_uv to be positive definite, so
+    the test is a^2 pq < 1, the same as ``pd_ok``; evaluating t * gamma at a
+    corner would lose the answer to rounding for 1 - c < 2.4e-8.
+    ``oracles.gamma_grid`` is the reference for the 2c / (1 + c) maximum.
     """
-    if a == 0.0:
-        return True
-    denom = 1.0 - p * q * a * a
-    if denom <= 0:
-        return False
-    t = a / denom
-    return max(t * g for g in gamma_eigs(a, p, q, p, q).gammas) < 1.0
+    return a * a * p * q < 1.0
 
 
 def exact_sum(chunks: Iterable[np.ndarray]) -> float:
@@ -481,7 +475,7 @@ def minimax_power_upper(n: int, p: int, q: int, b: float, alpha: float) -> Diver
     """
     a = amplitude(n, p, q, b) if b > 0 else 0.0
     pd_ok = a * a * p * q < 1.0
-    mgf_ok = mgf_validity(a, p, q) if pd_ok else False
+    mgf_ok = mgf_validity(a, p, q)
     b_caps_ok = 0.0 <= b < 1.0 / math.sqrt(LOG4)
     chi2 = chi_square_exact(n, p, q, b)
     closed = chi_square_closed_bound(b) if (b_caps_ok and b > 0) else (0.0 if b == 0 else math.inf)

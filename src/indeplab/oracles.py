@@ -136,7 +136,7 @@ def gamma_grid(a: float, p: int, q: int) -> np.ndarray:
     """All gamma_ij over the full achievable (ug, vh) grid, vectorized.
 
     The expanded-polynomial discriminant, independent of the stable scalar
-    ``divergence.gamma_eigs``; reference for the corner maximum in
+    ``divergence.gamma_eigs``; reference for the 2c / (1 + c) maximum behind
     ``divergence.mgf_validity``.  Returns shape (len(Us), len(Vs), 4).
     """
     Us = np.arange(-p, p + 1, 2, dtype=float)[:, None]

@@ -60,6 +60,15 @@ class TestBound:
         )
 
 
+    def test_mgf_ok_at_the_pd_boundary(self, capsys):
+        # 1 - |a| sqrt(pq) is about 5e-9 here; mgf_ok is the same test as pd_ok.
+        code, out, _ = run_cli(
+            capsys, "bound", "--grid-n", "1", "--grid-p", "1", "--grid-q", "3", "--b", "1.07456992645"
+        )
+        assert code == EXIT_OK
+        _, rows = parse_csv(out)
+        assert rows[0]["pd_ok"] == rows[0]["mgf_ok"] == "True"
+
     def test_memory_error_is_an_error_row(self, capsys, monkeypatch):
         monkeypatch.setattr(divergence, "chi_square_exact", _out_of_memory)
         code, out, _ = run_cli(capsys, "bound", "--grid-n", "100", "--grid-p", "10,20", "--grid-q", "10")
@@ -236,6 +245,25 @@ class TestValidation:
         assert code == EXIT_CONFIG
         assert out == "" and message in err
 
+    # Each condition must hold, so NaN and inf fail it: no traceback, no
+    # silently ignored kappa, and no numerical error from a non-finite b.
+    @pytest.mark.parametrize("argv, message", [
+        (["bound", "--grid-n", "inf"], "grid_n entries must be positive integers, got inf"),
+        (["bound", "--grid-p", "nan"], "grid_p entries must be positive integers, got nan"),
+        (["bound", "--kappa", "nan"], "kappa must be positive, got nan"),
+        (["bound", "--kappa", "inf"], "kappa must be positive, got inf"),
+        (["bound", "--b", "nan"], "b must be nonnegative, got nan"),
+        (["bound", "--b", "inf"], "b must be nonnegative, got inf"),
+        (["phase", "--grid-s", "nan"], "grid_s entries must be nonnegative, got nan"),
+    ], ids=["grid_n_inf", "grid_p_nan", "kappa_nan", "kappa_inf", "b_nan", "b_inf", "grid_s_nan"])
+    def test_non_finite_exits_config(self, capsys, argv, message):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_CONFIG
+        assert out == "" and message in err
+        assert not caught
+
     def test_help_exits_ok(self, capsys):
         code, out, _ = run_cli(capsys, "power", "-h")
         assert code == EXIT_OK
@@ -281,7 +309,8 @@ class TestConfigFile:
         ("bound", "see = 3", "unknown config key 'see'"),
         # The --key=value form keeps a leading '-' from reading as a flag.
         ("bound", "grid-p = -1,2", "grid_p entries must be positive integers, got -1.0"),
-    ], ids=["bad_choice", "bad_type", "flag_prefix", "negative_list"])
+        ("bound", "kappa = nan", "kappa must be positive, got nan"),
+    ], ids=["bad_choice", "bad_type", "flag_prefix", "negative_list", "non_finite"])
     def test_bad_entry_exits_config(self, tmp_path, capsys, command, entry, message):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(entry + "\n")

@@ -58,6 +58,25 @@ def test_chi_square_nondecreasing_in_b():
     assert all(b2 >= b1 for b1, b2 in zip(values, values[1:]))
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 60),
+    st.integers(1, 200),
+    st.integers(1, 200),
+    st.floats(-9.0, -1.0),
+    st.sampled_from([1e-6, 1e-9]),
+)
+def test_chi_square_nondecreasing_near_pd_boundary(n, p, q, log_gap, delta):
+    # c = a sqrt(pq) = 1 - gap; b is proportional to c at fixed (n, p, q).
+    b = (1.0 - 10.0**log_gap) * math.sqrt(2.0 * n) / (p * q) ** 0.25
+    try:
+        lo = chi_square_exact(n, p, q, b)
+        hi = chi_square_exact(n, p, q, b * (1.0 + delta))
+    except (ValueError, ArithmeticError):  # divergent or overflowing
+        return
+    assert lo <= hi
+
+
 def test_chi_square_nonnegative_and_zero_iff_b_zero():
     assert chi_square_exact(5, 2, 3, 0.0) == 0.0
     assert chi_square_exact(5, 2, 3, 0.05) > 0.0
@@ -550,19 +569,24 @@ class TestMgfValidity:
 
     @pytest.mark.parametrize("gap", [1e-3, 1e-6, 1e-8, 2e-8, 1e-9])
     def test_near_boundary_matches_full_stable_grid(self, gap):
-        # c = 1 - gap; the stable kernel over every (ug, vh) is the reference.
+        # c = 1 - gap < 1 is valid however small the gap.  The stable kernel's
+        # largest t * gamma over every (ug, vh) is 2c / (1 + c) up to the
+        # rounding of t = a / (1 - pq a^2), about 1.1e-16 / gap, which is why
+        # mgf_validity tests c < 1 instead of evaluating t * gamma < 1.
+        c = 1.0 - gap
         for p in range(1, 9):
             for q in range(1, 9):
                 for sign in (1.0, -1.0):
-                    a = sign * (1.0 - gap) / math.sqrt(p * q)
+                    a = sign * c / math.sqrt(p * q)
+                    assert mgf_validity(a, p, q)
                     t = a / (1.0 - p * q * a * a)
-                    full = all(
-                        t * g < 1.0
+                    grid_max = max(
+                        t * g
                         for ug in range(-p, p + 1, 2)
                         for vh in range(-q, q + 1, 2)
                         for g in gamma_eigs(a, p, q, ug, vh).gammas
                     )
-                    assert mgf_validity(a, p, q) == full
+                    assert abs(grid_max - 2.0 * c / (1.0 + c)) <= 2.3e-16 / gap
 
 
 class TestClosedBoundAndSelectB:
