@@ -28,7 +28,8 @@ dropped cells' bound eps is kept below 2^-72 of n(n+1)/2 a^4 pq, the series'
 first term and a lower bound on chi2.  When the window total minus eps and
 plus eps round to the same nonzero double, rounding is monotone, so that
 double is the full grid's correctly rounded (fsum-equal) sum; otherwise the
-full grid is summed.  The logsumexp path, taken when some exponent reaches
+cells outside the window are added to the exact total, so every cell is read
+once.  The logsumexp path, taken when some exponent reaches
 500, scans rows by decreasing bound for the maximum and its count until a
 bound falls below it, then replays the pairwise-sum tree of numpy's
 ``np.sum`` over slices generated on demand, skipping each node whose bound
@@ -91,51 +92,50 @@ class DivergenceReport:
 
 @dataclass(frozen=True)
 class GammaQuad:
-    """The four quadratic-form eigenvalues for one (u'g, v'h) configuration."""
+    """The four quadratic-form eigenvalues for one (u'g, v'h) configuration,
+    or arrays of them, elementwise, for array arguments."""
 
     gammas: tuple[float, float, float, float]
     t: float
 
 
-def gamma_eigs(a: float, p: int, q: int, ug: int, vh: int) -> GammaQuad:
+def gamma_eigs(a, p, q, ug, vh) -> GammaQuad:
     """Closed-form eigenvalues of the 4x4 coupled quadratic form.
 
     gamma_ij = (1/2)(-2apq + (-1)^i a q ug + (-1)^i a p vh - (-1)^j sqrt(R)),
     with the discriminant R depending on i.  Inputs must satisfy |ug| <= p,
     |vh| <= q and the parity constraints ug = p (mod 2), vh = q (mod 2).
+    Arguments may be arrays of configurations (broadcast together); each
+    gamma and t is then an array, with the same bits per element as the
+    scalar call.
     """
-    if abs(ug) > p or abs(vh) > q:
+    if np.any(np.abs(ug) > p) or np.any(np.abs(vh) > q):
         raise ValueError("|ug| <= p and |vh| <= q required")
-    if (ug - p) % 2 != 0 or (vh - q) % 2 != 0:
+    if np.any((ug - p) % 2 != 0) or np.any((vh - q) % 2 != 0):
         raise ValueError("ug, vh must match the parity of p, q")
     gammas = []
-    for i in (0, 1):
-        si = (-1.0) ** i
-        trace = -2.0 * a * p * q + si * a * q * ug + si * a * p * vh
-        # The pair (gamma_i0, gamma_i1) solves x^2 - trace*x + prod = 0.  The
-        # product factors exactly, and the discriminant equals the expanded
-        # polynomial 4pq - (-1)^i 4q(u'g) + ...; evaluating it as
-        # trace^2 - 4 prod avoids catastrophic cancellation near zero roots.
-        prod = (p - si * ug) * (q - si * vh) * (a * a * p * q - 1.0)
-        R = trace * trace - 4.0 * prod
-        if R < 0:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for si in (1.0, -1.0):
+            trace = -2.0 * a * p * q + si * a * q * ug + si * a * p * vh
+            # The pair (gamma_i0, gamma_i1) solves x^2 - trace*x + prod = 0.  The
+            # product factors exactly, and the discriminant equals the expanded
+            # polynomial 4pq - (-1)^i 4q(u'g) + ...; evaluating it as
+            # trace^2 - 4 prod avoids catastrophic cancellation near zero roots.
+            prod = (p - si * ug) * (q - si * vh) * (a * a * p * q - 1.0)
+            R = trace * trace - 4.0 * prod
             # Tolerate rounding at a double root; anything larger is an
             # internal inconsistency.
-            if R > -1e-9 * max(1.0, 4.0 * p * q):
-                R = 0.0
-            else:
-                raise ArithmeticError(f"negative discriminant R = {R:.4g} (internal inconsistency)")
-        root = math.sqrt(R)
-        # Small-magnitude root through the product, large one directly.
-        lo = 0.5 * (trace - root)
-        hi = 0.5 * (trace + root)
-        if trace >= 0.0:
-            lo = prod / hi if hi != 0.0 else lo
-        else:
-            hi = prod / lo if lo != 0.0 else hi
-        gammas.extend([lo, hi])
-    denom = 1.0 - p * q * a * a
-    t = a / denom if denom > 0 else math.inf
+            if np.any(R <= -1e-9 * np.maximum(1.0, 4.0 * p * q)):
+                raise ArithmeticError(f"negative discriminant R = {np.min(R):.4g} (internal inconsistency)")
+            root = np.sqrt(np.where(R < 0, 0.0, R))
+            lo = 0.5 * (trace - root)
+            hi = 0.5 * (trace + root)
+            # Small-magnitude root through the product, large one directly.
+            lo, hi = (np.where((trace >= 0.0) & (hi != 0.0), prod / hi, lo),
+                      np.where((trace < 0.0) & (lo != 0.0), prod / lo, hi))
+            gammas.extend([lo[()], hi[()]])
+        denom = 1.0 - p * q * a * a
+        t = np.where(denom > 0, a / denom, math.inf)[()]
     return GammaQuad(gammas=tuple(gammas), t=t)
 
 
@@ -198,8 +198,9 @@ def _exact_total(chunks: Iterable[np.ndarray]) -> int:
 
 def _fold(bins_total: np.ndarray) -> int:
     """sum_k (hi_k * 2^27 + lo_k) * 2^k over the (2, _NBINS) bin sums."""
-    his, los = bins_total.tolist()
-    return sum(((hi << 27) + lo) << k for k, (hi, lo) in enumerate(zip(his, los)) if hi or lo)
+    nonzero = np.flatnonzero(bins_total.any(axis=0))
+    his, los = bins_total[:, nonzero].tolist()
+    return sum(((hi << 27) + lo) << k for k, hi, lo in zip(nonzero.tolist(), his, los))
 
 
 def _support_slice(
@@ -271,6 +272,8 @@ def _small_value_sum(
     _WINDOW_MARGIN / 2 of n(n+1)/2 a^4 pq each.  With N the exact window total
     and eps the dropped cells' bound, both times 2^_MANT_SHIFT, if N - eps and
     N + eps round to the same nonzero double, so does the full grid's total.
+    Otherwise the dropped cells' exact total is added to N, which gives the
+    full grid's exact total with each cell read once.
     """
     p, q = Us.size - 1, Vs.size - 1
     budget = 0.5 * _WINDOW_MARGIN * 0.5 * n * (n + 1.0) * (a * a) ** 2 * p * q  # half to rows, half to columns
@@ -286,7 +289,11 @@ def _small_value_sum(
     lo, hi = (total - slack) / (1 << _MANT_SHIFT), (total + slack) / (1 << _MANT_SHIFT)
     if lo == hi and (lo != 0.0 or slack == 0):
         return lo
-    return exact_sum(_expm1_terms(a, n, Us, Vs, logw_p, logw_q))
+    inner = slice(r0, p + 1 - r0)
+    for rows, cols in ((slice(0, r0), slice(None)), (slice(p + 1 - r0, None), slice(None)),
+                       (inner, slice(0, c0)), (inner, slice(q + 1 - c0, None))):
+        total += _exact_total(_expm1_terms(a, n, Us[rows], Vs[cols], logw_p[rows], logw_q[cols]))
+    return total / (1 << _MANT_SHIFT)
 
 
 def _pairwise_sum(
@@ -405,7 +412,7 @@ def chi_square_exact(n: int, p: int, q: int, b: float) -> float:
     dropped cells are bounded by eps < 2^-72 n(n+1)/2 a^4 pq <= 2^-72 chi2,
     plus 2^-1072 (1 + e^(emax + 1)) per cell for subnormal rounding; if the
     window total -/+ eps round to the same nonzero double, that is the full
-    grid's fsum-equal sum, or else the full grid is summed
+    grid's fsum-equal sum, or else the cells outside the window are added
     (``_small_value_sum``).  Otherwise ``_expm1_logsumexp`` reproduces
     scipy's logsumexp of the log-terms bit for bit, scanning rows by
     decreasing bound for the maximum and skipping tree nodes whose bound is

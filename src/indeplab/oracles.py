@@ -11,7 +11,7 @@ the package's fast paths replaced, kept as their references.
 from __future__ import annotations
 
 import math
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -51,7 +51,10 @@ def enumerate_chi_square(n: int, p: int, q: int, b: float) -> float:
     if np.any(1.0 - x <= 0.0):
         raise ValueError("1 - a^2 (u'g)(v'h) <= 0: divergent configuration")
     terms = np.expm1(-n * np.log1p(-x))
-    return math.fsum(np.sort(terms, axis=None)) / terms.size
+    # fsum rounds the exact sum once, so the order of the terms is irrelevant;
+    # feeding it one row at a time keeps few Python floats alive.
+    rows = terms.reshape(len(su), -1)
+    return math.fsum(chain.from_iterable(row.tolist() for row in rows)) / terms.size
 
 
 def chi_square_grid(n: int, p: int, q: int, b: float) -> float:
@@ -115,10 +118,20 @@ def mc_chi_square(
     done = 0
     while done < trials:
         batch = min(chunk, trials - done)
-        z = rng.standard_normal((batch, n, p + q))
+        # z is drawn as (batch, n, p + q) and held as (n, p + q, batch), so each
+        # quadratic form sum_i z_i' delta z_i is accumulated term by term, in the
+        # (i, j, k) order of np.einsum("bij,jk,bik->b", z, delta, z), across the
+        # batch at once.  That keeps einsum's bits at every batch size but 1 and
+        # 2, where einsum changes its loop order (seen at n = 1, p + q = 2).
+        zt = np.ascontiguousarray(rng.standard_normal((batch, n, p + q)).transpose(1, 2, 0))
+        quad, term = np.empty(batch), np.empty(batch)
         log_ratios = np.empty((batch, m))
         for c, (delta, det) in enumerate(components):
-            quad = np.einsum("bij,jk,bik->b", z, delta, z)
+            quad[:] = 0.0
+            for i, j, k in product(range(n), range(p + q), range(p + q)):
+                np.multiply(zt[i, j], delta[j, k], out=term)
+                term *= zt[i, k]
+                quad += term
             log_ratios[:, c] = 0.5 * quad - 0.5 * n * math.log(det)
         peak = log_ratios.max(axis=1, keepdims=True)
         ratio = np.exp(peak[:, 0]) * np.exp(log_ratios - peak).mean(axis=1)
@@ -161,29 +174,24 @@ def gamma_grid(a: float, p: int, q: int) -> np.ndarray:
     return out
 
 
-def _coupling_matrix(p: int, q: int, a: float) -> np.ndarray:
-    """The 4x4 A of chi' A chi, chi = (u'z, v'z, g'z, h'z)."""
-    return np.array(
-        [[-q * a, 1, 0, 0], [1, -p * a, 0, 0], [0, 0, -q * a, 1], [0, 0, 1, -p * a]],
-        dtype=float,
-    )
+def _coupling_matrix(p, q, a) -> np.ndarray:
+    """The 4x4 A of chi' A chi, chi = (u'z, v'z, g'z, h'z); stacked over array arguments."""
+    A = np.zeros(np.broadcast(p, q, a).shape + (4, 4))
+    A[..., 0, 0] = A[..., 2, 2] = -q * a
+    A[..., 1, 1] = A[..., 3, 3] = -p * a
+    A[..., 0, 1] = A[..., 1, 0] = A[..., 2, 3] = A[..., 3, 2] = 1.0
+    return A
 
 
-def gamma_numeric(
-    u: np.ndarray, v: np.ndarray, g: np.ndarray, h: np.ndarray, a: float
-) -> np.ndarray:
+def gamma_numeric(p, q, ug, vh, a) -> np.ndarray:
     """Eigenvalues of S^(1/2) A S^(1/2) for the 4x4 covariance of the sign
     projections (u'z, v'z, g'z, h'z), computed by dense eigendecomposition.
 
-    Returns the four eigenvalues sorted ascending.
+    ug = u'g and vh = v'h are the inner products of the sign vectors.
+    Returns the four eigenvalues sorted ascending, along a last axis of four
+    when the arguments are arrays of configurations (broadcast together).
     """
-    u = np.asarray(u, float)
-    v = np.asarray(v, float)
-    g = np.asarray(g, float)
-    h = np.asarray(h, float)
-    p, q = u.size, v.size
-    ug = float(u @ g)
-    vh = float(v @ h)
+    p, q, ug, vh, a = np.broadcast_arrays(p, q, ug, vh, a)
     A = _coupling_matrix(p, q, a)
     # S has fixed eigenvectors (1,0,+-1,0)/sqrt(2), (0,1,0,+-1)/sqrt(2) with
     # eigenvalues p +- ug and q +- vh; forming the PSD square root from them
@@ -197,9 +205,9 @@ def gamma_numeric(
             [0, 1 / r2, 0, -1 / r2],
         ]
     )
-    w = np.array([p + ug, q + vh, p - ug, q - vh])
-    sqrt_S = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
-    return np.sort(np.linalg.eigvalsh(sqrt_S @ A @ sqrt_S))
+    w = np.stack([p + ug, q + vh, p - ug, q - vh], axis=-1)
+    sqrt_S = (V * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ V.T
+    return np.sort(np.linalg.eigvalsh(sqrt_S @ A @ sqrt_S), axis=-1)
 
 
 def quad_form_pair(u, v, g, h, a: float, z: np.ndarray) -> tuple[float, float]:
@@ -239,15 +247,17 @@ def _binomial_pmf(d: int) -> tuple[np.ndarray, np.ndarray]:
     return d - 2.0 * k, np.exp(logw)
 
 
-def enumerate_uv_tail(p: int, q: int, threshold: float) -> float:
-    """Exact P(|UV| >= threshold) for the product of the two sign sums."""
+def enumerate_uv_tail(p: int, q: int, threshold):
+    """Exact P(|UV| >= threshold) for the product of the two sign sums; an
+    array of thresholds gives the array of tails."""
     if p > 12 or q > 12:
         raise InfeasibleSizeError("p, q must be <= 12 for exact tail enumeration")
     U, wu = _binomial_pmf(p)
     V, wv = _binomial_pmf(q)
     prod = np.abs(U[:, None] * V[None, :])
     w = wu[:, None] * wv[None, :]
-    return float(w[prod >= threshold].sum())
+    tails = [float(w[prod >= t].sum()) for t in np.ravel(threshold)]
+    return tails[0] if np.ndim(threshold) == 0 else np.array(tails)
 
 
 def permuted_stats_loop(

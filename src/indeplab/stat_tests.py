@@ -260,8 +260,6 @@ def estimate_level(
     cfg: ProblemConfig, trials: int, B: int, seed: int, workers: int = 1
 ) -> PowerEstimate:
     """Empirical type-I error over fresh null datasets."""
-    if trials < 100:
-        raise ValueError("need at least 100 trials")
     return _estimate(_null_data, (cfg.n, cfg.p, cfg.q), trials, B, cfg.alpha, seed, workers, "null")
 
 

@@ -82,7 +82,7 @@ def test_criterion_3_eigenvalue_formulas():
         a = float(rng.uniform(0.005, 0.9 / math.sqrt(p * q)))
         quad = gamma_eigs(a, p, q, int(u @ g), int(v @ h))
         closed = np.sort(np.array(quad.gammas))
-        worst_eig = max(worst_eig, float(np.max(np.abs(closed - gamma_numeric(u, v, g, h, a)))))
+        worst_eig = max(worst_eig, float(np.max(np.abs(closed - gamma_numeric(p, q, u @ g, v @ h, a)))))
         prod = float(np.prod(1.0 - quad.t * closed))
         target = ((1.0 - a * a * (u @ g) * (v @ h)) / (1.0 - a * a * p * q)) ** 2
         worst_prod = max(worst_prod, abs(prod - target) / target)

@@ -138,6 +138,20 @@ class TestPowerAndPhase:
         perms = [float(v) for v in err.split("perms/trial=")[1].split()[0].split(",")]
         assert len(perms) == 3 and all(0 < k <= 39 for k in perms)
 
+    @pytest.mark.parametrize("argv", [
+        ("power", "--regime", "null"),
+        ("power", "--regime", "lf", "--b", "0"),
+        ("phase", "--grid-s", "0,1"),
+    ], ids=["null", "lf_b0", "phase"])
+    def test_fewer_than_100_trials(self, capsys, argv):
+        # Every estimator takes any trials >= 1, the floor `_validate` checks;
+        # the null-data paths once demanded 100 and wrote an error row.
+        code, out, _ = run_cli(capsys, *argv, "--grid-n", "20", "--grid-p", "2", "--grid-q", "2",
+                               "--trials", "50", "--perms", "19")
+        assert code == EXIT_OK
+        _, rows = parse_csv(out)
+        assert rows and all(r["trials"] == "50" and r["error"] == "" for r in rows)
+
     def test_memory_error_is_an_error_row(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "estimate_level", _out_of_memory)
         code, out, _ = run_cli(

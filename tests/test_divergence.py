@@ -434,16 +434,37 @@ class TestCertifiedWindows:
     @pytest.mark.parametrize("n,p,q,exponent", [(8000, 400, 300, 2.0), (30, 300, 200, 100.0), (8000, 4, 600, 2.0)])
     def test_forced_fallback(self, monkeypatch, n, p, q, exponent):
         # A margin of 1 leaves dropped cells worth up to half of chi2, far
-        # more than an ulp, so the certificate fails and the full grid is summed.
+        # more than an ulp, so the certificate fails and the four bands
+        # outside the window are added to its exact total: each cell once.
         b = _b_for_exponent(n, p, q, exponent)
         assert _max_exponent(n, p, q, b) < 500.0
         assert _checked_cells(n, p, q, b) < (p + 1) * (q + 1)
-        full_sums = []
-        summed = divergence.exact_sum
-        monkeypatch.setattr(divergence, "exact_sum", lambda chunks: full_sums.append(1) or summed(chunks))
+        totals = []
+        exact_total = divergence._exact_total
+        monkeypatch.setattr(divergence, "_exact_total", lambda chunks: totals.append(1) or exact_total(chunks))
         monkeypatch.setattr(divergence, "_WINDOW_MARGIN", 1.0)
-        assert _checked_cells(n, p, q, b) > (p + 1) * (q + 1)
-        assert full_sums == [1]
+        assert _checked_cells(n, p, q, b) == (p + 1) * (q + 1)
+        assert len(totals) == 5
+
+    # Found by a probe of 1,500 random points with b log-uniform in [1e-20, 0.1].
+    @pytest.mark.parametrize("n,p,q,b", [
+        (225, 284, 10, 4.38e-11), (255, 4, 304, 2.31306317231167e-09),
+        (698, 267, 7, 1.811946219314848e-10), (96, 4, 333, 5.223739465341126e-18),
+    ])
+    def test_tiny_b_reads_each_cell_once(self, monkeypatch, n, p, q, b):
+        # The window's terms cancel exactly (chi2 is lost to rounding), so no
+        # certificate can hold; the cells outside the window are then read
+        # once, and the result keeps the oracle's bits, sign of zero included.
+        reads = []
+        terms = divergence._expm1_terms
+
+        def counting(a, n, Us, Vs, *rest):
+            reads.append(Us.size * Vs.size)
+            return terms(a, n, Us, Vs, *rest)
+
+        monkeypatch.setattr(divergence, "_expm1_terms", counting)
+        _assert_matches_grid(n, p, q, b)
+        assert 0 < reads[0] < (p + 1) * (q + 1) and sum(reads) == (p + 1) * (q + 1)
 
     @pytest.mark.parametrize("block", [128, 200])
     @pytest.mark.parametrize("n,p,q,exponent", [(1000, 300, 300, 900.0), (1000, 3000, 3, 600.0), (1000, 2000, 20, 900.0)])
@@ -493,20 +514,47 @@ class TestCertifiedWindows:
             assert _checked_cells(n, p, q, b) < share * (p + 1) * (q + 1), b
 
 
+def _scalar_gamma_eigs(a, p, q, ug, vh):
+    """The scalar closed form as it was before ``gamma_eigs`` took arrays:
+    (gamma_00, gamma_01, gamma_10, gamma_11, t)."""
+    gammas = []
+    for i in (0, 1):
+        si = (-1.0) ** i
+        trace = -2.0 * a * p * q + si * a * q * ug + si * a * p * vh
+        prod = (p - si * ug) * (q - si * vh) * (a * a * p * q - 1.0)
+        R = trace * trace - 4.0 * prod
+        if R < 0:
+            if R > -1e-9 * max(1.0, 4.0 * p * q):
+                R = 0.0
+            else:
+                raise ArithmeticError(f"negative discriminant R = {R:.4g} (internal inconsistency)")
+        root = math.sqrt(R)
+        lo = 0.5 * (trace - root)
+        hi = 0.5 * (trace + root)
+        if trace >= 0.0:
+            lo = prod / hi if hi != 0.0 else lo
+        else:
+            hi = prod / lo if lo != 0.0 else hi
+        gammas.extend([lo, hi])
+    denom = 1.0 - p * q * a * a
+    t = a / denom if denom > 0 else math.inf
+    return (*gammas, t)
+
+
 class TestGammaEigs:
     def test_matches_numeric_small_amplitude(self):
         # a -> 0 limit with aligned sign vectors: eigenvalues +-2 sqrt(pq), 0, 0
         quad = gamma_eigs(1e-8, 3, 3, 3, 3)
         got = np.sort(np.array(quad.gammas))
         ones = np.ones(3)
-        want = oracles.gamma_numeric(ones, ones, ones, ones, 1e-8)
+        want = oracles.gamma_numeric(3, 3, ones @ ones, ones @ ones, 1e-8)
         assert got == pytest.approx(want, abs=1e-8)
         assert got == pytest.approx([-6.0, 0.0, 0.0, 6.0], abs=1e-6)
 
     def test_p1q1_explicit(self):
         u = v = g = h = np.array([1.0])
         got = np.sort(np.array(gamma_eigs(0.3, 1, 1, 1, 1).gammas))
-        want = oracles.gamma_numeric(u, v, g, h, 0.3)
+        want = oracles.gamma_numeric(1, 1, u @ g, v @ h, 0.3)
         assert np.allclose(got, want, atol=1e-8)
 
     def test_product_identity_random(self):
@@ -525,6 +573,25 @@ class TestGammaEigs:
     def test_rejects_bad_parity(self):
         with pytest.raises(ValueError):
             gamma_eigs(0.1, 3, 3, 2, 3)
+
+    def test_array_form_matches_scalar_form(self):
+        # Every configuration with p, q <= 10, every ug and vh, at nine
+        # amplitudes c / sqrt(pq) from 0 to c -> 1: same bits, gammas and t.
+        cs = [0.0, 1e-8, 0.01, 0.3, 0.7, 0.9, 0.999, 1 - 1e-9, 1 - 2.0**-50]
+        configs = [(c / math.sqrt(p * q), p, q, ug, vh)
+                   for p in range(1, 11) for q in range(1, 11) for c in cs
+                   for ug in range(-p, p + 1, 2) for vh in range(-q, q + 1, 2)]
+        assert len(configs) == 38_025
+        quad = gamma_eigs(*(np.array(col) for col in zip(*configs)))
+        got = np.column_stack(quad.gammas + (quad.t,))
+        want = np.array([_scalar_gamma_eigs(*config) for config in configs])
+        assert got.tobytes() == want.tobytes()
+
+    def test_array_form_checks_every_element(self):
+        with pytest.raises(ValueError):
+            gamma_eigs(0.1, np.array([3, 3]), 3, np.array([3, 2]), 3)
+        with pytest.raises(ValueError):
+            gamma_eigs(0.1, 2, 2, np.array([0, 4]), 0)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):

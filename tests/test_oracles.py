@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from indeplab import oracles
-from indeplab.divergence import chi_square_exact, gamma_eigs
+from indeplab.divergence import chi_square_exact, gamma_eigs, hoeffding_tail_bound
 from indeplab.oracles import (
     InfeasibleSizeError,
     enumerate_chi_square,
@@ -55,7 +55,7 @@ def test_mc_size_caps():
 def test_gamma_numeric_traceless_at_zero_amplitude():
     u, g = np.ones(3), np.ones(3)
     v, h = np.ones(2), np.ones(2)
-    eigs = gamma_numeric(u, v, g, h, 0.0)
+    eigs = gamma_numeric(3, 2, u @ g, v @ h, 0.0)
     assert abs(eigs.sum()) < 1e-10
     # pairs symmetric about zero
     assert np.allclose(eigs, -eigs[::-1], atol=1e-10)
@@ -72,7 +72,17 @@ def test_gamma_numeric_matches_closed_form_sweep():
         h = rng.choice([-1.0, 1.0], q)
         a = float(rng.uniform(0.01, 0.9 / math.sqrt(p * q)))
         closed = np.sort(np.array(gamma_eigs(a, p, q, int(u @ g), int(v @ h)).gammas))
-        assert np.max(np.abs(closed - gamma_numeric(u, v, g, h, a))) < 1e-8
+        assert np.max(np.abs(closed - gamma_numeric(p, q, u @ g, v @ h, a))) < 1e-8
+
+
+def test_gamma_numeric_batch_matches_single_calls():
+    # Stacked matmuls and one stacked eigvalsh give each configuration the
+    # bits of its own call.
+    configs = [(p, q, ug, vh, c / math.sqrt(p * q)) for p in range(1, 7) for q in range(1, 7)
+               for ug in range(-p, p + 1, 2) for vh in range(-q, q + 1, 2) for c in (0.0, 0.4, 0.95)]
+    batch = gamma_numeric(*(np.array(col) for col in zip(*configs)))
+    single = np.array([gamma_numeric(*config) for config in configs])
+    assert batch.shape == (len(configs), 4) and batch.tobytes() == single.tobytes()
 
 
 def test_quad_form_identity_random():
@@ -131,3 +141,100 @@ def test_suite_negative_control():
 
     rows = run_suite(seed=123, inject_fault=True)
     assert any(not r["pass"] for r in rows)
+
+
+def _einsum_mc_chi_square(n, p, q, b, trials, rng, chunk):
+    """``mc_chi_square`` as it was before it replayed einsum's order: one
+    np.einsum per mixture component."""
+    from indeplab.structured_cov import LeastFavorableCov, amplitude, cov_det, cov_inverse
+
+    a = amplitude(n, p, q, b)
+    components = []
+    for u in oracles._sign_vectors(p):
+        for v in oracles._sign_vectors(q):
+            lf = LeastFavorableCov(u=u, v=v, a=a)
+            components.append((np.eye(p + q) - cov_inverse(lf), cov_det(lf)))
+    total = total_sq = 0.0
+    done = 0
+    while done < trials:
+        batch = min(chunk, trials - done)
+        z = rng.standard_normal((batch, n, p + q))
+        log_ratios = np.empty((batch, len(components)))
+        for c, (delta, det) in enumerate(components):
+            log_ratios[:, c] = 0.5 * np.einsum("bij,jk,bik->b", z, delta, z) - 0.5 * n * math.log(det)
+        peak = log_ratios.max(axis=1, keepdims=True)
+        ratio = np.exp(peak[:, 0]) * np.exp(log_ratios - peak).mean(axis=1)
+        sq = ratio * ratio
+        total += float(sq.sum())
+        total_sq += float((sq * sq).sum())
+        done += batch
+    mean = total / trials
+    return mean - 1.0, math.sqrt(max(total_sq / trials - mean * mean, 0.0) / trials)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1), (1, 4), (2, 3), (3, 2), (4, 1)])
+def test_mc_chi_square_replays_einsum_bits(n, p, q):
+    # Chunks of 97 leave a remainder of 3.  At a batch of 1 or 2 einsum
+    # changes its loop order (seen at n = 1, p + q = 2), so the two may
+    # round differently there; mc_chi_square's callers never draw such a batch.
+    for trials, chunk in ((400, 97), (3, 3), (50, 50)):
+        got = mc_chi_square(n, p, q, 0.3, trials=trials, rng=np.random.default_rng([n, p, q]), chunk=chunk)
+        want = _einsum_mc_chi_square(n, p, q, 0.3, trials, np.random.default_rng([n, p, q]), chunk)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+def test_signs_draw_like_choice():
+    from indeplab.oracles_suite import _signs
+
+    for seed in range(50):
+        for k in range(1, 12):
+            r1, r2 = np.random.default_rng([seed, k]), np.random.default_rng([seed, k])
+            assert np.array_equal(_signs(r1, k), r2.choice([-1.0, 1.0], k))
+            assert r1.random() == r2.random()
+
+
+def _per_iteration_rows(seed, inject_fault):
+    """The eigen and Hoeffding sections of ``run_suite`` as they were, one
+    configuration per call: {row name: (brute_force, pass)}."""
+    rng = np.random.default_rng([seed, 0xFACADE])
+    max_eig_err = max_prod_err = 0.0
+    for _ in range(200):
+        p = int(rng.integers(1, 7))
+        q = int(rng.integers(1, 7))
+        u = rng.choice([-1.0, 1.0], p)
+        g = rng.choice([-1.0, 1.0], p)
+        v = rng.choice([-1.0, 1.0], q)
+        h = rng.choice([-1.0, 1.0], q)
+        a = float(rng.uniform(0.01, 0.9 / math.sqrt(p * q)))
+        quad = gamma_eigs(a, p, q, int(u @ g), int(v @ h))
+        closed = np.sort(np.array(quad.gammas))
+        if inject_fault:
+            closed = closed * (1.0 + 1e-3)
+        numeric = gamma_numeric(p, q, u @ g, v @ h, a)
+        max_eig_err = max(max_eig_err, float(np.max(np.abs(closed - numeric))))
+        prod = float(np.prod(1.0 - quad.t * closed))
+        target = ((1.0 - a * a * (u @ g) * (v @ h)) / (1.0 - a * a * p * q)) ** 2
+        max_prod_err = max(max_prod_err, abs(prod - target) / abs(target))
+    worst = 0.0
+    for (p, q) in [(3, 3), (5, 4), (6, 6)]:
+        for b in (0.2, 0.4):
+            for mu in (1.5, 2.0, math.e, 10.0):
+                threshold = (math.log(mu) / math.log(2.0)) * math.sqrt(p * q) / (b * b)
+                worst = max(worst, enumerate_uv_tail(p, q, threshold) - hoeffding_tail_bound(p, q, b, mu))
+    return {
+        "gamma_eigs_max_abs_err": (max_eig_err, max_eig_err <= 1e-8),
+        "gamma_product_identity_max_rel_err": (max_prod_err, max_prod_err <= 1e-10),
+        "hoeffding_tail_dominates": (max(worst, 0.0), worst <= 0.0),
+    }
+
+
+@pytest.mark.parametrize("inject_fault", [False, True])
+@pytest.mark.parametrize("seed", [0, 1, 7, 123, 2024])
+def test_suite_batches_match_per_iteration_loops(seed, inject_fault):
+    from indeplab.oracles_suite import run_suite
+
+    rows = {r["name"]: r for r in run_suite(seed=seed, inject_fault=inject_fault)}
+    for name, (brute, passed) in _per_iteration_rows(seed, inject_fault).items():
+        assert float(rows[name]["brute_force"]).hex() == float(brute).hex(), name
+        assert rows[name]["pass"] == passed, name

@@ -293,9 +293,11 @@ class TestPowerEstimation:
         assert est.ci_low <= est.estimate <= est.ci_high
 
     def test_trials_floor(self):
+        # The floor is one trial, as for every estimator; 50 trials run.
         cfg = ProblemConfig(n=10, p=2, q=2)
         with pytest.raises(ValueError):
-            estimate_level(cfg, trials=50, B=39, seed=0)
+            estimate_level(cfg, trials=0, B=39, seed=0)
+        assert estimate_level(cfg, trials=50, B=39, seed=0).trials == 50
 
     def test_avg_power_zero_signal_reduces_to_level(self):
         cfg0 = ProblemConfig(n=30, p=3, q=3, alpha=0.1, beta=0.5, b=0.0)
