@@ -481,8 +481,7 @@ def minimax_power_upper(n: int, p: int, q: int, b: float, alpha: float) -> Diver
     distance is at most the chi-square divergence.
     """
     a = amplitude(n, p, q, b) if b > 0 else 0.0
-    pd_ok = a * a * p * q < 1.0
-    mgf_ok = mgf_validity(a, p, q)
+    pd_ok = mgf_validity(a, p, q)  # a^2 pq < 1 decides both flags
     b_caps_ok = 0.0 <= b < 1.0 / math.sqrt(LOG4)
     chi2 = chi_square_exact(n, p, q, b)
     closed = chi_square_closed_bound(b) if (b_caps_ok and b > 0) else (0.0 if b == 0 else math.inf)
@@ -493,7 +492,7 @@ def minimax_power_upper(n: int, p: int, q: int, b: float, alpha: float) -> Diver
         tv_upper=tv,
         power_upper=alpha + tv,
         pd_ok=pd_ok,
-        mgf_ok=mgf_ok,
+        mgf_ok=pd_ok,
         b_caps_ok=b_caps_ok,
     )
 

@@ -265,9 +265,10 @@ def permuted_stats_loop(
 ) -> np.ndarray:
     """The B permuted cross-covariance statistics, one product per permutation.
 
-    Reference for the chunked kernel ``stat_tests.permuted_stat_chunks``: the
-    same ``rng.permutation(n)`` draws in the same order and the same
-    arithmetic per statistic, so the two agree bit for bit.
+    Reference for the chunked kernel ``stat_tests.permuted_stat_chunks``: one
+    ``rng.permutation(n)`` per statistic, the stream that the kernel's
+    ``rng.permuted`` shuffles reproduce, and the same arithmetic per
+    statistic, so the two agree bit for bit without sharing the draw call.
     """
     x, y = ds.x, ds.y
     n = ds.n

@@ -139,8 +139,11 @@ def permuted_stat_chunks(
 ) -> Iterator[np.ndarray]:
     """The B permuted statistics, one array per chunk of permutations.
 
-    Draws one ``rng.permutation(n)`` per statistic, in order, and only when
-    the chunk holding it is requested, so a caller that stops early leaves the
+    Each chunk's permutations come from one in-place ``rng.permuted`` shuffle
+    of rows of ``arange(n)``: row by row the same Fisher-Yates stream as one
+    ``rng.permutation(n)`` per statistic, so the permutations and the
+    generator state after them are the same bit for bit.  A chunk is drawn
+    only when it is requested, so a caller that stops early leaves the
     remaining draws unmade.  The chunk's products run as one stacked matmul;
     each statistic is bitwise equal to the one-product-per-permutation loop
     (``oracles.permuted_stats_loop``).
@@ -149,9 +152,13 @@ def permuted_stat_chunks(
     x, y, divisor = _blocks(ds, centered)
     n = ds.n
     chunk = perm_chunk_size(n, ds.p, ds.q)
+    identity = np.arange(n)
+    buf = np.empty((chunk, n), dtype=identity.dtype)
     for start in range(0, B, chunk):
-        perms = np.stack([rng.permutation(n) for _ in range(min(chunk, B - start))])
-        cross = np.matmul(x.T, y[perms]) / divisor
+        perms = buf[:min(chunk, B - start)]
+        perms[...] = identity
+        rng.permuted(perms, axis=1, out=perms)
+        cross = np.matmul(x.T, np.take(y, perms, axis=0)) / divisor
         yield np.sum((cross * cross).reshape(len(perms), -1), axis=1)
 
 

@@ -165,7 +165,7 @@ def test_criterion_8_phase_transition():
     curves = {}
     for (p, q) in [(5, 5), (10, 10), (20, 10)]:
         n = 10 * (p + q)
-        curves[(p, q)] = phase_curve(n, p, q, grid, trials=1000, B=200, seed=80808)
+        curves[(p, q)] = phase_curve(n, p, q, grid, trials=1000, B=200, seed=80808, workers=2)
 
     main = curves[(10, 10)]  # this is (n,p,q) = (200,10,10)
     estimates = [est.estimate for _, est in main]

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -169,12 +170,45 @@ class TestSequentialPermutationTest:
         loop = permuted_stats_loop(ds, B, np.random.default_rng(seed), centered)
         assert np.array_equal(chunked, loop)
 
-    @pytest.mark.parametrize("n,p,q", [(50, 5, 5), (200, 10, 10), (200, 50, 50), (30, 3, 7)])
+    # p = 1 puts a single row on the left of matmul, whose rounding depends
+    # on the layout of the gathered Y rows.
+    @pytest.mark.parametrize("n,p,q", [(50, 5, 5), (200, 10, 10), (200, 50, 50), (30, 3, 7), (23, 1, 3)])
     def test_chunked_statistics_bitwise_equal_loop_at_benchmark_shapes(self, n, p, q):
         ds = sample_dataset(None, n, np.random.default_rng(n + p), p=p, q=q)
         for centered in (False, True):
             chunked = np.concatenate(list(permuted_stat_chunks(ds, 40, np.random.default_rng(1), centered)))
             assert np.array_equal(chunked, permuted_stats_loop(ds, 40, np.random.default_rng(1), centered))
+
+    @pytest.mark.parametrize("centered", [False, True])
+    @pytest.mark.parametrize("B", [19, 41])
+    def test_chunked_statistics_bitwise_equal_loop_ragged_and_single(self, monkeypatch, B, centered):
+        # B = 19 and 41 leave a ragged last chunk of 3 and 9; a one-byte
+        # buffer cap forces chunks of one permutation.
+        ds = sample_dataset(None, 23, np.random.default_rng(B), p=3, q=2)
+        loop = permuted_stats_loop(ds, B, np.random.default_rng(9), centered)
+        chunks = list(permuted_stat_chunks(ds, B, np.random.default_rng(9), centered))
+        assert [len(c) for c in chunks] == [PERM_CHUNK] * (B // PERM_CHUNK) + [B % PERM_CHUNK]
+        assert np.array_equal(np.concatenate(chunks), loop)
+        monkeypatch.setattr(stat_tests, "PERM_BUFFER_BYTES", 1)
+        chunks = list(permuted_stat_chunks(ds, B, np.random.default_rng(9), centered))
+        assert [len(c) for c in chunks] == [1] * B
+        assert np.array_equal(np.concatenate(chunks), loop)
+
+    @pytest.mark.parametrize("coupling,alpha,stop_early",
+                             [(3.0, 0.05, True), (0.0, 0.05, True), (0.0, 0.5 / 100, True), (0.0, 0.05, False)])
+    def test_generator_advances_by_exactly_the_draws_made(self, coupling, alpha, stop_early):
+        # Reject, accept and no-draw stops, and the full test: the generator
+        # has advanced by exactly ``permutations`` rng.permutation(n) draws.
+        data = np.random.default_rng(12)
+        x = data.standard_normal((60, 3))
+        ds = Dataset(values=np.hstack([x, coupling * x + data.standard_normal((60, 3))]), p=3, q=3)
+        rng = np.random.default_rng(77)
+        dec = permutation_test(ds, 99, alpha, rng, stop_early=stop_early)
+        assert (dec.permutations < 99) == stop_early
+        ref = np.random.default_rng(77)
+        for _ in range(dec.permutations):
+            ref.permutation(60)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("B", [19, 20, 99, 200])
     def test_limit_agrees_with_p_value_rule(self, B):
@@ -218,6 +252,71 @@ class TestSequentialPermutationTest:
             full += permutation_test(sample_dataset(None, 30, rng, p=3, q=3), 39, 0.1, rng).reject
         assert est.rejections == full
         assert 0 < est.permutations < 100 * 39
+
+
+def _gram(x, y):
+    return x @ x.T, y @ y.T
+
+
+def _exact_permutation_mean(a, b, divisor):
+    """E tr(A P B P') / divisor^2 over uniform permutations P, with A = XX'
+    and B = YY': tr A tr B / n + (sum A - tr A)(sum B - tr B) / (n (n - 1))."""
+    n = len(a)
+    ta, tb = np.trace(a), np.trace(b)
+    return (ta * tb / n + (a.sum() - ta) * (b.sum() - tb) / (n * (n - 1))) / divisor**2
+
+
+def _all_trace_forms(a, b, divisor):
+    """tr(A P B P') / divisor^2 for every permutation: the permuted statistic
+    written without the cross-covariance."""
+    return np.array([np.sum(a * b[np.ix_(perm, perm)])
+                     for perm in itertools.permutations(range(len(a)))]) / divisor**2
+
+
+class TestPermutationDraws:
+    @pytest.mark.parametrize("k", [1, 5, 16])
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 200])
+    def test_permuted_rows_are_the_permutation_stream(self, n, k):
+        # The kernel's draw: rows of arange(n) shuffled in place.  The rows
+        # and the generator state after them must be those of k successive
+        # rng.permutation(n) calls, or every Monte-Carlo digest moves.
+        rng = np.random.default_rng([n, k])
+        ref = np.random.default_rng([n, k])
+        tile = np.tile(np.arange(n), (k, 1))
+        rng.permuted(tile, axis=1, out=tile)
+        assert np.array_equal(tile, np.stack([ref.permutation(n) for _ in range(k)]))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_exact_mean_against_enumeration(self):
+        ds = sample_dataset(None, 6, np.random.default_rng(5), p=2, q=3)
+        a, b = _gram(ds.x, ds.y)
+        assert np.mean(_all_trace_forms(a, b, 6)) == pytest.approx(_exact_permutation_mean(a, b, 6), rel=1e-12)
+
+    @pytest.mark.parametrize("centered", [False, True])
+    def test_mean_matches_exact_permutation_mean(self, centered):
+        ds = sample_dataset(None, 50, np.random.default_rng(314), p=5, q=5)
+        x, y, divisor = stat_tests._blocks(ds, centered)
+        exact = _exact_permutation_mean(*_gram(x, y), divisor)
+        stats = np.concatenate(list(permuted_stat_chunks(ds, 10_000, np.random.default_rng(2718), centered)))
+        se = stats.std(ddof=1) / math.sqrt(stats.size)
+        assert abs(stats.mean() - exact) <= 5 * se
+
+    @pytest.mark.parametrize("n,coupling", [(6, 0.0), (6, 0.6), (5, 0.3)])
+    def test_exceedance_count_is_binomial_in_exact_p(self, n, coupling):
+        # Enumerating all n! permutations gives the exact permutation p-value
+        # p_exact; the count of B drawn statistics >= observed is then
+        # Binomial(B, p_exact).
+        data = np.random.default_rng(n * 10 + int(10 * coupling))
+        x = data.standard_normal((n, 2))
+        ds = Dataset(values=np.hstack([x, coupling * x + data.standard_normal((n, 2))]), p=2, q=2)
+        observed = cross_cov_stat(ds)
+        # The trace form rounds differently, so ties (the identity) need slack.
+        p_exact = np.mean(_all_trace_forms(*_gram(ds.x, ds.y), n) >= observed * (1 - 1e-9))
+        assert 1 / math.factorial(n) < p_exact < 1.0  # more than the identity
+        B = 4000
+        stats = np.concatenate(list(permuted_stat_chunks(ds, B, np.random.default_rng(1234))))
+        count = np.count_nonzero(stats >= observed)
+        assert abs(count - B * p_exact) <= 5 * math.sqrt(B * p_exact * (1 - p_exact))
 
 
 class TestChunkSize:
