@@ -3,48 +3,59 @@
 The mixture P1 averages N(0, Sigma_uv) over all 2^(p+q) sign patterns; P0 is
 N(0, I).  The n-sample chi-square divergence reduces to a double binomial sum
 
-    E_{U,V}[(1 - a^2 U V)^(-n)] - 1
+    chi2 = E_{U,V}[(1 - a^2 U V)^(-n)] - 1
 
-over U = sum of p signs, V = sum of q signs, which this module evaluates
-exactly, together with the closed-form upper bound 4 b^2 log4 / (1 - b^2 log4)
-and the induced total-variation and power bounds.
+over U = sum of p signs, V = sum of q signs, which this module evaluates,
+together with the closed-form upper bound 4 b^2 log4 / (1 - b^2 log4) and the
+induced total-variation and power bounds.
 
-Cost.  The divergence check and the choice between the two summation paths
-read one corner of the (p+1) x (q+1) support grid.  Both paths generate the
-grid in slices of at most BLOCK elements, in O(BLOCK) memory, and evaluate
-only the cells that a bound per row (and per column) cannot rule out of the
-result's bits.  The bound: e(x) = -n log1p(-x) is convex with e(0) = 0, so
-for V on U's side e(a^2 U V) <= (|V|/q) E_U with E_U = e(a^2 |U| q), and
-e <= 0 on the other side.  With lambda = E_U / q and
-E[e^(lambda V)] = cosh(lambda)^q <= e^(lambda^2 q / 2) (Hoeffding 1963), the
-row's sum of w |expm1(e)| or of w e^e, and its largest log-term, are at most
-w_U (1 + cosh(lambda)^q).  Slack for float error: a^2 |U| q and E_U are
-raised by 2^-40 relative, the bound by a factor 2, its log by
-2^-40 (|log w_U| + q log 2 + E_U + 1), and each dropped cell adds 2^-1072
-(1 + e^(emax + 1)), emax the corner exponent, for rounding in the subnormal
-range.  The small-value path
-sums the window |U| <= T_U, |V| <= T_V exactly, with ``_exact_total``; the
-dropped cells' bound eps is kept below 2^-72 of n(n+1)/2 a^4 pq, the series'
-first term and a lower bound on chi2.  When the window total minus eps and
-plus eps round to the same nonzero double, rounding is monotone, so that
-double is the full grid's correctly rounded (fsum-equal) sum; otherwise the
-cells outside the window are added to the exact total, so every cell is read
-once.  The logsumexp path, taken when some exponent reaches
-500, scans rows by decreasing bound for the maximum and its count until a
-bound falls below it, then replays the pairwise-sum tree of numpy's
-``np.sum`` over slices generated on demand, skipping each node whose bound
-(its rows' bounds times e^-zmax, plus 2^-1074 per cell) is below half an ulp
-of its sibling's sum; so it reproduces ``scipy.special.logsumexp`` of the
-whole grid bit for bit.  MGF validity is the closed form c = |a| sqrt(pq) < 1,
-the same test as ``pd_ok``, since t * gamma peaks at 2c / (1 + c).  The
-full-grid forms are kept as oracles: ``oracles.chi_square_grid`` (bitwise
-reference) and ``oracles.gamma_grid``.
+Moment series.  Expanding (1 - x)^(-n) = sum_j C(n+j-1, j) x^j, the odd
+moments of the symmetric U and V drop out:
+
+    chi2 = sum_{k>=1} t_k,   t_k = C(n+2k-1, 2k) (a^4 pq)^k m_k(p) m_k(q),
+
+with m_k(d) = E[(U^2/d)^k].  Every term is positive, so nothing cancels, not
+even at tiny b.  E[U^2k] = sum_{j<=min(k,d)} (d)_j (2j-1)!! T(2k, 2j), with
+T the central factorial numbers, is an integer, and one int / int division
+by d^k rounds m_k correctly.  The remainder is bounded through the moment
+ratio m_{k+1}/m_k <= min(2k+1, d): U^2 <= d^2, and Stein's identity for one
+sign, E[eps f(W + eps)] = E[f'(W + t)] with t uniform on [-1, 1], where t is
+convex-dominated by a sign, gives E[U^(2k+2)] <= (2k+1) d E[U^2k].  Hence
+t_{k+1}/t_k <= r(k) = a^4 pq (n+2k+1)(n+2k) / ((2k+2)(2k+1))
+min(2k+1, p) min(2k+1, q), and with R_K = max_{k>=K} r(k) < 1 the terms after
+t_K sum to at most t_K R_K / (1 - R_K).  The series is taken at the first K
+where that bound is at most 2^-60 of the partial sum, within _MAX_TERMS
+terms.  It needs no scipy.
+
+Grid.  Where the series cannot be certified (a^2 pq near 1, or b far above
+its caps), the double sum runs over the (p+1) x (q+1) support grid, in
+slices of about BLOCK cells.  Each term is w expm1(e), e = -n log1p(-a^2 U V),
+or exp(log w + e) (-expm1(-e)) for e > 700, so that a tiny w keeps w e^e
+finite.  Rows and columns that cannot matter are skipped, by a bound per
+row: e(x) = -n log1p(-x) is convex with e(0) = 0, so for V on U's side
+e(a^2 U V) <= (|V|/q) E_U with E_U = e(a^2 |U| q), and e <= 0 on the other
+side.  With lambda = E_U / q and E[e^(lambda V)] = cosh(lambda)^q, the row's
+sum of w |expm1(e)| is at most w_U (1 + cosh(lambda)^q), raised by a slack
+for float error (``_log_row_bounds``).  A row whose bound is at most
+2^-72 L / (p+1) is skipped, then likewise each column, with q+1; L is a
+lower bound on chi2, the larger of t_1 = n(n+1)/2 a^4 pq and
+2^(1-p-q) ((1-c^2)^-n + (1+c^2)^-n - 2), c^2 = a^2 pq (the four corners;
+every other pair (U, V), (U, -V) adds f(x) + f(-x) - 2 >= 0 by convexity).
+So the skipped cells weigh at most 2^-71 chi2.  A total beyond the largest
+double raises OverflowError.
+
+MGF validity is the closed form c = |a| sqrt(pq) < 1, the same test as
+``pd_ok``, since t * gamma peaks at 2c / (1 + c).  The full-grid forms are
+kept as oracles: ``oracles.chi_square_grid`` (the full-grid reference) and
+``oracles.gamma_grid``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from collections.abc import Callable, Iterable, Iterator
+import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,23 +65,14 @@ from .structured_cov import amplitude
 LOG2 = math.log(2.0)
 LOG4 = math.log(4.0)
 
-# Elements per slice of the support grid and of exact_sum.  A slice's float
-# temporaries (128 KiB each) stay in a 2 MiB L2 cache; at 2^16 elements the
-# logsumexp path ran about 1.7x slower.
+# Cells per slice of the support grid.  A slice's float temporaries
+# (128 KiB each) stay in a 2 MiB L2 cache.
 BLOCK = 1 << 14
-# np.frexp exponents of finite doubles run from -1073 to 1024; an element
-# M * 2^(e - 53) lands in bin e + 1073 and weighs 2^(bin - 1126).
-_EXP_OFFSET = 1073
-_NBINS = 2098
-_MANT_SHIFT = 1126
-# Slices between folds of the int64 bins, each of which grows by less than
-# BLOCK * 2^27 = 2^41 per slice.
-_FOLD_EVERY = 1 << 16
 # Relative margin on the inputs and outputs of the row bounds (_log_row_bounds).
 _BOUND_SLACK = 2.0**-40
-# The small-value path drops outer cells whose bounds sum to at most this
-# fraction of chi2's first series term, 2^-19 of an ulp of that term.
-_WINDOW_MARGIN = 2.0**-72
+# Terms of the moment series tried before the grid takes over.  At the
+# benchmark's points the series stops after at most 18.
+_MAX_TERMS = 60
 
 
 class DivergenceInfiniteError(ValueError):
@@ -152,87 +154,71 @@ def mgf_validity(a: float, p: int, q: int) -> bool:
     return a * a * p * q < 1.0
 
 
-def exact_sum(chunks: Iterable[np.ndarray]) -> float:
-    """Correctly rounded sum of all elements of an iterable of finite float arrays.
+@functools.cache
+def _central_factorials() -> tuple[tuple[int, ...], ...]:
+    """Rows k = 0.._MAX_TERMS of the central factorial numbers T(2k, 2j), j = 0..k:
+    T(0, 0) = 1 and T(2k, 2j) = T(2k-2, 2j-2) + j^2 T(2k-2, 2j)."""
+    rows = [(1,)]
+    for k in range(1, _MAX_TERMS + 1):
+        prev = rows[-1] + (0,)
+        rows.append(tuple((prev[j - 1] if j else 0) + j * j * prev[j] for j in range(k + 1)))
+    return tuple(rows)
 
-    Bit for bit equal to ``math.fsum`` over the same elements, in any order:
-    both round the exact sum once, half to even.  The exact sum is
-    ``_exact_total(chunks) / 2^_MANT_SHIFT``, and CPython rounds that int true
-    division correctly.
+
+def _moments(d: int) -> Iterator[float]:
+    """m_k(d) = E[(U^2/d)^k] for k = 1.._MAX_TERMS, U a sum of d signs, each correctly rounded.
+
+    E[U^2k] = sum_j (d)_j (2j-1)!! T(2k, 2j) in integers; CPython rounds the
+    int / int quotient by d^k correctly.
     """
-    return _exact_total(chunks) / (1 << _MANT_SHIFT)
+    falling = [1]  # (d)_j (2j-1)!!, j = 0..min(k, d)
+    for k, row in enumerate(_central_factorials()[1:], start=1):
+        if k <= d:
+            falling.append(falling[-1] * (d - k + 1) * (2 * k - 1))
+        yield sum(map(operator.mul, falling, row)) / d**k
 
 
-def _exact_total(chunks: Iterable[np.ndarray]) -> int:
-    """The exact sum of all elements, times 2^_MANT_SHIFT, as an int.
+def _ratio_bound(n: int, p: int, q: int, a4pq: float, K: int) -> float:
+    """R_K = max_{k>=K} r(k), where r(k) bounds the series' term ratio t_{k+1}/t_k.
 
-    Each slice of at most BLOCK elements is split by ``np.frexp`` into integer
-    mantissas M = hi * 2^27 + lo (|M| < 2^53) that ``np.bincount`` sums per
-    binary exponent.  Those are float sums of at most BLOCK integers below
-    2^27, hence exact, and accumulate in int64 bins that are folded into one
-    Python int every _FOLD_EVERY slices, well before they could overflow.
+    r(k) = a^4 pq (n+2k+1)(n+2k) / ((2k+2)(2k+1)) min(2k+1, p) min(2k+1, q)
+    increases while 2k+1 <= min(p, q); between min(p, q) and max(p, q) it is
+    a^4 pq min(p, q) (x + 2n - 3 + (n-1)(n-2)/x), x = 2k+2, convex in k; past
+    max(p, q) it does not increase.  So its largest value at k >= K sits at K
+    or at an end of one of those three pieces.
     """
-    total = 0
-    bins_total = np.zeros((2, _NBINS), np.int64)
-    count = 0
-    for chunk in chunks:
-        flat = np.ravel(chunk)
-        for start in range(0, flat.size, BLOCK):
-            mant, exp = np.frexp(flat[start : start + BLOCK])
-            mant *= 2.0**53
-            hi = np.floor(mant * 2.0**-27)
-            lo = mant - hi * 2.0**27
-            bins = exp + _EXP_OFFSET
-            lo_sums = np.bincount(bins, lo, _NBINS)
-            # An infinite or NaN element makes its lo NaN.
-            if not np.isfinite(lo_sums).all():
-                raise ValueError("exact_sum needs finite elements")
-            bins_total[0] += np.bincount(bins, hi, _NBINS).astype(np.int64)
-            bins_total[1] += lo_sums.astype(np.int64)
-            count += 1
-            if count % _FOLD_EVERY == 0:
-                total += _fold(bins_total)
-                bins_total[:] = 0
-    return total + _fold(bins_total)
+    def r(k: int) -> float:
+        return (a4pq * (n + 2 * k + 1) * (n + 2 * k) / ((2 * k + 2) * (2 * k + 1))
+                * min(2 * k + 1, p) * min(2 * k + 1, q))
+
+    ends = ((min(p, q) - 1) // 2, (max(p, q) - 1) // 2)
+    return max(r(k) for k in (K, *ends, *(e + 1 for e in ends)) if k >= K)
 
 
-def _fold(bins_total: np.ndarray) -> int:
-    """sum_k (hi_k * 2^27 + lo_k) * 2^k over the (2, _NBINS) bin sums."""
-    nonzero = np.flatnonzero(bins_total.any(axis=0))
-    his, los = bins_total[:, nonzero].tolist()
-    return sum(((hi << 27) + lo) << k for k, hi, lo in zip(nonzero.tolist(), his, los))
-
-
-def _support_slice(
-    a: float, n: int, Us: np.ndarray, Vs: np.ndarray, logw_p: np.ndarray, logw_q: np.ndarray,
-    start: int, stop: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Log-weights and exponents -n log(1 - a^2 U V) at row-major indices [start, stop) of Us x Vs.
-
-    A partial first row, the whole rows between and a partial last row are
-    evaluated apart, so the cost is O(stop - start) whatever the grid's shape.
-    """
-    width = Vs.size
-    r0, c0 = divmod(start, width)
-    r1, c1 = divmod(stop, width)
-    if r0 == r1:
-        spans = [(r0, r0 + 1, c0, c1)]
-    else:
-        spans = [(r0, r0 + 1, c0, width), (r0 + 1, r1, 0, width), (r1, r1 + 1, 0, c1)]
-    logw, exponent = [], []
-    for i, j, k, l in spans:
-        x = a * a * Us[i:j, None] * Vs[None, k:l]
-        logw.append((logw_p[i:j, None] + logw_q[None, k:l]).ravel())
-        exponent.append((-n * np.log1p(-x)).ravel())
-    return np.concatenate(logw), np.concatenate(exponent)
+def _moment_series(n: int, p: int, q: int, a: float) -> float | None:
+    """chi2 from the moment series when its remainder is certified below 2^-60
+    of the partial sum within _MAX_TERMS terms, else None."""
+    a4pq = (a * a) ** 2 * p * q
+    # R_K does not increase with K, so this decides whether any K can pass.
+    if _ratio_bound(n, p, q, a4pq, _MAX_TERMS) >= 1.0:
+        return None
+    coef, total = 1.0, 0.0  # coef = C(n+2k-1, 2k) (a^4 pq)^k
+    for k, (m_p, m_q) in enumerate(zip(_moments(p), _moments(q)), start=1):
+        coef *= a4pq * (n + 2 * k - 1) * (n + 2 * k - 2) / (2 * k * (2 * k - 1))
+        term = coef * m_p * m_q
+        total += term
+        ratio = _ratio_bound(n, p, q, a4pq, k)
+        if ratio < 1.0 and term * ratio / (1.0 - ratio) <= 2.0**-60 * total:
+            return total
+    return None
 
 
 def _log_row_bounds(a: float, n: int, Us: np.ndarray, d: int, logw: np.ndarray) -> np.ndarray:
     """Upper bounds, one per row U of the grid Us x V (V a sum of d signs), on
-    log sum_V w_U w_V max(e^e, |expm1(e)|) with e = -n log1p(-a^2 U V): the
-    log of w_U (1 + cosh(E_U / d)^d), E_U = e at V = d sign(U), with the
-    slack the module docstring lists.  A row whose a^2 |U| d reaches 1 after
-    that slack gets +inf.
+    log sum_V w_U w_V |expm1(e)| with e = -n log1p(-a^2 U V): the log of
+    w_U (1 + cosh(E_U / d)^d), E_U = e at V = d sign(U), with a factor 2 and
+    a relative slack of _BOUND_SLACK on a^2 |U| d, on E_U and on the terms of
+    the log.  A row whose a^2 |U| d reaches 1 after that slack gets +inf.
     """
     x = a * a * np.abs(Us) * d * (1.0 + _BOUND_SLACK)
     with np.errstate(divide="ignore"):
@@ -243,211 +229,95 @@ def _log_row_bounds(a: float, n: int, Us: np.ndarray, d: int, logw: np.ndarray) 
     return logw + np.logaddexp(0.0, log_mgf) + slack
 
 
-def _trim(bounds: np.ndarray, budget: float) -> tuple[int, float]:
-    """The most entries k at each end whose 2k bounds sum to at most ``budget``
-    (at most (size - 1) // 2, so something is left), and that sum."""
-    half = (bounds.size - 1) // 2
-    tails = np.cumsum(bounds[:half] + bounds[::-1][:half])
-    k = int(np.searchsorted(tails, budget, side="right"))
-    return k, float(tails[k - 1]) if k else 0.0
+def _log_lower_bound(n: int, p: int, q: int, a: float) -> float:
+    """log L, L = max(t_1, 2^(1-p-q) ((1-c^2)^-n + (1+c^2)^-n - 2)) <= chi2.
+
+    The corner form is taken through (1+c^2)^-n >= 0, as E + log(1 - 2 e^-E)
+    with E = -n log1p(-c^2), and only for E > 1.
+    """
+    c2 = a * a * p * q
+    log_t1 = math.log(0.5 * n * (n + 1.0)) + math.log(c2) + math.log(a * a)
+    corner = -n * math.log1p(-c2)
+    if corner <= 1.0:
+        return log_t1
+    return max(log_t1, (1 - p - q) * LOG2 + corner + math.log1p(-2.0 * math.exp(-corner)))
 
 
-def _expm1_terms(
+def _grid_terms(
     a: float, n: int, Us: np.ndarray, Vs: np.ndarray, logw_p: np.ndarray, logw_q: np.ndarray,
-) -> Iterator[np.ndarray]:
-    """w expm1(e) over the row-major grid Us x Vs, in slices of at most BLOCK elements."""
-    size = Us.size * Vs.size
-    for start in range(0, size, BLOCK):
-        logw, exponent = _support_slice(a, n, Us, Vs, logw_p, logw_q, start, min(start + BLOCK, size))
-        yield np.exp(logw) * np.expm1(exponent)
+) -> np.ndarray:
+    """w expm1(e), e = -n log1p(-a^2 U V), over the grid Us x Vs; where e > 700,
+    exp(log w + e) (-expm1(-e)) instead, which stays finite while w e^e does."""
+    e = -n * np.log1p(-(a * a * Us[:, None] * Vs[None, :]))
+    logw = logw_p[:, None] + logw_q[None, :]
+    terms = np.exp(logw) * np.expm1(np.minimum(e, 700.0))
+    big = e > 700.0
+    if big.any():
+        terms[big] = np.exp(logw[big] + e[big]) * -np.expm1(-e[big])
+    return terms
 
 
-def _small_value_sum(
-    a: float, n: int, Us: np.ndarray, Vs: np.ndarray, logw_p: np.ndarray, logw_q: np.ndarray,
-    row_bounds: np.ndarray, emax: float,
-) -> float:
-    """The correctly rounded sum of w expm1(e) over the whole grid, from a window when certified.
+def _grid_sum(n: int, p: int, q: int, a: float) -> float:
+    """chi2 as the double sum over the support grid, skipping the rows and then
+    the columns whose bounds are at most 2^-72 L / (p+1) (columns: / (q+1))."""
+    # scipy.special takes most of the package's import time; only the grid needs it here.
+    from scipy.special import gammaln
 
-    The window drops the outer rows and columns whose bounds sum to at most
-    _WINDOW_MARGIN / 2 of n(n+1)/2 a^4 pq each.  With N the exact window total
-    and eps the dropped cells' bound, both times 2^_MANT_SHIFT, if N - eps and
-    N + eps round to the same nonzero double, so does the full grid's total.
-    Otherwise the dropped cells' exact total is added to N, which gives the
-    full grid's exact total with each cell read once.
-    """
-    p, q = Us.size - 1, Vs.size - 1
-    budget = 0.5 * _WINDOW_MARGIN * 0.5 * n * (n + 1.0) * (a * a) ** 2 * p * q  # half to rows, half to columns
+    Us = np.arange(-p, p + 1, 2, dtype=float)
+    Vs = np.arange(-q, q + 1, 2, dtype=float)
+    # C(d, k) = C(d, d - k), so index k serves both U = d - 2k and U = 2k - d.
+    k = np.arange(p + 1, dtype=float)
+    l = np.arange(q + 1, dtype=float)
+    logw_p = gammaln(p + 1) - gammaln(k + 1) - gammaln(p - k + 1) - p * LOG2
+    logw_q = gammaln(q + 1) - gammaln(l + 1) - gammaln(q - l + 1) - q * LOG2
+    log_floor = _log_lower_bound(n, p, q, a) - 72.0 * LOG2
+    rows = _log_row_bounds(a, n, Us, q, logw_p) > log_floor - math.log(p + 1)
+    cols = _log_row_bounds(a, n, Vs, p, logw_q) > log_floor - math.log(q + 1)
+    Us, logw_p, Vs, logw_q = Us[rows], logw_p[rows], Vs[cols], logw_q[cols]
+    step = max(1, BLOCK // Vs.size)
+    total = 0.0
     with np.errstate(over="ignore"):
-        r0, row_tail = _trim(np.exp(row_bounds), budget)
-        c0, col_tail = _trim(np.exp(_log_row_bounds(a, n, Vs, p, logw_q)), budget)
-    rows, cols = slice(r0, p + 1 - r0), slice(c0, q + 1 - c0)
-    total = _exact_total(_expm1_terms(a, n, Us[rows], Vs[cols], logw_p[rows], logw_q[cols]))
-    dropped = (p + 1) * (q + 1) - (p + 1 - 2 * r0) * (q + 1 - 2 * c0)
-    eps = row_tail + col_tail + dropped * 2.0**-1072 * (1.0 + math.exp(emax + 1.0))
-    num, den = eps.as_integer_ratio()
-    slack = -(-(num << _MANT_SHIFT) // den)
-    lo, hi = (total - slack) / (1 << _MANT_SHIFT), (total + slack) / (1 << _MANT_SHIFT)
-    if lo == hi and (lo != 0.0 or slack == 0):
-        return lo
-    inner = slice(r0, p + 1 - r0)
-    for rows, cols in ((slice(0, r0), slice(None)), (slice(p + 1 - r0, None), slice(None)),
-                       (inner, slice(0, c0)), (inner, slice(q + 1 - c0, None))):
-        total += _exact_total(_expm1_terms(a, n, Us[rows], Vs[cols], logw_p[rows], logw_q[cols]))
-    return total / (1 << _MANT_SHIFT)
-
-
-def _pairwise_sum(
-    leaf_sum: Callable[[int, int], np.float64], start: int, length: int,
-    bound: Callable[[int, int], float] = lambda start, stop: math.inf,
-) -> np.float64:
-    """numpy's pairwise sum of the elements [start, start + length), leaf by leaf.
-
-    ``np.sum`` of a contiguous run of k > 128 float64 elements returns
-    pairwise(k2) + pairwise(k - k2) with k2 = k // 2 rounded down to a multiple
-    of 8, and sums runs of at most 128 in one unrolled loop (Higham 1993).  The
-    split depends on k alone, so any node of this tree, summed by ``np.sum``,
-    has the bits it has inside the whole sum.  Nodes of at most
-    max(BLOCK, 128) elements are leaves, passed to ``leaf_sum(start, stop)``.
-
-    For nonnegative elements, ``bound(start, stop)`` may bound the sum of
-    [start, stop).  The child with the larger bound is then summed first, and
-    the other is skipped when its bound lies below half an ulp of the first:
-    adding it would leave the first unchanged, so the result keeps its bits.
-    """
-    if length <= max(BLOCK, 128):
-        return leaf_sum(start, start + length)
-    half = length // 2
-    half -= half % 8
-    first, second = (start, half), (start + half, length - half)
-    first_bound, second_bound = bound(start, start + half), bound(start + half, start + length)
-    if second_bound > first_bound:
-        first, second, second_bound = second, first, first_bound
-    total = _pairwise_sum(leaf_sum, *first, bound)
-    if second_bound < 0.5 * np.spacing(total):
-        return total
-    return total + _pairwise_sum(leaf_sum, *second, bound)
-
-
-def _expm1_logsumexp(
-    terms: Callable[[int, int], np.ndarray], size: int, log_row_bounds: np.ndarray | None = None,
-) -> float:
-    """expm1 of scipy's logsumexp over z[0:size], z[i:j] = terms(i, j), in O(BLOCK) memory.
-
-    Bit for bit equal to the call on the whole array, which takes zmax = max(z)
-    and the number m of elements equal to it, sets those to -inf, sums
-    exp(z - zmax) with ``np.sum``, divides a nonzero sum by m and returns
-    log1p(s) + log(m) + zmax.  z is read as a row-major grid with one row per
-    entry of ``log_row_bounds``, each an upper bound on log sum exp(z) over its
-    row (default: a single row, unbounded).  The first pass evaluates rows in
-    order of decreasing bound and stops at the first bound below the running
-    zmax, since no later row can reach it; so it finds zmax and m.  The second
-    replays the sum's pairwise tree over slices made on demand, skipping each
-    node whose bound, the sum of its rows' bounds times e^-zmax plus 2^-1074
-    per element (an exp rounded in the subnormal range), cannot change its
-    sibling's sum.  Raises OverflowError when the result does not fit a double.
-    """
-    if log_row_bounds is None:
-        log_row_bounds = np.array([math.inf])
-    width = size // log_row_bounds.size
-    zmax, m = -np.inf, 0
-    order = np.argsort(-log_row_bounds, kind="stable")
-    per_batch = max(1, BLOCK // width)
-    for i in range(0, order.size, per_batch):
-        batch = order[i : i + per_batch]
-        batch = np.sort(batch[log_row_bounds[batch] >= zmax])
-        if batch.size == 0:
-            break
-        for run in np.split(batch, np.flatnonzero(np.diff(batch) != 1) + 1):
-            stop = (int(run[-1]) + 1) * width
-            for start in range(int(run[0]) * width, stop, BLOCK):
-                z = terms(start, min(start + BLOCK, stop))
-                top = z.max()
-                if top > zmax:
-                    zmax, m = top, 0
-                if top == zmax:
-                    m += int(np.count_nonzero(z == top))
-
-    with np.errstate(over="ignore"):
-        row_sums = np.exp(log_row_bounds - zmax)
-
-    def bound(start: int, stop: int) -> float:
-        return row_sums[start // width : (stop - 1) // width + 1].sum() + (stop - start) * 2.0**-1074
-
-    def leaf_sum(start: int, stop: int) -> np.float64:
-        z = terms(start, stop)
-        shifted = np.exp(z - zmax)
-        shifted[z == zmax] = 0.0
-        return np.sum(shifted)
-
-    s = _pairwise_sum(leaf_sum, 0, size, bound)
-    count = np.float64(m)
-    if s != 0:
-        s = s / count
-    with np.errstate(over="ignore"):
-        chi2 = np.expm1(np.log1p(s) + np.log(count) + zmax)
-    if not np.isfinite(chi2):
-        raise OverflowError("the chi-square divergence overflows a double")
-    return float(chi2)
+        for start in range(0, Us.size, step):
+            batch = slice(start, start + step)
+            total += float(np.sum(_grid_terms(a, n, Us[batch], Vs, logw_p[batch], logw_q)))
+    return total
 
 
 def chi_square_exact(n: int, p: int, q: int, b: float) -> float:
-    """Exact chi-square divergence via the double binomial sum, in log space.
+    """Exact chi-square divergence E[(1 - a^2 U V)^-n] - 1, by the moment series or the grid.
 
     chi2 = sum_{k,l} C(p,k) C(q,l) 2^-(p+q) (1 - a^2 (p-2k)(q-2l))^-n  -  1.
 
     The largest a^2 U V sits at the corner U = p, V = q, so the divergence
-    check and the choice of path read that corner alone.  Both paths walk the
-    row-major grid in slices of at most BLOCK elements, in O(BLOCK) memory,
-    and evaluate only the cells that the bounds of ``_log_row_bounds`` cannot
-    rule out of the result's bits.  Per row U, with w_V = C(q,l) 2^-q,
-    e = -n log1p(-a^2 U V), E_U = e at V = q sign(U) and lambda = E_U / q:
-    e <= (|V|/q) E_U for V on U's side (e is convex in a^2 U V and 0 at 0),
-    e <= 0 on the other side, and sum_V w_V e^(lambda V) = cosh(lambda)^q
-    <= e^(lambda^2 q / 2) (Hoeffding 1963).  So w_U (1 + cosh(lambda)^q)
-    bounds the row's sum of w |expm1(e)| and of w e^e, and its largest term.
-    Slack: a^2 |U| q and E_U gain 2^-40 relative, the bound a factor 2 and,
-    in logs, 2^-40 (|log w_U| + q log 2 + E_U + 1); columns likewise.
-    Small-value path (largest exponent below 500): the weighted expm1 terms,
-    accurate when chi2 is near 0, are summed exactly over a window whose
-    dropped cells are bounded by eps < 2^-72 n(n+1)/2 a^4 pq <= 2^-72 chi2,
-    plus 2^-1072 (1 + e^(emax + 1)) per cell for subnormal rounding; if the
-    window total -/+ eps round to the same nonzero double, that is the full
-    grid's fsum-equal sum, or else the cells outside the window are added
-    (``_small_value_sum``).  Otherwise ``_expm1_logsumexp`` reproduces
-    scipy's logsumexp of the log-terms bit for bit, scanning rows by
-    decreasing bound for the maximum and skipping tree nodes whose bound is
-    below half an ulp of their sibling's sum; it loses digits where
-    zmax + log(...) cancels, and its result agrees with the small-value path
-    across the switch to about 1e-10 relative.  Raises OverflowError if chi2
+    check reads that corner alone.  The moment series
+    sum_k C(n+2k-1, 2k) (a^4 pq)^k m_k(p) m_k(q), m_k(d) = E[(U^2/d)^k] from
+    exact integers, is taken when its remainder, bounded through
+    m_{k+1}/m_k <= min(2k+1, d), is certified below 2^-60 of the partial sum
+    (``_moment_series``); its terms are all positive, so even at tiny b the
+    result keeps its sign and its digits.  Otherwise the grid sums
+    w expm1(e) over the rows and columns whose bounds exceed 2^-72 L / (p+1)
+    (/ (q+1)), L a lower bound on chi2, so that the skipped cells weigh at most
+    2^-71 chi2 (``_grid_sum``); near a^2 pq -> 1 its error comes from the
+    rounding of -n log1p(-a^2 U V), which is ill-conditioned there.  The
+    module docstring gives both proofs.  Raises ValueError for a NaN b,
+    DivergenceInfiniteError when 1 - a^2 pq <= 0 and OverflowError if chi2
     exceeds a double.
     """
-    # scipy.special takes most of the package's import time; only this needs it.
-    from scipy.special import gammaln
-
+    if math.isnan(b):
+        raise ValueError("b must not be NaN")
     if b == 0.0:
         return 0.0
-    a = amplitude(n, p, q, b)
-    Us = np.arange(-p, p + 1, 2, dtype=float)
-    Vs = np.arange(-q, q + 1, 2, dtype=float)
-    xmax = a * a * Us[-1] * Vs[-1]
-    if 1.0 - xmax <= 0.0:
+    a = float(amplitude(n, p, q, b))
+    if 1.0 - a * a * p * q <= 0.0:
         raise DivergenceInfiniteError(
             "1 - a^2 U V <= 0 at some support point: the integral diverges"
         )
-    k = np.arange(p + 1, dtype=float)
-    l = np.arange(q + 1, dtype=float)
-    logw_p = gammaln(p + 1) - gammaln(k + 1) - gammaln(p - k + 1) - p * math.log(2.0)
-    logw_q = gammaln(q + 1) - gammaln(l + 1) - gammaln(q - l + 1) - q * math.log(2.0)
-    logw_p, logw_q = logw_p[::-1], logw_q[::-1]  # index order matches Us, Vs
-    row_bounds = _log_row_bounds(a, n, Us, q, logw_p)
-    emax = -n * np.log1p(-xmax)
-    if emax < 500.0:
-        return _small_value_sum(a, n, Us, Vs, logw_p, logw_q, row_bounds, float(emax))
-
-    def terms(start: int, stop: int) -> np.ndarray:
-        return np.add(*_support_slice(a, n, Us, Vs, logw_p, logw_q, start, stop))
-
-    return _expm1_logsumexp(terms, (p + 1) * (q + 1), row_bounds)
+    chi2 = _moment_series(n, p, q, a)
+    if chi2 is None:
+        chi2 = _grid_sum(n, p, q, a)
+    if not math.isfinite(chi2):
+        raise OverflowError("the chi-square divergence overflows a double")
+    return chi2
 
 
 def chi_square_closed_bound(b: float) -> float:

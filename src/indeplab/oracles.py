@@ -62,10 +62,12 @@ def chi_square_grid(n: int, p: int, q: int, b: float) -> float:
 
     chi2 = sum_{k,l} C(p,k) C(q,l) 2^-(p+q) (1 - a^2 (p-2k)(q-2l))^-n  -  1.
 
-    Reference for the blocked ``divergence.chi_square_exact``: the whole
-    (p+1) x (q+1) grid in O(pq) memory, checked for divergence and for the
-    path switch on every element, with sort + ``math.fsum`` on the small-value
-    path.  The two agree bit for bit.
+    Full-grid reference for the grid of ``divergence.chi_square_exact``: the
+    whole (p+1) x (q+1) grid in O(pq) memory, with no row or column masks,
+    checked for divergence on every element, with sort + ``math.fsum`` while
+    every exponent is below 500 and logsumexp above.  Like any sum of rounded
+    terms it loses the sign and the digits of chi2 at tiny b, where the
+    weighted expm1 terms cancel.
     """
     if b == 0.0:
         return 0.0

@@ -351,10 +351,13 @@ class TestConfigFile:
 
 
 def test_import_leaves_scipy_special_unloaded():
-    # scipy.special dominates import time; only chi_square_exact and verify load it.
+    # scipy.special dominates import time; only the divergence grid and verify
+    # load it, so neither the import nor a bound on the moment series does.
     src = str(Path(indeplab.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, indeplab.cli; print('scipy.special' in sys.modules)"
+    code = ("import sys, indeplab.cli; from indeplab.divergence import minimax_power_upper, select_b; "
+            "minimax_power_upper(8000, 250, 250, select_b(1, 0.05, 0.35), 0.05); "
+            "print('scipy.special' in sys.modules)")
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"

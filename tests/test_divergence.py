@@ -1,12 +1,15 @@
+import itertools
 import math
 import tracemalloc
 import warnings
+from collections import defaultdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from indeplab import divergence, oracles
 from indeplab.divergence import (
@@ -14,7 +17,6 @@ from indeplab.divergence import (
     DivergenceInfiniteError,
     chi_square_closed_bound,
     chi_square_exact,
-    exact_sum,
     gamma_eigs,
     hoeffding_tail_bound,
     mgf_validity,
@@ -82,6 +84,11 @@ def test_chi_square_nonnegative_and_zero_iff_b_zero():
     assert chi_square_exact(5, 2, 3, 0.05) > 0.0
 
 
+def test_chi_square_rejects_nan_b():
+    with pytest.raises(ValueError, match="NaN"):
+        chi_square_exact(10, 3, 4, math.nan)
+
+
 def test_chi_square_divergent_configuration():
     # n=1, huge b: 1 - a^2 pq <= 0 at the extreme support point
     with pytest.raises(DivergenceInfiniteError):
@@ -94,424 +101,307 @@ def test_chi_square_large_dimensions_no_overflow():
     assert np.isfinite(val) and val >= 0.0
 
 
-def _bits(x) -> bytes:
-    return np.float64(x).tobytes()
-
-
-def _outcome(fn, *args):
-    """The bits of fn's value, or the type of the exception it raises."""
-    try:
-        return _bits(fn(*args))
-    except Exception as exc:  # the type itself is compared
-        return type(exc)
-
-
-def _assert_matches_grid(n, p, q, b):
-    """Same bits as the oracle, or the same exception; where the oracle
-    overflows to inf, chi_square_exact raises OverflowError instead."""
-    with np.errstate(over="ignore"):
-        want = _outcome(oracles.chi_square_grid, n, p, q, b)
-    if want == _bits(math.inf):
-        want = OverflowError
-    assert _outcome(chi_square_exact, n, p, q, b) == want
-
-
-def _max_exponent(n, p, q, b):
-    """Largest -n log1p(-a^2 U V) over the full grid, as the reference computes it."""
-    a = amplitude(n, p, q, b)
-    Us = np.arange(-p, p + 1, 2, dtype=float)
-    Vs = np.arange(-q, q + 1, 2, dtype=float)
-    return float(np.max(-n * np.log1p(-(a * a * Us[:, None] * Vs[None, :]))))
-
-
 def _b_for_exponent(n, p, q, exponent):
     """b at which the corner exponent -n log1p(-a^2 pq) is about ``exponent``."""
     x = -math.expm1(-exponent / n)
     return math.sqrt(2.0 * n * x / math.sqrt(p * q))
 
 
-def _max_count(n, p, q, b):
-    """How many log-terms equal the largest one over the full grid."""
-    a = amplitude(n, p, q, b)
-    Us = np.arange(-p, p + 1, 2, dtype=float)
-    Vs = np.arange(-q, q + 1, 2, dtype=float)
+def _b_edge(n, p, q):
+    """b at which a^2 pq = 1, where the divergence becomes infinite."""
+    return math.sqrt(2.0 * n / math.sqrt(p * q))
+
+
+def _takes_series(n, p, q, b):
+    return divergence._moment_series(n, p, q, float(amplitude(n, p, q, b))) is not None
+
+
+def _rel_err(got, want):
+    return abs(got - want) / abs(want)
+
+
+def _referee(n, p, q, b, extra_digits=0, cut=False):
+    """chi2 at the double amplitude(n, p, q, b), summed in mpmath from exact binomials.
+
+    The direct double sum of w_U w_V ((1 - a^2 U V)^-n - 1), independent of
+    the moment series and of the grid's weights and masks.  The four sign
+    quadrants hold two copies of each pair (U, V), (U, -V) with U, V > 0, and
+    U = 0 or V = 0 adds nothing, so the sum runs over U, V > 0 grouped by the
+    product UV, with integer weights.  Precision: each power is rounded to
+    about 10^-dps relative, and the rounding of 1 - a^2 UV is amplified by
+    n / (1 - a^2 pq), while the terms sum to chi2 >= t_1 = n(n+1)/2 a^4 pq;
+    the default dps leaves 20 digits beyond that.  ``cut`` keeps only
+    |U| <= 14 sqrt(p) and |V| <= 14 sqrt(q), which is exact to double
+    precision away from a^2 pq -> 1 (``TestReferee``) but not near it, where
+    the corners dominate.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    a = float(amplitude(n, p, q, b))
+    t1 = 0.5 * n * (n + 1.0) * a**4 * p * q
+    dps = 20 + extra_digits + math.ceil(math.log10(n * (1.0 + 1.0 / t1) / (1.0 - a * a * p * q)))
+
+    def support(d):
+        limit = 14.0 * math.sqrt(d) if cut else d
+        return [(d - 2 * k, math.comb(d, k)) for k in range(d // 2 + 1) if 0 < d - 2 * k <= limit]
+
+    weights = defaultdict(int)
+    support_q = support(q)
+    for U, wu in support(p):
+        for V, wv in support_q:
+            weights[U * V] += wu * wv
+    with mpmath.workdps(dps):
+        x = mpmath.mpf(a) ** 2
+        total = mpmath.fsum(w * ((1 - x * m) ** -n + (1 + x * m) ** -n - 2) for m, w in weights.items())
+        return float(total / mpmath.mpf(2) ** (p + q - 1))
+
+
+class TestReferee:
+    """The referee is checked against the enumeration, a frozen value, itself
+    with 40 more digits, and itself with the support cut."""
+
+    def test_matches_enumeration_and_frozen_value(self):
+        assert _rel_err(_referee(4, 2, 2, 0.5), oracles.enumerate_chi_square(4, 2, 2, 0.5)) <= 1e-12
+        # The frozen value is at the real amplitude, the referee's at its double.
+        assert _rel_err(_referee(1, 1, 1, 0.3), 0.002029108945614870111976752924672) <= 1e-14
+
+    @pytest.mark.parametrize("n,p,q,b", [
+        (690, 271, 9, 4.9e-10), (225, 284, 10, 4.38e-11), (40, 30, 20, 1.3),
+        (50, 6, 9, _b_edge(50, 6, 9) * (1 - 1e-6)), (8000, 250, 250, 0.8),
+    ])
+    def test_more_digits_change_nothing(self, n, p, q, b):
+        assert _rel_err(_referee(n, p, q, b, extra_digits=40), _referee(n, p, q, b)) <= 2.0**-52
+
+    @pytest.mark.parametrize("n,p,q,b", [(8000, 250, 250, 0.8), (300, 150, 150, 0.5)])
+    def test_cut_is_exact_away_from_the_edge(self, n, p, q, b):
+        assert _rel_err(_referee(n, p, q, b, cut=True), _referee(n, p, q, b)) <= 2.0**-52
+
+
+SELECT_B = select_b(1.0, 0.05, 0.35)
+
+
+class TestAccuracy:
+    """chi_square_exact against the referee: series points within 1e-14, grid
+    points no worse than twice the error the full-grid code had there."""
+
+    @pytest.mark.parametrize("n,p,q,b", [
+        (8000, 250, 250, 0.8), (8000, 250, 250, SELECT_B), (300, 150, 150, 0.5),
+        (10, 60, 60, _b_for_exponent(10, 60, 60, 5.0)), (1, 60, 60, _b_for_exponent(1, 60, 60, 0.5)),
+        (4, 2, 2, 0.5), (1, 1, 1, 0.3),
+    ])
+    def test_series_points(self, n, p, q, b):
+        assert _takes_series(n, p, q, b)
+        assert _rel_err(chi_square_exact(n, p, q, b), _referee(n, p, q, b)) <= 1e-14
+
+    # Referee values with the support cut, too slow to recompute here: at
+    # (8000, 2000, 2000), 3.7 s each at dps and at 2 dps, the same double; at
+    # (1e5, 1e5, 1e3), 12-15 s each at 30 and 50 digits with the weights
+    # rounded to mpf, the same double.  The full-grid code was off by 3.9e-11,
+    # 2.2e-12 and 2.6e-9 at these points.
+    @pytest.mark.parametrize("n,p,q,b,want", [
+        (8000, 2000, 2000, 0.8, 0.05550749336004637),
+        (8000, 2000, 2000, SELECT_B, 0.00018453773050461166),
+        (10**5, 10**5, 10**3, 0.8, 0.05549816715399859),
+    ])
+    def test_large_points(self, n, p, q, b, want):
+        assert _takes_series(n, p, q, b)
+        assert _rel_err(chi_square_exact(n, p, q, b), want) <= 1e-14
+
+    # The full-grid code's own error against the referee is the last entry.
+    @pytest.mark.parametrize("n,p,q,b,old_err", [
+        (40, 30, 20, 1.3, 7.31e-15),
+        (200, 200, 200, 1.4, 5.29e-13),
+        (1000, 400, 400, _b_for_exponent(1000, 400, 400, 505.0), 4.04e-13),
+        (1000, 400, 400, _b_for_exponent(1000, 400, 400, 560.0), 3.61e-13),
+        (50, 6, 9, _b_edge(50, 6, 9) * (1 - 1e-6), 3.57e-10),
+        (50, 6, 9, _b_edge(50, 6, 9) * (1 - 1e-3), 5.45e-13),
+        (200, 20, 30, _b_for_exponent(200, 20, 30, 100.0), 1.94e-14),
+        (1000, 40, 40, _b_for_exponent(1000, 40, 40, 700.0), 5.24e-14),
+        (300, 100, 7, _b_for_exponent(300, 100, 7, 300.0), 4.42e-14),
+    ])
+    def test_grid_points(self, n, p, q, b, old_err):
+        assert not _takes_series(n, p, q, b)
+        assert _rel_err(chi_square_exact(n, p, q, b), _referee(n, p, q, b)) <= max(1e-14, 2.0 * old_err)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 10**5), st.integers(1, 40), st.integers(1, 40), st.floats(-20.0, -0.3))
+    def test_random_series_points(self, n, p, q, log_c2):
+        b = math.sqrt(2.0 * n * 10.0**log_c2 / math.sqrt(p * q))  # a^2 pq = 10^log_c2
+        assume(_takes_series(n, p, q, b))
+        assert _rel_err(chi_square_exact(n, p, q, b), _referee(n, p, q, b)) <= 1e-14
+
+    # The full-grid code returned -1.53e-37 and 0.0 here.
+    @pytest.mark.parametrize("n,p,q,b,want", [
+        (690, 271, 9, 4.9e-10, 7.216444730072467e-39), (225, 284, 10, 4.38e-11, 4.6209617755199986e-43),
+    ])
+    def test_tiny_b(self, n, p, q, b, want):
+        got = chi_square_exact(n, p, q, b)
+        assert got > 0.0 and _rel_err(got, want) <= 1e-14
+
+    @pytest.mark.parametrize("n,p,q", [(50, 6, 9), (20, 20, 30), (10, 40, 40)])
+    @pytest.mark.parametrize("gap", [1e-3, 1e-6])
+    def test_nondecreasing_near_the_edge(self, n, p, q, gap):
+        # Near a^2 pq -> 1 a rounding of a^2 UV by a few ulps moves chi2 by
+        # n / (1 - a^2 pq) of that; b * (1 + 1e-9) moves it by far more.
+        lo_b = _b_edge(n, p, q) * (1.0 - gap)
+        hi_b = lo_b * (1.0 + 1e-9)
+        lo, hi = chi_square_exact(n, p, q, lo_b), chi_square_exact(n, p, q, hi_b)
+        lo_ref, hi_ref = _referee(n, p, q, lo_b), _referee(n, p, q, hi_b)
+        assert lo <= hi and lo_ref < hi_ref
+        tol = 1e-13 + 4.0 * 2.0**-53 * n / (2.0 * gap)
+        assert _rel_err(lo, lo_ref) <= tol and _rel_err(hi, hi_ref) <= tol
+
+    @pytest.mark.parametrize("b", [0.5, 0.8])
+    def test_limit_at_fixed_b(self, b):
+        # chi2 -> (1 - b^4/4)^(-1/2) - 1 as n = p = q grows; the gap shrinks
+        # like 1/n (about 1.04/n at b = 0.5, 1.33/n at b = 0.8) and is not a
+        # bound at finite size.
+        limit = (1.0 - b**4 / 4.0) ** -0.5 - 1.0
+        scaled = [n * (chi_square_exact(n, n, n, b) - limit) / limit for n in (10**3, 10**4, 10**5)]
+        assert all(0.5 < s < 2.0 for s in scaled)
+        assert max(scaled) - min(scaled) < 0.01 * min(scaled)
+
+
+def _fractional_moment(d, k):
+    """E[U^2k] for U a sum of d signs, as a Fraction."""
+    return sum(Fraction(math.comb(d, i), 2**d) * (d - 2 * i) ** (2 * k) for i in range(d + 1))
+
+
+class TestMomentSeries:
+    def test_moments_are_correctly_rounded(self):
+        for d in range(1, 13):
+            got = list(itertools.islice(divergence._moments(d), 20))
+            assert got == [float(_fractional_moment(d, k) / d**k) for k in range(1, 21)], d
+
+    def test_moment_ratio_bound(self):
+        # m_{k+1} / m_k <= min(2k+1, d), i.e. E[U^(2k+2)] <= min(2k+1, d) d E[U^2k].
+        for d in range(1, 13):
+            for k in range(0, 21):
+                assert _fractional_moment(d, k + 1) <= min(2 * k + 1, d) * d * _fractional_moment(d, k)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 10**4), st.integers(1, 300), st.integers(1, 300), st.integers(1, 60))
+    def test_ratio_bound_is_the_maximum(self, n, p, q, K):
+        a4pq = 1e-6
+
+        def r(k):
+            return (a4pq * (n + 2 * k + 1) * (n + 2 * k) / ((2 * k + 2) * (2 * k + 1))
+                    * min(2 * k + 1, p) * min(2 * k + 1, q))
+
+        # r does not increase once 2k+1 >= max(p, q).
+        brute = max(r(k) for k in range(K, max(K, max(p, q)) + 3))
+        # Equal up to the rounding of r, where r is flat (n = 1).
+        assert divergence._ratio_bound(n, p, q, a4pq, K) == pytest.approx(brute, rel=1e-15)
+
+    @pytest.mark.parametrize("n", [7900, 8000, 8100])
+    def test_benchmark_and_verify_points_take_the_series(self, n):
+        for p, q, b in itertools.product((250, 2000), (250, 2000), (SELECT_B, 0.8)):
+            assert _takes_series(n, p, q, b)
+        for p, q, m, b in itertools.product((1, 2, 3, 4), (1, 2, 4), (1, 5), (0.1, 0.3)):
+            assert _takes_series(m, p, q, b)
+
+    @pytest.mark.parametrize("n,p,q", [(100, 30, 30), (1000, 200, 100), (20, 5, 60)])
+    def test_continuous_across_the_switch_to_the_grid(self, n, p, q):
+        lo, hi = 1e-3, _b_edge(n, p, q) * (1 - 1e-3)
+        assert _takes_series(n, p, q, lo) and not _takes_series(n, p, q, hi)
+        while np.nextafter(lo, hi) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if _takes_series(n, p, q, mid) else (lo, mid)
+        assert _rel_err(chi_square_exact(n, p, q, hi), chi_square_exact(n, p, q, lo)) <= 1e-12
+
+
+def _full_grid_terms(n, p, q, b):
+    """Every cell's term, unmasked, from the grid's own term function."""
+    a = float(amplitude(n, p, q, b))
     k = np.arange(p + 1, dtype=float)
     l = np.arange(q + 1, dtype=float)
     logw_p = gammaln(p + 1) - gammaln(k + 1) - gammaln(p - k + 1) - p * math.log(2.0)
     logw_q = gammaln(q + 1) - gammaln(l + 1) - gammaln(q - l + 1) - q * math.log(2.0)
-    z = logw_p[::-1, None] + logw_q[None, ::-1] - n * np.log1p(-(a * a * Us[:, None] * Vs[None, :]))
-    return int(np.count_nonzero(z == z.max()))
+    Us = np.arange(-p, p + 1, 2, dtype=float)
+    Vs = np.arange(-q, q + 1, 2, dtype=float)
+    with np.errstate(over="ignore"):
+        return divergence._grid_terms(a, n, Us, Vs, logw_p, logw_q)
 
 
-def _switch_window(n, p, q):
-    """Adjacent doubles lo < hi of b with the largest exponent below 500 at lo, not at hi."""
-    lo = hi = _b_for_exponent(n, p, q, 500.0)
-    lo, hi = lo * (1 - 1e-9), hi * (1 + 1e-9)
-    assert _max_exponent(n, p, q, lo) < 500.0 <= _max_exponent(n, p, q, hi)
-    while np.nextafter(lo, hi) < hi:
-        mid = 0.5 * (lo + hi)
-        if _max_exponent(n, p, q, mid) < 500.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+def _recorded_terms(mp):
+    """Wrap ``divergence._grid_terms``; the list returned collects every array it makes."""
+    blocks = []
+    grid_terms = divergence._grid_terms
+
+    def recording(*args):
+        blocks.append(grid_terms(*args))
+        return blocks[-1]
+
+    mp.setattr(divergence, "_grid_terms", recording)
+    return blocks
 
 
-class TestExactSum:
-    @staticmethod
-    def _check(values, chunk=None):
-        values = np.asarray(values, dtype=float)
-        chunks = [values] if chunk is None else [values[i : i + chunk] for i in range(0, values.size, chunk)]
-        assert _bits(exact_sum(chunks)) == _bits(math.fsum(values))
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        st.lists(st.floats(-1e300, 1e300, allow_subnormal=True), max_size=200),
-        st.integers(1, 50),
-    )
-    def test_mixed_exponents(self, values, chunk):
-        self._check(values)
-        self._check(values, chunk)
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.lists(st.floats(-1e300, 1e300, allow_subnormal=True), min_size=1, max_size=100),
-        st.floats(-1e300, 1e300, allow_subnormal=True),
-        st.randoms(use_true_random=False),
-    )
-    def test_exact_cancellation(self, values, extra, rnd):
-        mixed = values + [-v for v in values] + [extra]
-        rnd.shuffle(mixed)
-        self._check(mixed)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(-960, 960), st.sampled_from([1.0, -1.0]), st.integers(-3, 3))
-    def test_half_way_cases(self, k, sign, nudge):
-        # 1 + 2^-53 is a tie; the 2^-106 tail and its sign decide the rounding.
-        tail = 2.0 ** (-106 + nudge) if nudge else 0.0
-        for values in ([1.0, 2.0**-53, tail], [1.0, 2.0**-53, -tail], [1.0 + 2.0**-52, 2.0**-53, -tail]):
-            self._check([sign * math.ldexp(v, k) for v in values])
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(-1074 + 53, 960), st.integers(0, 3))
-    def test_full_block_of_largest_mantissas(self, k, extra):
-        value = math.ldexp(2.0**53 - 1.0, k - 53)
-        self._check(np.full(BLOCK + extra, value))
-        self._check(np.concatenate([np.full(BLOCK, value), [-value] * extra]))
-
-    def test_subnormals_and_signed_zeros(self):
-        tiny = 5e-324
-        self._check([-0.0, -0.0])
-        self._check([0.0, -0.0, tiny, -tiny])
-        self._check([tiny] * 7 + [2.2250738585072014e-308, -3 * tiny])
-        self._check([])
-
-    def test_folds_between_slices(self, monkeypatch):
-        monkeypatch.setattr(divergence, "BLOCK", 3)
-        monkeypatch.setattr(divergence, "_FOLD_EVERY", 2)
-        rng = np.random.default_rng(11)
-        values = rng.standard_normal(101) * 10.0 ** rng.integers(-300, 300, 101)
-        self._check(values)
-        self._check(values, 7)
-
-    def test_rejects_non_finite(self):
-        for bad in (math.inf, -math.inf, math.nan):
-            with pytest.raises(ValueError), np.errstate(invalid="ignore"):
-                exact_sum([np.array([1.0, bad])])
+def _cells_read(n, p, q, b):
+    with pytest.MonkeyPatch.context() as mp:
+        blocks = _recorded_terms(mp)
+        chi_square_exact(n, p, q, b)
+    return sum(block.size for block in blocks)
 
 
-class TestChiSquareMatchesGrid:
-    """chi_square_exact equals the full-grid oracle bit for bit."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.integers(1, 10**5),
-        st.integers(1, 60),
-        st.integers(1, 60),
-        st.one_of(st.floats(0.0, 3.0), st.floats(1e-300, 1e-3)),
-    )
-    def test_random_points(self, n, p, q, b):
-        _assert_matches_grid(n, p, q, b)
-
-    @pytest.mark.parametrize("n,p,q", [(1000, 3, 5), (40, 7, 2), (10**5, 30, 30)])
-    def test_path_switch_at_exponent_500(self, n, p, q):
-        # Bisect b to where the largest exponent crosses 500, then compare
-        # every b within a few ulps of it on both sides.
-        lo, _ = _switch_window(n, p, q)
-        window = [lo]
-        for direction in (-math.inf, math.inf):
-            b = lo
-            for _ in range(6):
-                b = float(np.nextafter(b, direction))
-                window.append(b)
-        exponents = [_max_exponent(n, p, q, b) for b in window]
-        assert min(exponents) < 500.0 <= max(exponents)
-        for b in window:
-            _assert_matches_grid(n, p, q, b)
-
-    @pytest.mark.parametrize("exponent,small_path", [(30.0, True), (600.0, False)])
-    def test_rows_longer_than_a_block(self, exponent, small_path):
-        # q + 1 > BLOCK: slices start and end inside rows.
-        n, p, q = 1000, 2, BLOCK + 5
+class TestGrid:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 2000), st.integers(1, 150), st.integers(1, 150), st.floats(0.1, 1500.0))
+    def test_masks_drop_at_most_2_to_minus_71(self, n, p, q, exponent):
         b = _b_for_exponent(n, p, q, exponent)
-        assert (_max_exponent(n, p, q, b) < 500.0) == small_path
-        _assert_matches_grid(n, p, q, b)
+        assume(b < _b_edge(n, p, q) and not _takes_series(n, p, q, b))
+        full = _full_grid_terms(n, p, q, b).ravel().tolist()
+        assume(np.isfinite(full).all())
+        with pytest.MonkeyPatch.context() as mp:
+            blocks = _recorded_terms(mp)
+            chi_square_exact(n, p, q, b)
+        read = np.concatenate([block.ravel() for block in blocks]).tolist()
+        # A cell's term has the same bits in any slice, so fsum gives the
+        # skipped cells' sum exactly rounded.
+        skipped = math.fsum(full + [-x for x in read])
+        assert abs(skipped) <= 2.0**-71 * abs(math.fsum(full))
 
-    def test_ragged_last_block(self):
-        n, p, q = 8000, 200, 1000
-        assert (p + 1) * (q + 1) % BLOCK != 0
-        for b in (0.05, select_b(1.0, 0.05, 0.35), 1.2, 1.5):
-            _assert_matches_grid(n, p, q, b)
-        assert _max_exponent(n, p, q, 1.2) < 500.0 <= _max_exponent(n, p, q, 1.5)
+    @pytest.mark.parametrize("exponent", [505.0, 560.0])
+    def test_each_cell_read_at_most_once(self, exponent):
+        n, p, q = 1000, 400, 400
+        cells = _cells_read(n, p, q, _b_for_exponent(n, p, q, exponent))
+        assert 0 < cells <= (p + 1) * (q + 1)
 
-    def test_divergent_and_near_divergent(self):
-        n, p, q = 50, 6, 9
-        b_edge = math.sqrt(2.0 * n / math.sqrt(p * q))  # a^2 pq = 1
-        for b in (b_edge * (1 - 1e-6), b_edge * (1 - 1e-15), b_edge, b_edge * (1 + 1e-15), 2 * b_edge):
-            _assert_matches_grid(n, p, q, b)
-        with pytest.raises(DivergenceInfiniteError):
-            chi_square_exact(n, p, q, 2 * b_edge)
+    def test_masks_skip_most_cells_far_from_the_edge(self):
+        n, p, q = 5000, 2000, 2000
+        assert 0 < _cells_read(n, p, q, 1.5) < 0.25 * (p + 1) * (q + 1)
+
+    @pytest.mark.parametrize("c2", [0.05, 0.1])
+    def test_rows_longer_than_a_block(self, c2):
+        n, p, q = 20000, 40, BLOCK + 5
+        b = math.sqrt(2.0 * n * c2 / math.sqrt(p * q))  # a^2 pq = c2
+        assert not _takes_series(n, p, q, b)
+        assert _rel_err(chi_square_exact(n, p, q, b), oracles.chi_square_grid(n, p, q, b)) <= 1e-12
 
     def test_memory_is_blocked(self):
-        # The default b takes the small-value path, b = 0.8 the logsumexp path.
-        n, p, q = 8000, 2000, 2000
-        assert _max_exponent(n, p, q, select_b(1.0, 0.05, 0.35)) < 500.0 <= _max_exponent(n, p, q, 0.8)
-        for b in (select_b(1.0, 0.05, 0.35), 0.8):
+        # The grid at (5000, 2000, 2000) would hold several 32 MB arrays.
+        for n, b in ((5000, 1.5), (8000, 0.8)):
             tracemalloc.start()
             try:
-                chi_square_exact(n, p, q, b)
+                chi_square_exact(n, 2000, 2000, b)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            # The full grid would hold several 32 MB (2001 x 2001 float) arrays.
             assert peak < 16 * 2**20, b
 
-
-class TestLogsumexpPath:
-    """The streamed logsumexp path equals the full-grid oracle bit for bit.
-
-    chi_square_exact replays the pairwise summation tree of numpy's ``np.sum``
-    over slices of the grid, so these tests are also the guard against a
-    change in numpy's summation tree (its split rule or its 128-element
-    leaves): such a change makes them fail, not the results drift silently.
-    The chi-square values keep few of the sum's last bits (zmax + log(...)
-    cancels), so the replay itself is checked on standard normal data too,
-    where any other tree changes the bits.
-    """
-
-    SIZES = (1, 127, 128, 129, 248, 264, 1016, 1032, BLOCK - 8, BLOCK + 8, 2**17 - 8, 2**17 + 8, 300_007)
-
-    @pytest.mark.parametrize("block", [3, 100, 128, 200, BLOCK])
-    def test_pairwise_replay_matches_np_sum(self, monkeypatch, block):
-        monkeypatch.setattr(divergence, "BLOCK", block)
-        rng = np.random.default_rng(5)
-        for size in self.SIZES:
-            x = rng.standard_normal(size)
-            got = divergence._pairwise_sum(lambda i, j: np.sum(x[i:j]), 0, size)
-            assert _bits(got) == _bits(np.sum(x)), size
-
-    @pytest.mark.parametrize("block", [3, 128, BLOCK])
-    @pytest.mark.parametrize("maxima", [1, 2, 5])
-    def test_streamed_logsumexp_matches_scipy(self, monkeypatch, block, maxima):
-        monkeypatch.setattr(divergence, "BLOCK", block)
-        rng = np.random.default_rng(maxima)
-        for size in self.SIZES:
-            z = 1e-3 * rng.standard_normal(size)
-            z[rng.integers(0, size, maxima)] = 0.01
-            got = divergence._expm1_logsumexp(lambda i, j: z[i:j], size)
-            assert _bits(got) == _bits(np.expm1(logsumexp(z.reshape(1, -1)))), size
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        st.integers(200, 10**5),
-        st.integers(1, 120),
-        st.integers(1, 120),
-        st.floats(500.0, 3000.0),
-    )
-    def test_random_points(self, n, p, q, exponent):
-        b = _b_for_exponent(n, p, q, exponent)
-        assume(_max_exponent(n, p, q, b) >= 500.0)
-        _assert_matches_grid(n, p, q, b)
-
-    @pytest.mark.parametrize(
-        "p,q",
-        [
-            (2, BLOCK + 5),  # rows longer than a block and than a leaf
-            (BLOCK + 5, 1),  # many two-element rows
-            (1, BLOCK // 2 - 5),  # BLOCK - 8 elements: a single leaf
-            (1, BLOCK // 2 + 3),  # BLOCK + 8 elements: two leaves
-            (7, 2**14 - 2),  # 2^17 - 8 elements
-            (7, 2**14),  # 2^17 + 8 elements
-        ],
-    )
-    def test_grid_shapes(self, p, q):
-        n = 1000
-        for exponent in (510.0, 900.0):
-            b = _b_for_exponent(n, p, q, exponent)
-            assert _max_exponent(n, p, q, b) >= 500.0
-            _assert_matches_grid(n, p, q, b)
-
-    @pytest.mark.parametrize("block", [3, 100, 128, 200])
-    @pytest.mark.parametrize("p,q", [(2, 42), (7, 30), (7, 32), (7, 126), (7, 128), (30, 70)])
-    def test_small_leaves(self, monkeypatch, block, p, q):
-        # Grids of 129, 2^k +- 8 and 2201 elements: the half % 8 rounding at
-        # every level, and no split of a run of 128 or fewer, whatever BLOCK is.
-        monkeypatch.setattr(divergence, "BLOCK", block)
-        n = 1000
-        for exponent in (510.0, 900.0):
-            _assert_matches_grid(n, p, q, _b_for_exponent(n, p, q, exponent))
-
-    @pytest.mark.parametrize("p,q,m", [(100, 312, 1), (100, 100, 2)])
-    def test_count_of_maxima(self, p, q, m):
-        # logsumexp divides the rest of the sum by the number of maxima.
-        n = 1000
-        b = _b_for_exponent(n, p, q, 520.0)
-        assert _max_count(n, p, q, b) == m
-        _assert_matches_grid(n, p, q, b)
-
     def test_overflow_raises(self):
-        n, p, q, b = 8000, 200, 1000, 3.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(OverflowError):
+                chi_square_exact(8000, 200, 1000, 3.0)
+
+    def test_divergent_and_near_divergent(self):
+        n, p, q = 50, 6, 9
+        edge = _b_edge(n, p, q)
+        assert math.isfinite(chi_square_exact(n, p, q, edge * (1 - 1e-6)))
+        with pytest.raises(OverflowError):
+            chi_square_exact(n, p, q, edge * (1 - 1e-15))
+        for b in (edge, edge * (1 + 1e-15), 2 * edge):
+            with pytest.raises(DivergenceInfiniteError):
                 chi_square_exact(n, p, q, b)
-        _assert_matches_grid(n, p, q, b)
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(100, 10**5), st.integers(1, 300), st.integers(1, 300))
-    def test_continuous_across_the_switch(self, n, p, q):
-        # One ulp of b apart, the small-value path and the logsumexp path
-        # agree to 1e-9 relative.  From n = 100 up, chi2 itself moves by less
-        # than 1e-11 over that ulp; below, its slope 2n e^(500/n) takes over
-        # (about 5e-10 at n = 50).
-        lo, hi = _switch_window(n, p, q)
-        below, above = chi_square_exact(n, p, q, lo), chi_square_exact(n, p, q, hi)
-        assert above == pytest.approx(below, rel=1e-9)
-
-
-def _counting_slices(mp):
-    """Wrap ``divergence._support_slice``; the list returned holds the number of cells it evaluated."""
-    evaluated = [0]
-    slicer = divergence._support_slice
-
-    def counting(a, n, Us, Vs, logw_p, logw_q, start, stop):
-        evaluated[0] += stop - start
-        return slicer(a, n, Us, Vs, logw_p, logw_q, start, stop)
-
-    mp.setattr(divergence, "_support_slice", counting)
-    return evaluated
-
-
-def _checked_cells(n, p, q, b):
-    """Check chi_square_exact against the oracle bit for bit; return the cells it evaluated."""
-    with pytest.MonkeyPatch.context() as mp:
-        evaluated = _counting_slices(mp)
-        _assert_matches_grid(n, p, q, b)
-    return evaluated[0]
-
-
-class TestCertifiedWindows:
-    """Both paths evaluate only the cells their row and column bounds cannot
-    rule out of the result, and keep the full grid's bits (the oracle's)."""
-
-    @settings(max_examples=80, deadline=None)
-    @given(st.integers(100, 10**5), st.integers(150, 600), st.integers(150, 600), st.floats(1e-3, 499.0))
-    def test_small_path_window(self, n, p, q, exponent):
-        b = _b_for_exponent(n, p, q, exponent)
-        assume(_max_exponent(n, p, q, b) < 500.0)
-        # Fewer cells than the grid: the window dropped some and was certified.
-        assume(_checked_cells(n, p, q, b) < (p + 1) * (q + 1))
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(200, 10**5), st.integers(150, 600), st.integers(150, 600), st.floats(500.0, 1500.0))
-    def test_logsumexp_skips(self, n, p, q, exponent):
-        b = _b_for_exponent(n, p, q, exponent)
-        assume(_max_exponent(n, p, q, b) >= 500.0)
-        # The first pass reads at least one row, so the second skipped nodes.
-        assume(_checked_cells(n, p, q, b) < (p + 1) * (q + 1))
-
-    # At p = 4 no row is dropped, so only the columns' bounds fail the certificate.
-    @pytest.mark.parametrize("n,p,q,exponent", [(8000, 400, 300, 2.0), (30, 300, 200, 100.0), (8000, 4, 600, 2.0)])
-    def test_forced_fallback(self, monkeypatch, n, p, q, exponent):
-        # A margin of 1 leaves dropped cells worth up to half of chi2, far
-        # more than an ulp, so the certificate fails and the four bands
-        # outside the window are added to its exact total: each cell once.
-        b = _b_for_exponent(n, p, q, exponent)
-        assert _max_exponent(n, p, q, b) < 500.0
-        assert _checked_cells(n, p, q, b) < (p + 1) * (q + 1)
-        totals = []
-        exact_total = divergence._exact_total
-        monkeypatch.setattr(divergence, "_exact_total", lambda chunks: totals.append(1) or exact_total(chunks))
-        monkeypatch.setattr(divergence, "_WINDOW_MARGIN", 1.0)
-        assert _checked_cells(n, p, q, b) == (p + 1) * (q + 1)
-        assert len(totals) == 5
-
-    # Found by a probe of 1,500 random points with b log-uniform in [1e-20, 0.1].
-    @pytest.mark.parametrize("n,p,q,b", [
-        (225, 284, 10, 4.38e-11), (255, 4, 304, 2.31306317231167e-09),
-        (698, 267, 7, 1.811946219314848e-10), (96, 4, 333, 5.223739465341126e-18),
-    ])
-    def test_tiny_b_reads_each_cell_once(self, monkeypatch, n, p, q, b):
-        # The window's terms cancel exactly (chi2 is lost to rounding), so no
-        # certificate can hold; the cells outside the window are then read
-        # once, and the result keeps the oracle's bits, sign of zero included.
-        reads = []
-        terms = divergence._expm1_terms
-
-        def counting(a, n, Us, Vs, *rest):
-            reads.append(Us.size * Vs.size)
-            return terms(a, n, Us, Vs, *rest)
-
-        monkeypatch.setattr(divergence, "_expm1_terms", counting)
-        _assert_matches_grid(n, p, q, b)
-        assert 0 < reads[0] < (p + 1) * (q + 1) and sum(reads) == (p + 1) * (q + 1)
-
-    @pytest.mark.parametrize("block", [128, 200])
-    @pytest.mark.parametrize("n,p,q,exponent", [(1000, 300, 300, 900.0), (1000, 3000, 3, 600.0), (1000, 2000, 20, 900.0)])
-    def test_deep_skips_with_tiny_blocks(self, monkeypatch, block, n, p, q, exponent):
-        monkeypatch.setattr(divergence, "BLOCK", block)
-        visited = []
-        pairwise = divergence._pairwise_sum
-
-        def recording(leaf_sum, start, length, *bound):
-            visited.append((start, length))
-            return pairwise(leaf_sum, start, length, *bound)
-
-        monkeypatch.setattr(divergence, "_pairwise_sum", recording)
-        size = (p + 1) * (q + 1)
-        assert _checked_cells(n, p, q, _b_for_exponent(n, p, q, exponent)) < size
-        # A child of a visited inner node that was never visited was skipped.
-        seen = set(visited)
-        skipped = []
-        for start, length in visited:
-            if length > block:
-                half = length // 2 - length // 2 % 8
-                skipped += [c for c in ((start, half), (start + half, length - half)) if c not in seen]
-        # At least three levels below the root.
-        assert skipped and min(length for _, length in skipped) <= size // 8
-
-    @pytest.mark.parametrize("p,exponent", [(300, 600.0), (400, 700.0)])
-    def test_count_of_maxima(self, p, exponent):
-        n = 1000
-        b = _b_for_exponent(n, p, p, exponent)
-        assert _max_count(n, p, p, b) == 2
-        assert _checked_cells(n, p, p, b) < (p + 1) ** 2
-
-    @pytest.mark.parametrize("n", [1, 50])
-    def test_near_divergent_rows(self, n):
-        # Rows whose bound argument a^2 |U| q reaches 1 get an infinite bound
-        # and are always evaluated.  n = 1 stays on the small-value path.
-        p, q = 300, 400
-        b_edge = math.sqrt(2.0 * n / math.sqrt(p * q))
-        for gap in (1e-6, 1e-12, 1e-15):
-            b = b_edge * (1 - gap)
-            assert (_max_exponent(n, p, q, b) < 500.0) == (n == 1)
-            _checked_cells(n, p, q, b)
-
-    def test_cells_evaluated_at_the_benchmark_point(self):
-        n, p, q = 8000, 2000, 2000
-        for b, share in ((select_b(1.0, 0.05, 0.35), 0.1), (0.8, 0.4)):
-            assert _checked_cells(n, p, q, b) < share * (p + 1) * (q + 1), b
 
 
 def _scalar_gamma_eigs(a, p, q, ug, vh):
