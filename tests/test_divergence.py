@@ -237,6 +237,17 @@ class TestAccuracy:
         got = chi_square_exact(n, p, q, b)
         assert got > 0.0 and _rel_err(got, want) <= 1e-14
 
+    # Points where the grid's terms cancel to rounding: chi2 is far below an
+    # ulp of the largest term.  Found by a probe of 1,500 random points with b
+    # log-uniform in [1e-20, 0.1].
+    @pytest.mark.parametrize("n,p,q,b", [
+        (225, 284, 10, 4.38e-11), (255, 4, 304, 2.31306317231167e-09),
+        (698, 267, 7, 1.811946219314848e-10), (96, 4, 333, 5.223739465341126e-18),
+    ])
+    def test_tiny_b_against_the_referee(self, n, p, q, b):
+        got = chi_square_exact(n, p, q, b)
+        assert got > 0.0 and _rel_err(got, _referee(n, p, q, b)) <= 1e-14
+
     @pytest.mark.parametrize("n,p,q", [(50, 6, 9), (20, 20, 30), (10, 40, 40)])
     @pytest.mark.parametrize("gap", [1e-3, 1e-6])
     def test_nondecreasing_near_the_edge(self, n, p, q, gap):
@@ -342,6 +353,45 @@ def _cells_read(n, p, q, b):
     return sum(block.size for block in blocks)
 
 
+def _grid_reads(n, p, q, b):
+    """chi_square_exact on the grid, recording each slice it evaluates.
+
+    Returns (chi2 or the type of the exception raised, [(Us, Vs, terms)]).
+    """
+    reads = []
+    grid_terms = divergence._grid_terms
+
+    def recording(a, n, Us, Vs, *rest):
+        reads.append((Us, Vs, grid_terms(a, n, Us, Vs, *rest)))
+        return reads[-1][2]
+
+    assert not _takes_series(n, p, q, b)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(divergence, "_grid_terms", recording)
+        try:
+            got = chi_square_exact(n, p, q, b)
+        except OverflowError as exc:
+            got = type(exc)
+    return got, reads
+
+
+def _assert_blocked_and_masked(n, p, q, b, block=BLOCK):
+    """The grid reads each cell at most once, in slices of at most ``block``
+    cells or one row, and its result is the full grid's exactly rounded sum,
+    up to 2^-71 for the skipped cells and the rounding of np.sum.  Returns the
+    number of cells read."""
+    got, reads = _grid_reads(n, p, q, b)
+    assert all(terms.size <= max(block, Vs.size) for _, Vs, terms in reads)
+    cells = sum(terms.size for _, _, terms in reads)
+    assert 0 < cells <= (p + 1) * (q + 1)
+    full = _full_grid_terms(n, p, q, b).ravel().tolist()
+    read = np.concatenate([terms.ravel() for _, _, terms in reads]).tolist()
+    total = math.fsum(full)
+    assert abs(math.fsum(full + [-x for x in read])) <= 2.0**-71 * abs(total)
+    assert _rel_err(got, total) <= 1e-14
+    return cells
+
+
 class TestGrid:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 2000), st.integers(1, 150), st.integers(1, 150), st.floats(0.1, 1500.0))
@@ -402,6 +452,92 @@ class TestGrid:
         for b in (edge, edge * (1 + 1e-15), 2 * edge):
             with pytest.raises(DivergenceInfiniteError):
                 chi_square_exact(n, p, q, b)
+
+    @pytest.mark.parametrize("p,q", [
+        (2, BLOCK + 5),  # rows longer than a slice
+        (BLOCK + 5, 1),  # many two-cell rows
+        (1, BLOCK // 2 - 5),  # BLOCK - 8 cells: one slice
+        (1, BLOCK // 2 + 3),  # BLOCK + 8 cells: one row per slice
+        (7, BLOCK - 2),  # rows one cell shorter than a slice
+        (7, BLOCK),  # rows one cell longer than a slice
+    ])
+    def test_grid_shapes(self, p, q):
+        n = 1000
+        for exponent in (1500.0, 3000.0):
+            _assert_blocked_and_masked(n, p, q, _b_for_exponent(n, p, q, exponent))
+
+    def test_ragged_last_block(self):
+        n, p, q = 8000, 200, 1000
+        for b in (1.3, 1.5):
+            _assert_blocked_and_masked(n, p, q, b)
+            _, reads = _grid_reads(n, p, q, b)
+            # Every slice but the last holds the same number of rows.
+            rows = [Us.size for Us, _, _ in reads]
+            assert len(set(rows[:-1])) == 1 and rows[-1] < rows[0]
+
+    @pytest.mark.parametrize("block", [3, 100, 128, 200])
+    @pytest.mark.parametrize("p,q", [(2, 42), (7, 30), (7, 32), (7, 126), (7, 128), (30, 70)])
+    def test_small_blocks(self, monkeypatch, block, p, q):
+        # Slices of one row (block 3) and of several rows, with a ragged last one.
+        monkeypatch.setattr(divergence, "BLOCK", block)
+        n = 1000
+        for exponent in (300.0, 510.0):
+            _assert_blocked_and_masked(n, p, q, _b_for_exponent(n, p, q, exponent), block)
+
+    @pytest.mark.parametrize("block", [128, 200])
+    @pytest.mark.parametrize("n,p,q,exponent", [(1000, 300, 300, 900.0), (1000, 3000, 3, 600.0), (1000, 2000, 20, 900.0)])
+    def test_masks_with_small_blocks(self, monkeypatch, block, n, p, q, exponent):
+        monkeypatch.setattr(divergence, "BLOCK", block)
+        cells = _assert_blocked_and_masked(n, p, q, _b_for_exponent(n, p, q, exponent), block)
+        assert cells < (p + 1) * (q + 1)
+
+    @pytest.mark.parametrize("n", [2, 50])
+    def test_near_divergent_rows(self, n):
+        # Rows whose bound argument a^2 |U| q reaches 1 get an infinite bound
+        # and are always read; so are such columns.  (At n = 1 the moment
+        # series is certified even here.)
+        p, q = 300, 400
+        for gap in (1e-6, 1e-12, 1e-15):
+            b = _b_edge(n, p, q) * (1 - gap)
+            a = float(amplitude(n, p, q, b))
+            got, reads = _grid_reads(n, p, q, b)
+
+            def unbounded(d, other):
+                Ws = np.arange(-d, d + 1, 2, dtype=float)
+                return set(Ws[a * a * np.abs(Ws) * other * (1.0 + divergence._BOUND_SLACK) >= 1.0].tolist())
+
+            rows = set(np.concatenate([Us for Us, _, _ in reads]).tolist())
+            # Only the corners reach 1, and only within the slack of the edge.
+            assert (unbounded(p, q) == {-p, p}) == (gap == 1e-15) == (unbounded(q, p) == {-q, q})
+            assert unbounded(p, q) <= rows and all(unbounded(q, p) <= set(Vs.tolist()) for _, Vs, _ in reads)
+            if got is OverflowError:
+                with np.errstate(over="ignore"):
+                    assert oracles.chi_square_grid(n, p, q, b) == math.inf
+            else:
+                _assert_blocked_and_masked(n, p, q, b)
+
+    @pytest.mark.parametrize("n", [40, 1000, 10**5])
+    def test_term_switch_at_exponent_700(self, n):
+        # A cell with e > 700 is taken as exp(log w + e) (-expm1(-e)), else as
+        # w expm1(e): on both sides a term is w expm1(e) up to the rounding of
+        # log w + e.  Rows U = x, a = V = 1 put e = -n log1p(-x) about 700.
+        mpmath = pytest.importorskip("mpmath")
+        x = -math.expm1(-700.0 / n)
+        xs = [x]
+        for direction in (0.0, 1.0):
+            y = x
+            for _ in range(6):
+                y = float(np.nextafter(y, direction))
+                xs.append(y)
+        Us, logw = np.array(sorted(xs)), -300.0
+        e = -n * np.log1p(-(1.0 * 1.0 * Us))
+        assert e.min() <= 700.0 < e.max()
+        terms = divergence._grid_terms(1.0, n, Us, np.ones(1), np.full(Us.size, logw), np.zeros(1))[:, 0]
+        tol = 2.0**-52 * (abs(logw) + 710.0)
+        with mpmath.workdps(40):
+            for term, ei in zip(terms.tolist(), e.tolist()):
+                want = mpmath.exp(logw) * mpmath.expm1(ei)
+                assert abs(term - want) <= tol * want
 
 
 def _scalar_gamma_eigs(a, p, q, ug, vh):
