@@ -24,15 +24,15 @@ convex-dominated by a sign, gives E[U^(2k+2)] <= (2k+1) d E[U^2k].  Hence
 t_{k+1}/t_k <= r(k) = a^4 pq (n+2k+1)(n+2k) / ((2k+2)(2k+1))
 min(2k+1, p) min(2k+1, q), and with R_K = max_{k>=K} r(k) < 1 the terms after
 t_K sum to at most t_K R_K / (1 - R_K).  The series is taken at the first K
-where that bound is at most 2^-60 of the partial sum, within _MAX_TERMS
-terms.  It needs no scipy.
+where that bound is at most 2^-60 of the partial sum, within _MAX_TERMS terms.
 
 Grid.  Where the series cannot be certified (a^2 pq near 1, or b far above
 its caps), the double sum runs over the (p+1) x (q+1) support grid, in
 slices of about BLOCK cells.  Each term is w expm1(e), e = -n log1p(-a^2 U V),
 or exp(log w + e) (-expm1(-e)) for e > 700, so that a tiny w keeps w e^e
-finite.  Rows and columns that cannot matter are skipped, by a bound per
-row: e(x) = -n log1p(-x) is convex with e(0) = 0, so for V on U's side
+finite; log w adds two rows of log(C(d, k) 2^-d) from lgamma tables.  Rows
+and columns that cannot matter are skipped, by a bound per row:
+e(x) = -n log1p(-x) is convex with e(0) = 0, so for V on U's side
 e(a^2 U V) <= (|V|/q) E_U with E_U = e(a^2 |U| q), and e <= 0 on the other
 side.  With lambda = E_U / q and E[e^(lambda V)] = cosh(lambda)^q, the row's
 sum of w |expm1(e)| is at most w_U (1 + cosh(lambda)^q), raised by a slack
@@ -45,9 +45,8 @@ So the skipped cells weigh at most 2^-71 chi2.  A total beyond the largest
 double raises OverflowError.
 
 MGF validity is the closed form c = |a| sqrt(pq) < 1, the same test as
-``pd_ok``, since t * gamma peaks at 2c / (1 + c).  The full-grid forms are
-kept as oracles: ``oracles.chi_square_grid`` (the full-grid reference) and
-``oracles.gamma_grid``.
+``pd_ok``, since t * gamma peaks at 2c / (1 + c).  The full-grid form of the
+gamma maximum is kept as an oracle, ``oracles.gamma_grid``.
 """
 
 from __future__ import annotations
@@ -243,6 +242,12 @@ def _log_lower_bound(n: int, p: int, q: int, a: float) -> float:
     return max(log_t1, (1 - p - q) * LOG2 + corner + math.log1p(-2.0 * math.exp(-corner)))
 
 
+def _log_weights(d: int) -> np.ndarray:
+    """log(C(d, k) 2^-d) for k = 0..d, from one table of d+1 lgamma values."""
+    lg = np.array([math.lgamma(k + 1.0) for k in range(d + 1)])
+    return lg[d] - lg - lg[::-1] - d * LOG2
+
+
 def _grid_terms(
     a: float, n: int, Us: np.ndarray, Vs: np.ndarray, logw_p: np.ndarray, logw_q: np.ndarray,
 ) -> np.ndarray:
@@ -260,16 +265,10 @@ def _grid_terms(
 def _grid_sum(n: int, p: int, q: int, a: float) -> float:
     """chi2 as the double sum over the support grid, skipping the rows and then
     the columns whose bounds are at most 2^-72 L / (p+1) (columns: / (q+1))."""
-    # scipy.special takes most of the package's import time; only the grid needs it here.
-    from scipy.special import gammaln
-
     Us = np.arange(-p, p + 1, 2, dtype=float)
     Vs = np.arange(-q, q + 1, 2, dtype=float)
     # C(d, k) = C(d, d - k), so index k serves both U = d - 2k and U = 2k - d.
-    k = np.arange(p + 1, dtype=float)
-    l = np.arange(q + 1, dtype=float)
-    logw_p = gammaln(p + 1) - gammaln(k + 1) - gammaln(p - k + 1) - p * LOG2
-    logw_q = gammaln(q + 1) - gammaln(l + 1) - gammaln(q - l + 1) - q * LOG2
+    logw_p, logw_q = _log_weights(p), _log_weights(q)
     log_floor = _log_lower_bound(n, p, q, a) - 72.0 * LOG2
     rows = _log_row_bounds(a, n, Us, q, logw_p) > log_floor - math.log(p + 1)
     cols = _log_row_bounds(a, n, Vs, p, logw_q) > log_floor - math.log(q + 1)

@@ -2,10 +2,10 @@
 
 Everything here is deliberately independent of the closed forms it checks:
 enumeration over sign vectors, dense eigendecompositions, and Monte-Carlo
-integration of the exact density ratio.  Feasible only at tiny dimensions;
-that is the point.  The full-grid kernels (``chi_square_grid``,
-``gamma_grid``, ``permuted_stats_loop``) are the straightforward forms that
-the package's fast paths replaced, kept as their references.
+and Gauss-Hermite integration of the exact density ratio.  Feasible only at
+tiny dimensions; that is the point.  The full-grid kernels (``gamma_grid``,
+``permuted_stats_loop``) are the straightforward forms that the package's
+fast paths replaced, kept as their references.
 """
 
 from __future__ import annotations
@@ -14,14 +14,15 @@ import math
 from itertools import chain, product
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
-from .divergence import DivergenceInfiniteError
-from .structured_cov import Dataset, LeastFavorableCov, amplitude, cov_det, cov_inverse
+from .divergence import _log_weights
+from .structured_cov import Dataset, LeastFavorableCov, amplitude, cov_det, cov_inverse, dense_cov
 
 MAX_ENUM_DIM = 8  # 4^(p+q) quadruple enumeration cap
 MAX_MC_DIM = 5
 MAX_MC_N = 4
+MAX_QUAD_DIM = 3  # QUAD_NODES^(p+q) nodes per mixture component
+QUAD_NODES = 32  # Gauss-Hermite nodes per axis
 
 
 class InfeasibleSizeError(ValueError):
@@ -36,7 +37,11 @@ def _sign_vectors(d: int) -> np.ndarray:
 def enumerate_chi_square(n: int, p: int, q: int, b: float) -> float:
     """Average of (1 - a^2 (u'g)(v'h))^(-n) over all sign quadruples, minus 1.
 
-    Exact 4^(p+q) enumeration; requires p + q <= 8.
+    Exact 4^(p+q) enumeration; requires p + q <= 8.  x = a^2 (u'g)(v'h) and
+    -x occur equally often, so each term is the mean of the two,
+    expm1(s) + 2 e^s sinh^2(n atanh(x) / 2) with s = -(n/2) log1p(-x^2): two
+    nonnegative parts, where the expm1 of each alone would cancel to first
+    order in x.
     """
     if p + q > MAX_ENUM_DIM:
         raise InfeasibleSizeError(f"p+q = {p + q} exceeds enumeration cap {MAX_ENUM_DIM}")
@@ -50,47 +55,12 @@ def enumerate_chi_square(n: int, p: int, q: int, b: float) -> float:
     x = a * a * ug[:, :, None, None] * vh[None, None, :, :]
     if np.any(1.0 - x <= 0.0):
         raise ValueError("1 - a^2 (u'g)(v'h) <= 0: divergent configuration")
-    terms = np.expm1(-n * np.log1p(-x))
+    s = -0.5 * n * np.log1p(-x * x)
+    terms = np.expm1(s) + 2.0 * np.exp(s) * np.sinh(0.5 * n * np.arctanh(x)) ** 2
     # fsum rounds the exact sum once, so the order of the terms is irrelevant;
     # feeding it one row at a time keeps few Python floats alive.
     rows = terms.reshape(len(su), -1)
     return math.fsum(chain.from_iterable(row.tolist() for row in rows)) / terms.size
-
-
-def chi_square_grid(n: int, p: int, q: int, b: float) -> float:
-    """Exact chi-square divergence via the double binomial sum over the full grid.
-
-    chi2 = sum_{k,l} C(p,k) C(q,l) 2^-(p+q) (1 - a^2 (p-2k)(q-2l))^-n  -  1.
-
-    Full-grid reference for the grid of ``divergence.chi_square_exact``: the
-    whole (p+1) x (q+1) grid in O(pq) memory, with no row or column masks,
-    checked for divergence on every element, with sort + ``math.fsum`` while
-    every exponent is below 500 and logsumexp above.  Like any sum of rounded
-    terms it loses the sign and the digits of chi2 at tiny b, where the
-    weighted expm1 terms cancel.
-    """
-    if b == 0.0:
-        return 0.0
-    a = amplitude(n, p, q, b)
-    Us = np.arange(-p, p + 1, 2, dtype=float)
-    Vs = np.arange(-q, q + 1, 2, dtype=float)
-    x = a * a * Us[:, None] * Vs[None, :]
-    if np.any(1.0 - x <= 0.0):
-        raise DivergenceInfiniteError(
-            "1 - a^2 U V <= 0 at some support point: the integral diverges"
-        )
-    k = np.arange(p + 1, dtype=float)
-    l = np.arange(q + 1, dtype=float)
-    logw_p = gammaln(p + 1) - gammaln(k + 1) - gammaln(p - k + 1) - p * math.log(2.0)
-    logw_q = gammaln(q + 1) - gammaln(l + 1) - gammaln(q - l + 1) - q * math.log(2.0)
-    logw = logw_p[::-1, None] + logw_q[::-1, None].T  # index order matches Us, Vs
-    exponent = -n * np.log1p(-x)
-    if np.max(exponent) < 500.0:
-        # Small-value path: sum weighted expm1 terms with compensated
-        # summation, accurate when chi2 is near 0.
-        terms = np.exp(logw) * np.expm1(exponent)
-        return math.fsum(np.sort(terms, axis=None))
-    return float(np.expm1(logsumexp(logw + exponent)))
 
 
 def mc_chi_square(
@@ -145,6 +115,33 @@ def mc_chi_square(
     var = max(total_sq / trials - mean * mean, 0.0)
     stderr = math.sqrt(var / trials)
     return mean - 1.0, stderr
+
+
+def quad_chi_square(n: int, p: int, q: int, b: float) -> float:
+    """E_0[(f1/f0)^2] - 1 by Gauss-Hermite quadrature of the exact mixture ratio.
+
+    f1/f0 = mean_c prod_i g_c(z_i) over the 2^(p+q) sign components, with
+    g_c = N(0, Sigma_c) / N(0, I) from the dense inverse and determinant of
+    Sigma_c, so E_0[(f1/f0)^2] = mean_{c,c'} E_0[g_c g_c']^n.  Since
+    E_0[g_c] = 1, E_0[g_c g_c'] - 1 = E_0[h_c h_c'] with h_c = g_c - 1, which
+    a QUAD_NODES^(p+q) tensor grid of ``hermegauss`` nodes integrates.  It
+    converges fast while c = |a| sqrt(pq) is well below 1 (within 1e-14 at
+    c = 0.54) and slowly as c -> 1.  Requires p + q <= MAX_QUAD_DIM.
+    """
+    if p + q > MAX_QUAD_DIM:
+        raise InfeasibleSizeError(f"p+q = {p + q} exceeds quadrature cap {MAX_QUAD_DIM}")
+    a, d = amplitude(n, p, q, b), p + q
+    nodes, w = np.polynomial.hermite_e.hermegauss(QUAD_NODES)
+    z = np.stack(np.meshgrid(*[nodes] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    weight = np.prod(np.meshgrid(*[w / math.sqrt(math.tau)] * d, indexing="ij"), axis=0).ravel()
+    log_g = []
+    for u in _sign_vectors(p):
+        for v in _sign_vectors(q):
+            sigma = dense_cov(LeastFavorableCov(u=u, v=v, a=a))
+            delta = np.eye(d) - np.linalg.inv(sigma)
+            log_g.append(0.5 * np.einsum("ij,jk,ik->i", z, delta, z) - 0.5 * math.log(np.linalg.det(sigma)))
+    h = np.expm1(np.array(log_g))
+    return float(np.mean(np.expm1(n * np.log1p((h * weight) @ h.T))))
 
 
 def gamma_grid(a: float, p: int, q: int) -> np.ndarray:
@@ -239,14 +236,7 @@ def quad_form_pair(u, v, g, h, a: float, z: np.ndarray) -> tuple[float, float]:
 
 def _binomial_pmf(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Support and pmf of the sum of d independent +-1 signs."""
-    k = np.arange(d + 1)
-    logw = (
-        np.vectorize(math.lgamma)(d + 1.0)
-        - np.vectorize(math.lgamma)(k + 1.0)
-        - np.vectorize(math.lgamma)(d - k + 1.0)
-        - d * math.log(2.0)
-    )
-    return d - 2.0 * k, np.exp(logw)
+    return d - 2.0 * np.arange(d + 1), np.exp(_log_weights(d))
 
 
 def enumerate_uv_tail(p: int, q: int, threshold):

@@ -7,9 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln
 
 from indeplab import divergence, oracles
 from indeplab.divergence import (
@@ -176,6 +175,14 @@ class TestReferee:
         assert _rel_err(_referee(n, p, q, b, cut=True), _referee(n, p, q, b)) <= 2.0**-52
 
 
+@pytest.mark.parametrize("n", [1, 5, 20])
+def test_enumeration_oracle_within_1e_15_of_the_referee(n):
+    # Its terms are means of t(x) and t(-x), two nonnegative parts; the
+    # expm1(-n log1p(-x)) terms alone lost up to 7.9e-15 at (5, 1, 1, 0.1).
+    for p, q, b in itertools.product(range(1, 5), range(1, 5), (0.1, 0.196, 0.3)):
+        assert _rel_err(oracles.enumerate_chi_square(n, p, q, b), _referee(n, p, q, b)) <= 1e-15
+
+
 SELECT_B = select_b(1.0, 0.05, 0.35)
 
 
@@ -323,14 +330,10 @@ class TestMomentSeries:
 def _full_grid_terms(n, p, q, b):
     """Every cell's term, unmasked, from the grid's own term function."""
     a = float(amplitude(n, p, q, b))
-    k = np.arange(p + 1, dtype=float)
-    l = np.arange(q + 1, dtype=float)
-    logw_p = gammaln(p + 1) - gammaln(k + 1) - gammaln(p - k + 1) - p * math.log(2.0)
-    logw_q = gammaln(q + 1) - gammaln(l + 1) - gammaln(q - l + 1) - q * math.log(2.0)
     Us = np.arange(-p, p + 1, 2, dtype=float)
     Vs = np.arange(-q, q + 1, 2, dtype=float)
     with np.errstate(over="ignore"):
-        return divergence._grid_terms(a, n, Us, Vs, logw_p, logw_q)
+        return divergence._grid_terms(a, n, Us, Vs, divergence._log_weights(p), divergence._log_weights(q))
 
 
 def _recorded_terms(mp):
@@ -395,11 +398,19 @@ def _assert_blocked_and_masked(n, p, q, b, block=BLOCK):
 class TestGrid:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 2000), st.integers(1, 150), st.integers(1, 150), st.floats(0.1, 1500.0))
+    # Every term finite, but two of them 1.77e308 each: chi2 exceeds a double.
+    @example(23, 1, 55, 749.0)
     def test_masks_drop_at_most_2_to_minus_71(self, n, p, q, exponent):
         b = _b_for_exponent(n, p, q, exponent)
         assume(b < _b_edge(n, p, q) and not _takes_series(n, p, q, b))
         full = _full_grid_terms(n, p, q, b).ravel().tolist()
         assume(np.isfinite(full).all())
+        try:
+            total = math.fsum(full)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                chi_square_exact(n, p, q, b)
+            return
         with pytest.MonkeyPatch.context() as mp:
             blocks = _recorded_terms(mp)
             chi_square_exact(n, p, q, b)
@@ -407,7 +418,18 @@ class TestGrid:
         # A cell's term has the same bits in any slice, so fsum gives the
         # skipped cells' sum exactly rounded.
         skipped = math.fsum(full + [-x for x in read])
-        assert abs(skipped) <= 2.0**-71 * abs(math.fsum(full))
+        assert abs(skipped) <= 2.0**-71 * abs(total)
+
+    @pytest.mark.parametrize("d", [1, 30, 400, 2000])
+    def test_log_weights_against_exact_binomials(self, d):
+        # The pmf-weighted error of log(C(d, k) 2^-d) is about d ulp.
+        mpmath = pytest.importorskip("mpmath")
+        got = divergence._log_weights(d).tolist()
+        assert len(got) == d + 1
+        with mpmath.workdps(40):
+            want = [mpmath.log(math.comb(d, k)) - d * mpmath.log(2) for k in range(d + 1)]
+            err = sum(mpmath.exp(w) * abs(g - w) for g, w in zip(got, want))
+        assert err <= 3 * d * 2.0**-52
 
     @pytest.mark.parametrize("exponent", [505.0, 560.0])
     def test_each_cell_read_at_most_once(self, exponent):
@@ -424,7 +446,7 @@ class TestGrid:
         n, p, q = 20000, 40, BLOCK + 5
         b = math.sqrt(2.0 * n * c2 / math.sqrt(p * q))  # a^2 pq = c2
         assert not _takes_series(n, p, q, b)
-        assert _rel_err(chi_square_exact(n, p, q, b), oracles.chi_square_grid(n, p, q, b)) <= 1e-12
+        _assert_blocked_and_masked(n, p, q, b)
 
     def test_memory_is_blocked(self):
         # The grid at (5000, 2000, 2000) would hold several 32 MB arrays.
@@ -511,8 +533,7 @@ class TestGrid:
             assert (unbounded(p, q) == {-p, p}) == (gap == 1e-15) == (unbounded(q, p) == {-q, q})
             assert unbounded(p, q) <= rows and all(unbounded(q, p) <= set(Vs.tolist()) for _, Vs, _ in reads)
             if got is OverflowError:
-                with np.errstate(over="ignore"):
-                    assert oracles.chi_square_grid(n, p, q, b) == math.inf
+                assert _referee(n, p, q, b) == math.inf
             else:
                 _assert_blocked_and_masked(n, p, q, b)
 

@@ -11,6 +11,7 @@ from indeplab.oracles import (
     enumerate_uv_tail,
     gamma_numeric,
     mc_chi_square,
+    quad_chi_square,
     quad_form_pair,
 )
 
@@ -50,6 +51,18 @@ def test_mc_size_caps():
         mc_chi_square(2, 3, 3, 0.1, trials=10, rng=np.random.default_rng(0))
     with pytest.raises(InfeasibleSizeError):
         mc_chi_square(5, 1, 1, 0.1, trials=10, rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("n,p,q,b", [
+    (2, 1, 1, 0.4), (1, 1, 1, 0.3), (3, 1, 1, 0.05), (5, 2, 1, 0.3), (4, 1, 2, 0.6), (2, 2, 1, 0.9),
+])
+def test_quad_chi_square_matches_closed_form(n, p, q, b):
+    assert quad_chi_square(n, p, q, b) == pytest.approx(chi_square_exact(n, p, q, b), rel=1e-11, abs=0.0)
+
+
+def test_quad_size_cap():
+    with pytest.raises(InfeasibleSizeError):
+        quad_chi_square(2, 2, 2, 0.1)
 
 
 def test_gamma_numeric_traceless_at_zero_amplitude():
