@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import itertools
 import math
@@ -49,6 +50,9 @@ def _load_config_file(path: str) -> dict[str, str]:
     return out
 
 
+# Built once per process: main runs many times in one process (a benchmark
+# worker, the tests), and parsing keeps no state in the parser.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="indeplab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -273,6 +277,14 @@ def cmd_divergence(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
+def _config_parser() -> argparse.ArgumentParser:
+    """The pre-parser that finds ``--config`` in argv; built once, like ``build_parser``."""
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config", nargs="?")  # a missing path is the full parser's error
+    return pre
+
+
 def _config_tokens(argv: list[str]) -> tuple[list[str], list[str]]:
     """``--key=value`` tokens for the entries of the ``--config`` file in argv,
     and the entries' keys.
@@ -280,9 +292,7 @@ def _config_tokens(argv: list[str]) -> tuple[list[str], list[str]]:
     The ``=`` form keeps values such as ``-1,2`` from reading as flags.  A
     true ``inject_fault`` becomes the bare flag; any other value adds nothing.
     """
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config", nargs="?")  # a missing path is the full parser's error
-    path = pre.parse_known_args(argv)[0].config
+    path = _config_parser().parse_known_args(argv)[0].config
     entries = _load_config_file(path) if path else {}
     tokens = []
     for key, val in entries.items():

@@ -11,7 +11,7 @@ fast paths replaced, kept as their references.
 from __future__ import annotations
 
 import math
-from itertools import chain, product
+from itertools import product
 
 import numpy as np
 
@@ -42,6 +42,13 @@ def enumerate_chi_square(n: int, p: int, q: int, b: float) -> float:
     expm1(s) + 2 e^s sinh^2(n atanh(x) / 2) with s = -(n/2) log1p(-x^2): two
     nonnegative parts, where the expm1 of each alone would cancel to first
     order in x.
+
+    The u'g over all 2^p x 2^p sign pairs take p + 1 distinct values, and
+    the v'h q + 1; their multiplicities are counted off the enumeration
+    itself, so nothing here comes from a binomial formula.  The term is
+    evaluated once per distinct (u'g, v'h), and the count-weighted sum is
+    formed exactly and rounded once: the same bits as ``math.fsum`` over all
+    4^(p+q) terms, which it falls back to when a term is not finite.
     """
     if p + q > MAX_ENUM_DIM:
         raise InfeasibleSizeError(f"p+q = {p + q} exceeds enumeration cap {MAX_ENUM_DIM}")
@@ -50,17 +57,22 @@ def enumerate_chi_square(n: int, p: int, q: int, b: float) -> float:
     a = amplitude(n, p, q, b)
     su = _sign_vectors(p)
     sv = _sign_vectors(q)
-    ug = su @ su.T  # all u'g inner products
-    vh = sv @ sv.T
-    x = a * a * ug[:, :, None, None] * vh[None, None, :, :]
+    ug, ug_count = np.unique(su @ su.T, return_counts=True)  # distinct u'g inner products
+    vh, vh_count = np.unique(sv @ sv.T, return_counts=True)
+    x = a * a * ug[:, None] * vh[None, :]
     if np.any(1.0 - x <= 0.0):
         raise ValueError("1 - a^2 (u'g)(v'h) <= 0: divergent configuration")
     s = -0.5 * n * np.log1p(-x * x)
     terms = np.expm1(s) + 2.0 * np.exp(s) * np.sinh(0.5 * n * np.arctanh(x)) ** 2
-    # fsum rounds the exact sum once, so the order of the terms is irrelevant;
-    # feeding it one row at a time keeps few Python floats alive.
-    rows = terms.reshape(len(su), -1)
-    return math.fsum(chain.from_iterable(row.tolist() for row in rows)) / terms.size
+    counts = (ug_count[:, None] * vh_count[None, :]).ravel().tolist()
+    size = sum(counts)  # 4^(p+q)
+    if not np.all(np.isfinite(terms)):
+        return math.fsum(np.repeat(terms.ravel(), counts).tolist()) / size
+    # Each double is m / 2^e exactly; over the largest denominator the
+    # weighted sum is one integer ratio, and int / int rounds it once.
+    ratios = [t.as_integer_ratio() for t in terms.ravel().tolist()]
+    den = max(d for _, d in ratios)
+    return sum(c * m * (den // d) for c, (m, d) in zip(counts, ratios)) / den / size
 
 
 def mc_chi_square(

@@ -34,8 +34,19 @@ def _row(name: str, closed: float, brute: float, tol: float, passed: bool | None
 
 
 def _signs(rng: np.random.Generator, k: int) -> np.ndarray:
-    """k random signs; the same draws as ``rng.choice([-1.0, 1.0], k)``, faster."""
+    """k random signs; the same draws as ``rng.choice([-1.0, 1.0], k)``, faster.
+
+    Bounded ``integers`` takes one 32-bit word per value from the bit
+    generator's buffered stream, in order, so one call for several vectors,
+    sliced apart, draws the same signs as one call per vector.
+    """
     return rng.integers(0, 2, size=k) * 2.0 - 1.0
+
+
+def _sign_quadruple(rng: np.random.Generator, p: int, q: int) -> tuple[np.ndarray, ...]:
+    """Sign vectors u, g of length p and v, h of length q, in that order, from one draw."""
+    signs = _signs(rng, 2 * (p + q))
+    return signs[:p], signs[p:2 * p], signs[2 * p:2 * p + q], signs[2 * p + q:]
 
 
 def run_suite(seed: int = 0, inject_fault: bool = False) -> list[dict]:
@@ -54,9 +65,8 @@ def run_suite(seed: int = 0, inject_fault: bool = False) -> list[dict]:
     # All 200 configurations are drawn first, then checked in one batch.
     draws = []
     for _ in range(200):
-        p = int(rng.integers(1, 7))
-        q = int(rng.integers(1, 7))
-        u, g, v, h = _signs(rng, p), _signs(rng, p), _signs(rng, q), _signs(rng, q)
+        p, q = rng.integers(1, 7, size=2).tolist()
+        u, g, v, h = _sign_quadruple(rng, p, q)
         a = float(rng.uniform(0.01, 0.9 / math.sqrt(p * q)))
         draws.append((p, q, u @ g, v @ h, a))
     p, q, ug, vh, a = (np.array(col) for col in zip(*draws))
@@ -76,10 +86,10 @@ def run_suite(seed: int = 0, inject_fault: bool = False) -> list[dict]:
     # Sherman-Morrison inverse, determinant, and square root vs dense oracles.
     max_inv = max_det = max_sqrt = 0.0
     for _ in range(100):
-        p = int(rng.integers(1, 11))
-        q = int(rng.integers(1, 11))
+        p, q = rng.integers(1, 11, size=2).tolist()
         a = float(rng.uniform(0.0, 0.95)) / math.sqrt(p * q)
-        lf = sc.LeastFavorableCov(u=_signs(rng, p), v=_signs(rng, q), a=a)
+        signs = _signs(rng, p + q)
+        lf = sc.LeastFavorableCov(u=signs[:p], v=signs[p:], a=a)
         dense = sc.dense_cov(lf)
         max_inv = max(max_inv, float(np.max(np.abs(dense @ sc.cov_inverse(lf) - np.eye(p + q)))))
         det = np.linalg.det(dense)
@@ -93,9 +103,8 @@ def run_suite(seed: int = 0, inject_fault: bool = False) -> list[dict]:
     # Quadratic-form reduction to the 4x4 representation.
     max_quad = 0.0
     for _ in range(200):
-        p = int(rng.integers(1, 7))
-        q = int(rng.integers(1, 7))
-        u, g, v, h = _signs(rng, p), _signs(rng, p), _signs(rng, q), _signs(rng, q)
+        p, q = rng.integers(1, 7, size=2).tolist()
+        u, g, v, h = _sign_quadruple(rng, p, q)
         a = float(rng.uniform(0.01, 0.5 / math.sqrt(p * q)))
         z = rng.standard_normal(p + q)
         lhs, rhs = oracles.quad_form_pair(u, v, g, h, a, z)

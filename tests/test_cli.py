@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import math
 import os
@@ -118,6 +119,19 @@ class TestVerify:
         assert code == EXIT_ORACLE
         _, rows = parse_csv(out)
         assert any(r["pass"] == "False" for r in rows)
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["--seed", "0"], "abf57d872d24325de958a3342a0b8e197d75a188b18ee8230868ab0cd4a85c1e"),
+        (["--seed", "1"], "cf785f47de703caaa59d55e94f05801476ba984dee5ff58275da1ea94f27bc58"),
+        (["--seed", "2758"], "a0549d21add68b0a84dd1f29ceb8b7877f86f44455cd82897d074c6e89401685"),
+        (["--seed", "770799637690793716"], "7716aa3b680178fb2167e0bd62a1ab05b64c4a0486ea62a2c4a084b0ee506d25"),
+        (["--inject-fault"], "84808384d473a1590c96d7f69b7a39ea9fc7c820d6ab768e599fef0a24c002a3"),
+    ], ids=["seed0", "seed1", "seed2758", "seed_large", "inject_fault"])
+    def test_golden_bytes(self, capsys, argv, digest):
+        # A change to the oracle draws or to the enumeration's summation
+        # changes these bytes.
+        _, out, _ = run_cli(capsys, "verify", *argv)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestPowerAndPhase:
@@ -359,11 +373,39 @@ class TestConfigFile:
         assert out == flag_out  # header fingerprint included
 
 
+def _python(*args):
+    """A new interpreter that imports this checkout's indeplab."""
+    src = str(Path(indeplab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
+def _fresh_process_cli(*argv):
+    """(exit code, stdout) of the CLI in a new interpreter."""
+    result = _python("-m", "indeplab.cli", *argv)
+    return result.returncode, result.stdout
+
+
+def test_parser_reuse_leaks_nothing(tmp_path, capsys):
+    # main builds its parsers once per process; each call must still parse
+    # as if in a new process, with no default or file value carried over.
+    cfg = tmp_path / "p3.cfg"
+    cfg.write_text("grid_p = 3\n")
+    for argv in (["bound", "--grid-n", "7", "--b", "0.3"], ["bound"], ["bound", "--config", str(cfg)], ["bound"]):
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, out) == _fresh_process_cli(*argv), argv
+    _, rows = parse_csv(out)
+    assert (rows[0]["n"], rows[0]["p"], rows[0]["q"]) == ("100", "10", "10")
+    code, out, err = run_cli(capsys, "bound", "--grid-n", "x")
+    assert code == EXIT_CONFIG and out == "" and "'x'" in err
+    helps = [run_cli(capsys, "--help") for _ in range(2)]
+    assert [code for code, _, _ in helps] == [EXIT_OK, EXIT_OK]
+    assert helps[0][1] == helps[1][1] and "verify" in helps[0][1]
+
+
 def test_package_loads_no_scipy():
     # numpy is the one runtime dependency: importing every module, verify, a
     # bound on the moment series and a chi2 on the grid load no scipy module.
-    src = str(Path(indeplab.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = ("import pkgutil, sys, indeplab\n"
             "for m in pkgutil.iter_modules(indeplab.__path__): __import__('indeplab.' + m.name)\n"
             "from indeplab import cli, divergence, structured_cov\n"
@@ -372,6 +414,6 @@ def test_package_loads_no_scipy():
             "assert divergence._moment_series(40, 30, 20, structured_cov.amplitude(40, 30, 20, 1.3)) is None\n"
             "divergence.chi_square_exact(40, 30, 20, 1.3)\n"
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    result = _python("-c", code)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[]"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indeplab import oracles
 from indeplab.divergence import chi_square_exact, gamma_eigs, hoeffding_tail_bound
@@ -33,6 +35,63 @@ def test_enumeration_p1q1_hand_expansion():
 def test_enumeration_size_cap():
     with pytest.raises(InfeasibleSizeError):
         enumerate_chi_square(1, 5, 5, 0.1)
+
+
+def _fsum_enumeration(n, p, q, b):
+    """``enumerate_chi_square`` as it was: every one of the 4^(p+q) terms,
+    summed by ``math.fsum``."""
+    from indeplab.structured_cov import amplitude
+
+    if b == 0.0:
+        return 0.0
+    a = amplitude(n, p, q, b)
+    su, sv = oracles._sign_vectors(p), oracles._sign_vectors(q)
+    x = a * a * (su @ su.T)[:, :, None, None] * (sv @ sv.T)[None, None, :, :]
+    if np.any(1.0 - x <= 0.0):
+        raise ValueError("divergent configuration")
+    s = -0.5 * n * np.log1p(-x * x)
+    terms = np.expm1(s) + 2.0 * np.exp(s) * np.sinh(0.5 * n * np.arctanh(x)) ** 2
+    return math.fsum(terms.ravel().tolist()) / terms.size
+
+
+class TestEnumerationExactSum:
+    """The counted, exactly rounded sum against the full array's fsum, bit for bit."""
+
+    @pytest.mark.parametrize("p,q", [(p, q) for p in range(1, 8) for q in range(1, 9 - p)])
+    def test_every_feasible_shape(self, p, q):
+        for n in (1, 2, 5, 20, 100):
+            for b in (0.01, 0.1, 0.196, 0.3, 0.5):
+                want = _fsum_enumeration(n, p, q, b)
+                assert enumerate_chi_square(n, p, q, b).hex() == want.hex(), (n, p, q, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 10**6), st.integers(1, 4), st.integers(1, 4), st.floats(1e-300, 0.7))
+    def test_hypothesis(self, n, p, q, b):
+        assert enumerate_chi_square(n, p, q, b).hex() == _fsum_enumeration(n, p, q, b).hex()
+
+    def test_zero_keeps_its_sign(self):
+        # Terms that underflow sum to +0.0 on both sides.
+        for b in (0.0, 1e-300):
+            got, want = enumerate_chi_square(3, 2, 2, b), _fsum_enumeration(3, 2, 2, b)
+            assert got.hex() == want.hex() == "0x0.0p+0"
+
+    @pytest.mark.parametrize("n,p,q,b", [(1, 1, 1, 2.0), (5, 2, 3, 9.0)])
+    def test_divergent_point_raises_alike(self, n, p, q, b):
+        with pytest.raises(ValueError) as got:
+            enumerate_chi_square(n, p, q, b)
+        with pytest.raises(ValueError) as want:
+            _fsum_enumeration(n, p, q, b)
+        assert type(got.value) is type(want.value)
+
+    def test_infinite_terms_fall_back(self):
+        # a^2 = 0.998: (1 - x)^-n overflows, and both sums are inf.
+        b = 0.999 * math.sqrt(2 * 10**6)
+        with np.errstate(over="ignore"):
+            assert enumerate_chi_square(10**6, 1, 1, b) == _fsum_enumeration(10**6, 1, 1, b) == math.inf
+
+    def test_nan_b(self):
+        assert math.isnan(enumerate_chi_square(3, 2, 2, math.nan))
+        assert math.isnan(_fsum_enumeration(3, 2, 2, math.nan))
 
 
 def test_mc_chi_square_null():
@@ -208,8 +267,11 @@ def test_signs_draw_like_choice():
 
 
 def _per_iteration_rows(seed, inject_fault):
-    """The eigen and Hoeffding sections of ``run_suite`` as they were, one
-    configuration per call: {row name: (brute_force, pass)}."""
+    """The eigen, Sherman-Morrison, quadratic-form and Hoeffding sections of
+    ``run_suite`` as they were, one configuration per call and one draw per
+    number or vector: {row name: (brute_force, pass)}."""
+    from indeplab import structured_cov as sc
+
     rng = np.random.default_rng([seed, 0xFACADE])
     max_eig_err = max_prod_err = 0.0
     for _ in range(200):
@@ -229,6 +291,29 @@ def _per_iteration_rows(seed, inject_fault):
         prod = float(np.prod(1.0 - quad.t * closed))
         target = ((1.0 - a * a * (u @ g) * (v @ h)) / (1.0 - a * a * p * q)) ** 2
         max_prod_err = max(max_prod_err, abs(prod - target) / abs(target))
+    max_inv = max_det = max_sqrt = 0.0
+    for _ in range(100):
+        p = int(rng.integers(1, 11))
+        q = int(rng.integers(1, 11))
+        a = float(rng.uniform(0.0, 0.95)) / math.sqrt(p * q)
+        lf = sc.LeastFavorableCov(u=rng.choice([-1.0, 1.0], p), v=rng.choice([-1.0, 1.0], q), a=a)
+        dense = sc.dense_cov(lf)
+        max_inv = max(max_inv, float(np.max(np.abs(dense @ sc.cov_inverse(lf) - np.eye(p + q)))))
+        det = np.linalg.det(dense)
+        max_det = max(max_det, abs(sc.cov_det(lf) - det) / abs(det))
+        z = rng.standard_normal(p + q)
+        max_sqrt = max(max_sqrt, float(np.max(np.abs(sc.cov_sqrt_apply(lf, sc.cov_sqrt_apply(lf, z)) - dense @ z))))
+    max_quad = 0.0
+    for _ in range(200):
+        p = int(rng.integers(1, 7))
+        q = int(rng.integers(1, 7))
+        u = rng.choice([-1.0, 1.0], p)
+        g = rng.choice([-1.0, 1.0], p)
+        v = rng.choice([-1.0, 1.0], q)
+        h = rng.choice([-1.0, 1.0], q)
+        a = float(rng.uniform(0.01, 0.5 / math.sqrt(p * q)))
+        lhs, rhs = quad_form_pair(u, v, g, h, a, rng.standard_normal(p + q))
+        max_quad = max(max_quad, abs(lhs - rhs))
     worst = 0.0
     for (p, q) in [(3, 3), (5, 4), (6, 6)]:
         for b in (0.2, 0.4):
@@ -238,6 +323,10 @@ def _per_iteration_rows(seed, inject_fault):
     return {
         "gamma_eigs_max_abs_err": (max_eig_err, max_eig_err <= 1e-8),
         "gamma_product_identity_max_rel_err": (max_prod_err, max_prod_err <= 1e-10),
+        "sherman_morrison_inverse_max_abs_err": (max_inv, max_inv <= 1e-10),
+        "determinant_max_rel_err": (max_det, max_det <= 1e-10),
+        "sqrt_composition_max_abs_err": (max_sqrt, max_sqrt <= 1e-10),
+        "quad_form_identity_max_abs_err": (max_quad, max_quad <= 1e-10),
         "hoeffding_tail_dominates": (max(worst, 0.0), worst <= 0.0),
     }
 
