@@ -117,7 +117,7 @@ def _validate(args: argparse.Namespace) -> list[str]:
         errs.append(f"kappa must be positive, got {args.kappa}")
     if not (0 <= args.seed < 2**64):
         errs.append("seed must fit in an unsigned 64-bit integer")
-    for name in ("trials", "perms", "workers"):
+    for name in ("trials", "perms", "workers", "n", "p", "q"):
         if hasattr(args, name) and getattr(args, name) < 1:
             errs.append(f"{name} must be positive")
     if hasattr(args, "perms") and args.perms < 19:

@@ -27,18 +27,18 @@ t_K sum to at most t_K R_K / (1 - R_K).  The series is taken at the first K
 where that bound is at most 2^-60 of the partial sum, within _MAX_TERMS terms.
 
 Grid.  Where the series cannot be certified (a^2 pq near 1, or b far above
-its caps), the double sum runs over the (p+1) x (q+1) support grid, in
-slices of about BLOCK cells.  Each term is w expm1(e), e = -n log1p(-a^2 U V),
-or exp(log w + e) (-expm1(-e)) for e > 700, so that a tiny w keeps w e^e
-finite; log w adds two rows of log(C(d, k) 2^-d) from lgamma tables.  Rows
-and columns that cannot matter are skipped, by a bound per row:
-e(x) = -n log1p(-x) is convex with e(0) = 0, so for V on U's side
-e(a^2 U V) <= (|V|/q) E_U with E_U = e(a^2 |U| q), and e <= 0 on the other
-side.  With lambda = E_U / q and E[e^(lambda V)] = cosh(lambda)^q, the row's
-sum of w |expm1(e)| is at most w_U (1 + cosh(lambda)^q), raised by a slack
-for float error (``_log_row_bounds``).  A row whose bound is at most
-2^-72 L / (p+1) is skipped, then likewise each column, with q+1; L is a
-lower bound on chi2, the larger of t_1 = n(n+1)/2 a^4 pq and
+its caps), the double sum runs over the (p+1) x (q+1) support grid, in tiles
+of TILE x TILE cells.  Each term is w expm1(e), e = -n log1p(-a^2 U V), or
+exp(log w + e) (-expm1(-e)) for e > 700, so that a tiny w keeps w e^e finite;
+log w adds two rows of log(C(d, k) 2^-d) from lgamma tables.  A tile that
+cannot matter is skipped, by a bound read off its corners: x = a^2 U V is
+bilinear, so over the tile its extremes sit at two of the four corners;
+|expm1(e(x))| falls on x < 0 and rises on x > 0, so its largest value sits
+at an extreme of x.  The tile's sum of w |expm1(e)| is then at most its row
+weight mass times its column weight mass times that corner peak; a factor 2,
+and a relative slack on the corners' x, cover float error.  A tile whose
+bound is at most 2^-72 L / (tile count) is skipped; L is a lower bound on
+chi2, the larger of t_1 = n(n+1)/2 a^4 pq and
 2^(1-p-q) ((1-c^2)^-n + (1+c^2)^-n - 2), c^2 = a^2 pq (the four corners;
 every other pair (U, V), (U, -V) adds f(x) + f(-x) - 2 >= 0 by convexity).
 So the skipped cells weigh at most 2^-71 chi2.  A total beyond the largest
@@ -64,10 +64,10 @@ from .structured_cov import amplitude
 LOG2 = math.log(2.0)
 LOG4 = math.log(4.0)
 
-# Cells per slice of the support grid.  A slice's float temporaries
-# (128 KiB each) stay in a 2 MiB L2 cache.
-BLOCK = 1 << 14
-# Relative margin on the inputs and outputs of the row bounds (_log_row_bounds).
+# Rows and columns per tile of the support grid, the unit that the grid skips
+# or reads.  A tile's float temporaries (32 KiB each) stay in cache.
+TILE = 64
+# Relative margin on the corner values a^2 U V of the tile bounds (_log_tile_peaks).
 _BOUND_SLACK = 2.0**-40
 # Terms of the moment series tried before the grid takes over.  At the
 # benchmark's points the series stops after at most 18.
@@ -212,22 +212,6 @@ def _moment_series(n: int, p: int, q: int, a: float) -> float | None:
     return None
 
 
-def _log_row_bounds(a: float, n: int, Us: np.ndarray, d: int, logw: np.ndarray) -> np.ndarray:
-    """Upper bounds, one per row U of the grid Us x V (V a sum of d signs), on
-    log sum_V w_U w_V |expm1(e)| with e = -n log1p(-a^2 U V): the log of
-    w_U (1 + cosh(E_U / d)^d), E_U = e at V = d sign(U), with a factor 2 and
-    a relative slack of _BOUND_SLACK on a^2 |U| d, on E_U and on the terms of
-    the log.  A row whose a^2 |U| d reaches 1 after that slack gets +inf.
-    """
-    x = a * a * np.abs(Us) * d * (1.0 + _BOUND_SLACK)
-    with np.errstate(divide="ignore"):
-        e = -n * np.log1p(-np.minimum(x, 1.0)) * (1.0 + _BOUND_SLACK)
-    lam = e / d
-    log_mgf = d * (lam + np.log1p(np.exp(-2.0 * lam)) - LOG2)
-    slack = LOG2 + _BOUND_SLACK * (np.abs(logw) + d * LOG2 + e + 1.0)
-    return logw + np.logaddexp(0.0, log_mgf) + slack
-
-
 def _log_lower_bound(n: int, p: int, q: int, a: float) -> float:
     """log L, L = max(t_1, 2^(1-p-q) ((1-c^2)^-n + (1+c^2)^-n - 2)) <= chi2.
 
@@ -262,23 +246,39 @@ def _grid_terms(
     return terms
 
 
+def _log_tile_peaks(a: float, n: int, U_ends: np.ndarray, V_ends: tuple) -> np.ndarray:
+    """Upper bounds on log |expm1(e)|, e = -n log1p(-a^2 U V), over the tiles of
+    rows U_ends[0]..U_ends[1] and columns V_ends[0][j]..V_ends[1][j]: the
+    largest max(e, 0) + log(-expm1(-|e|)) at the four corners, with a^2 U V
+    raised by _BOUND_SLACK; +inf where that reaches 1."""
+    x = np.stack([a * a * U * V for U in U_ends for V in V_ends]) * (1.0 + _BOUND_SLACK)
+    with np.errstate(divide="ignore"):
+        e = -n * np.log1p(-np.minimum(x, 1.0))
+        return np.max(np.maximum(e, 0.0) + np.log(-np.expm1(-np.abs(e))), axis=0)
+
+
 def _grid_sum(n: int, p: int, q: int, a: float) -> float:
-    """chi2 as the double sum over the support grid, skipping the rows and then
-    the columns whose bounds are at most 2^-72 L / (p+1) (columns: / (q+1))."""
+    """chi2 as the double sum over the support grid, one TILE x TILE tile at a
+    time, skipping the tiles whose bounds are at most 2^-72 L / (tile count)."""
     Us = np.arange(-p, p + 1, 2, dtype=float)
     Vs = np.arange(-q, q + 1, 2, dtype=float)
     # C(d, k) = C(d, d - k), so index k serves both U = d - 2k and U = 2k - d.
     logw_p, logw_q = _log_weights(p), _log_weights(q)
-    log_floor = _log_lower_bound(n, p, q, a) - 72.0 * LOG2
-    rows = _log_row_bounds(a, n, Us, q, logw_p) > log_floor - math.log(p + 1)
-    cols = _log_row_bounds(a, n, Vs, p, logw_q) > log_floor - math.log(q + 1)
-    Us, logw_p, Vs, logw_q = Us[rows], logw_p[rows], Vs[cols], logw_q[cols]
-    step = max(1, BLOCK // Vs.size)
+    rows, cols = np.arange(0, p + 1, TILE), np.arange(0, q + 1, TILE)
+    # A tile's bound is 2 (row weight mass) (column weight mass) peak.
+    log_mass_p = np.logaddexp.reduceat(logw_p, rows)
+    log_mass_q = np.logaddexp.reduceat(logw_q, cols) + LOG2
+    V_ends = Vs[cols], Vs[np.minimum(cols + TILE, q + 1) - 1]
+    log_floor = _log_lower_bound(n, p, q, a) - 72.0 * LOG2 - math.log(rows.size * cols.size)
     total = 0.0
+    # Rows of tiles outermost: a cell's bits depend on the order of a^2 U V.
     with np.errstate(over="ignore"):
-        for start in range(0, Us.size, step):
-            batch = slice(start, start + step)
-            total += float(np.sum(_grid_terms(a, n, Us[batch], Vs, logw_p[batch], logw_q)))
+        for r0, log_mass in zip(rows.tolist(), log_mass_p.tolist()):
+            rs = slice(r0, r0 + TILE)
+            bounds = log_mass + log_mass_q + _log_tile_peaks(a, n, Us[rs][[0, -1]], V_ends)
+            for c0 in cols[bounds > log_floor].tolist():
+                cs = slice(c0, c0 + TILE)
+                total += float(np.sum(_grid_terms(a, n, Us[rs], Vs[cs], logw_p[rs], logw_q[cs])))
     return total
 
 
@@ -294,13 +294,13 @@ def chi_square_exact(n: int, p: int, q: int, b: float) -> float:
     m_{k+1}/m_k <= min(2k+1, d), is certified below 2^-60 of the partial sum
     (``_moment_series``); its terms are all positive, so even at tiny b the
     result keeps its sign and its digits.  Otherwise the grid sums
-    w expm1(e) over the rows and columns whose bounds exceed 2^-72 L / (p+1)
-    (/ (q+1)), L a lower bound on chi2, so that the skipped cells weigh at most
-    2^-71 chi2 (``_grid_sum``); near a^2 pq -> 1 its error comes from the
-    rounding of -n log1p(-a^2 U V), which is ill-conditioned there.  The
-    module docstring gives both proofs.  Raises ValueError for a NaN b,
-    DivergenceInfiniteError when 1 - a^2 pq <= 0 and OverflowError if chi2
-    exceeds a double.
+    w expm1(e) over the TILE x TILE tiles whose bounds, read off their
+    corners, exceed 2^-72 L / (tile count), L a lower bound on chi2, so that
+    the skipped cells weigh at most 2^-71 chi2 (``_grid_sum``); near
+    a^2 pq -> 1 its error comes from the rounding of -n log1p(-a^2 U V), which
+    is ill-conditioned there.  The module docstring gives both proofs.  Raises
+    ValueError for a NaN b, DivergenceInfiniteError when 1 - a^2 pq <= 0 and
+    OverflowError if chi2 exceeds a double.
     """
     if math.isnan(b):
         raise ValueError("b must not be NaN")

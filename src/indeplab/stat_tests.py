@@ -313,8 +313,7 @@ def phase_curve(
             raise ValueError("signal values must be nonnegative")
         sub_seed = seed + 1000003 * idx  # disjoint per-point streams
         if s == 0.0:
-            cfg = ProblemConfig(n=n, p=p, q=q, alpha=alpha, beta=max(2 * alpha, 0.5))
-            est = estimate_level(cfg, trials, B, sub_seed, workers)
+            est = _estimate(_null_data, (n, p, q), trials, B, alpha, sub_seed, workers, "null")
         else:
             sigma_sq = s * math.sqrt(p * q) / (n * m)
             if sigma_sq >= 1.0:

@@ -175,6 +175,18 @@ class TestPowerAndPhase:
         _, rows = parse_csv(out)
         assert rows and all(r["trials"] == "50" and r["error"] == "" for r in rows)
 
+    def test_phase_null_point_at_alpha_above_half(self, capsys):
+        # s = 0 draws null data at the run's alpha; it once built a config with
+        # beta = 2 alpha, invalid from alpha = 0.5 on, and wrote an error row.
+        code, out, _ = run_cli(capsys, "phase", "--alpha", "0.6", "--beta", "0.7", "--grid-n", "30",
+                               "--grid-p", "2", "--grid-q", "2", "--grid-s", "0,1", "--trials", "5",
+                               "--perms", "19")
+        assert code == EXIT_OK
+        _, rows = parse_csv(out)
+        assert [(r["regime"], r["error"]) for r in rows] == [("s=0", ""), ("s=1", "")]
+        cfg = stat_tests.ProblemConfig(n=30, p=2, q=2, alpha=0.6, beta=0.7)
+        assert rows[0]["rejections"] == str(stat_tests.estimate_level(cfg, 5, 19, 0).rejections)
+
     def test_memory_error_is_an_error_row(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "estimate_level", _out_of_memory)
         code, out, _ = run_cli(
@@ -300,6 +312,16 @@ class TestValidation:
         assert code == EXIT_CONFIG
         assert out == "" and message in err
         assert not caught
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--n", "0", "--p", "3", "--q", "3"], "n must be positive"),
+        (["--n", "10", "--p", "-2", "--q", "3"], "p must be positive"),
+        (["--n", "10", "--p", "3", "--q", "0"], "q must be positive"),
+    ], ids=["n_zero", "p_negative", "q_zero"])
+    def test_divergence_dimensions_exit_config(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "divergence", *argv)
+        assert code == EXIT_CONFIG
+        assert out == "" and message in err
 
     def test_help_exits_ok(self, capsys):
         code, out, _ = run_cli(capsys, "power", "-h")

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from indeplab import divergence, oracles
 from indeplab.divergence import (
-    BLOCK,
+    TILE,
     DivergenceInfiniteError,
     chi_square_closed_bound,
     chi_square_exact,
@@ -336,28 +336,25 @@ def _full_grid_terms(n, p, q, b):
         return divergence._grid_terms(a, n, Us, Vs, divergence._log_weights(p), divergence._log_weights(q))
 
 
-def _recorded_terms(mp):
-    """Wrap ``divergence._grid_terms``; the list returned collects every array it makes."""
-    blocks = []
+def _cells_read(n, p, q, b):
+    """The number of cells chi_square_exact reads, counted without keeping them."""
+    cells = 0
     grid_terms = divergence._grid_terms
 
-    def recording(*args):
-        blocks.append(grid_terms(*args))
-        return blocks[-1]
+    def counting(*args):
+        nonlocal cells
+        terms = grid_terms(*args)
+        cells += terms.size
+        return terms
 
-    mp.setattr(divergence, "_grid_terms", recording)
-    return blocks
-
-
-def _cells_read(n, p, q, b):
     with pytest.MonkeyPatch.context() as mp:
-        blocks = _recorded_terms(mp)
+        mp.setattr(divergence, "_grid_terms", counting)
         chi_square_exact(n, p, q, b)
-    return sum(block.size for block in blocks)
+    return cells
 
 
 def _grid_reads(n, p, q, b):
-    """chi_square_exact on the grid, recording each slice it evaluates.
+    """chi_square_exact on the grid, recording each tile it evaluates.
 
     Returns (chi2 or the type of the exception raised, [(Us, Vs, terms)]).
     """
@@ -378,21 +375,45 @@ def _grid_reads(n, p, q, b):
     return got, reads
 
 
-def _assert_blocked_and_masked(n, p, q, b, block=BLOCK):
-    """The grid reads each cell at most once, in slices of at most ``block``
-    cells or one row, and its result is the full grid's exactly rounded sum,
-    up to 2^-71 for the skipped cells and the rounding of np.sum.  Returns the
-    number of cells read."""
+def _tile_origin(p, q, Us, Vs):
+    """(row index, column index) of the first cell of a read."""
+    return int(Us[0] + p) // 2, int(Vs[0] + q) // 2
+
+
+def _assert_blocked_and_masked(n, p, q, b):
+    """The grid reads each cell at most once, one tile of its layout at a time
+    (at most TILE rows by TILE columns, counted from the first row and
+    column), each tile it skips weighs at most 2^-72 chi2 / (tile count), and
+    its result is the full grid's exactly rounded sum, up to 2^-71 for the
+    skipped cells and the rounding of np.sum.  Returns the set of tiles read,
+    by their origins (``_tile_origin``)."""
+    tile = divergence.TILE
     got, reads = _grid_reads(n, p, q, b)
-    assert all(terms.size <= max(block, Vs.size) for _, Vs, terms in reads)
-    cells = sum(terms.size for _, _, terms in reads)
-    assert 0 < cells <= (p + 1) * (q + 1)
-    full = _full_grid_terms(n, p, q, b).ravel().tolist()
+    Us = np.arange(-p, p + 1, 2, dtype=float)
+    Vs = np.arange(-q, q + 1, 2, dtype=float)
+    tiles = set()
+    for U_read, V_read, terms in reads:
+        assert U_read.size <= tile and V_read.size <= tile
+        r0, c0 = _tile_origin(p, q, U_read, V_read)
+        assert r0 % tile == 0 and c0 % tile == 0
+        assert np.array_equal(U_read, Us[r0:r0 + tile]) and np.array_equal(V_read, Vs[c0:c0 + tile])
+        assert terms.shape == (U_read.size, V_read.size)
+        tiles.add((r0, c0))
+    # Distinct tiles of one layout are disjoint.
+    assert 0 < len(tiles) == len(reads)
+    grid = _full_grid_terms(n, p, q, b)
+    full = grid.ravel().tolist()
     read = np.concatenate([terms.ravel() for _, _, terms in reads]).tolist()
     total = math.fsum(full)
+    rows, cols = np.arange(0, p + 1, tile), np.arange(0, q + 1, tile)
+    with np.errstate(over="ignore"):
+        weights = np.add.reduceat(np.add.reduceat(np.abs(grid), rows, axis=0), cols, axis=1)
+    skipped = np.ones(weights.shape, dtype=bool)
+    skipped[[r0 // tile for r0, _ in tiles], [c0 // tile for _, c0 in tiles]] = False
+    assert np.all(weights[skipped] <= 2.0**-72 * abs(total) / weights.size * (1.0 + 1e-12))
     assert abs(math.fsum(full + [-x for x in read])) <= 2.0**-71 * abs(total)
     assert _rel_err(got, total) <= 1e-14
-    return cells
+    return tiles
 
 
 class TestGrid:
@@ -411,11 +432,9 @@ class TestGrid:
             with pytest.raises(OverflowError):
                 chi_square_exact(n, p, q, b)
             return
-        with pytest.MonkeyPatch.context() as mp:
-            blocks = _recorded_terms(mp)
-            chi_square_exact(n, p, q, b)
-        read = np.concatenate([block.ravel() for block in blocks]).tolist()
-        # A cell's term has the same bits in any slice, so fsum gives the
+        _, reads = _grid_reads(n, p, q, b)
+        read = np.concatenate([terms.ravel() for _, _, terms in reads]).tolist()
+        # A cell's term has the same bits in any tile, so fsum gives the
         # skipped cells' sum exactly rounded.
         skipped = math.fsum(full + [-x for x in read])
         assert abs(skipped) <= 2.0**-71 * abs(total)
@@ -431,6 +450,26 @@ class TestGrid:
             err = sum(mpmath.exp(w) * abs(g - w) for g, w in zip(got, want))
         assert err <= 3 * d * 2.0**-52
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 10**4), st.floats(1e-6, 0.999), st.integers(1, 9))
+    def test_tile_peaks_are_the_largest_cell(self, n, c2, side):
+        # Tiles of side x side cells, in all four sign quadrants and across
+        # both axes: the bound is the largest cell's log |expm1(e)|, up to the
+        # slack on a^2 U V.  Odd p and q keep e = 0 off the grid.
+        p, q = 31, 41
+        a = math.sqrt(c2 / (p * q))
+        assume(-n * math.log1p(-c2) < 700.0)
+        Us = np.arange(-p, p + 1, 2, dtype=float)
+        Vs = np.arange(-q, q + 1, 2, dtype=float)
+        rows, cols = np.arange(0, p + 1, side), np.arange(0, q + 1, side)
+        e = -n * np.log1p(-(a * a * Us[:, None] * Vs[None, :]))
+        cells = np.log(np.abs(np.expm1(e)))
+        brute = np.maximum.reduceat(np.maximum.reduceat(cells, rows, axis=0), cols, axis=1)
+        V_ends = Vs[cols], Vs[np.minimum(cols + side, q + 1) - 1]
+        for r0, want in zip(rows.tolist(), brute):
+            peaks = divergence._log_tile_peaks(a, n, Us[r0:r0 + side][[0, -1]], V_ends)
+            assert np.all(want <= peaks) and np.all(peaks <= want + 1e-6 * np.maximum(1.0, np.abs(want)))
+
     @pytest.mark.parametrize("exponent", [505.0, 560.0])
     def test_each_cell_read_at_most_once(self, exponent):
         n, p, q = 1000, 400, 400
@@ -441,19 +480,26 @@ class TestGrid:
         n, p, q = 5000, 2000, 2000
         assert 0 < _cells_read(n, p, q, 1.5) < 0.25 * (p + 1) * (q + 1)
 
+    def test_tiles_skip_most_cells_at_large_pq(self):
+        # The tiles read about 10% of the cells here; bounds per row and per
+        # column read 42%.
+        n, p, q = 20000, 10**4, 10**4
+        assert 0 < _cells_read(n, p, q, 1.42) < 0.2 * (p + 1) * (q + 1)
+
     @pytest.mark.parametrize("c2", [0.05, 0.1])
     def test_rows_longer_than_a_block(self, c2):
-        n, p, q = 20000, 40, BLOCK + 5
+        n, p, q = 20000, 40, 64 * TILE + 5
         b = math.sqrt(2.0 * n * c2 / math.sqrt(p * q))  # a^2 pq = c2
         assert not _takes_series(n, p, q, b)
         _assert_blocked_and_masked(n, p, q, b)
 
     def test_memory_is_blocked(self):
-        # The grid at (5000, 2000, 2000) would hold several 32 MB arrays.
-        for n, b in ((5000, 1.5), (8000, 0.8)):
+        # The whole grid would hold several 32 MB arrays at p = q = 2000, and
+        # several 3.2 GB ones at p = q = 2e4.
+        for n, p, b in ((5000, 2000, 1.5), (8000, 2000, 0.8), (10**5, 2 * 10**4, 1.2)):
             tracemalloc.start()
             try:
-                chi_square_exact(n, 2000, 2000, b)
+                chi_square_exact(n, p, p, b)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -476,62 +522,72 @@ class TestGrid:
                 chi_square_exact(n, p, q, b)
 
     @pytest.mark.parametrize("p,q", [
-        (2, BLOCK + 5),  # rows longer than a slice
-        (BLOCK + 5, 1),  # many two-cell rows
-        (1, BLOCK // 2 - 5),  # BLOCK - 8 cells: one slice
-        (1, BLOCK // 2 + 3),  # BLOCK + 8 cells: one row per slice
-        (7, BLOCK - 2),  # rows one cell shorter than a slice
-        (7, BLOCK),  # rows one cell longer than a slice
+        (TILE - 2, 5),  # TILE - 1 rows: one row of tiles
+        (9, TILE - 1),  # TILE columns: one column of tiles
+        (TILE, 3),  # TILE + 1 rows: a last row of tiles one row high
+        (2 * TILE, 2 * TILE),  # 2 TILE + 1 rows and columns
+        (1, 3 * TILE + 5),  # rows longer than a tile
+        (3 * TILE + 5, 1),  # columns longer than a tile
     ])
     def test_grid_shapes(self, p, q):
         n = 1000
-        for exponent in (1500.0, 3000.0):
+        for exponent in (300.0, 700.0):
             _assert_blocked_and_masked(n, p, q, _b_for_exponent(n, p, q, exponent))
 
     def test_ragged_last_block(self):
+        # 201 x 1001 cells: the last row of tiles is 9 rows high and the last
+        # column of tiles 41 columns wide.
         n, p, q = 8000, 200, 1000
-        for b in (1.3, 1.5):
-            _assert_blocked_and_masked(n, p, q, b)
-            _, reads = _grid_reads(n, p, q, b)
-            # Every slice but the last holds the same number of rows.
-            rows = [Us.size for Us, _, _ in reads]
-            assert len(set(rows[:-1])) == 1 and rows[-1] < rows[0]
+        last = (p // TILE * TILE, q // TILE * TILE)
+        # At b = 1.3 the band of tiles read reaches the last row of tiles; at
+        # b = 1.8 also the last column and the corner tile, at (U, V) = (p, q).
+        tiles = _assert_blocked_and_masked(n, p, q, 1.3)
+        assert any(r == last[0] for r, _ in tiles)
+        tiles = _assert_blocked_and_masked(n, p, q, 1.8)
+        assert last in tiles and any(r < last[0] and c == last[1] for r, c in tiles)
 
-    @pytest.mark.parametrize("block", [3, 100, 128, 200])
+    @pytest.mark.parametrize("tile", [1, 3, 8, 64])
     @pytest.mark.parametrize("p,q", [(2, 42), (7, 30), (7, 32), (7, 126), (7, 128), (30, 70)])
-    def test_small_blocks(self, monkeypatch, block, p, q):
-        # Slices of one row (block 3) and of several rows, with a ragged last one.
-        monkeypatch.setattr(divergence, "BLOCK", block)
+    def test_small_blocks(self, monkeypatch, tile, p, q):
+        # Tiles of one cell, ragged last tiles, and (at 64) tiles of whole columns.
+        monkeypatch.setattr(divergence, "TILE", tile)
         n = 1000
         for exponent in (300.0, 510.0):
-            _assert_blocked_and_masked(n, p, q, _b_for_exponent(n, p, q, exponent), block)
+            _assert_blocked_and_masked(n, p, q, _b_for_exponent(n, p, q, exponent))
 
-    @pytest.mark.parametrize("block", [128, 200])
-    @pytest.mark.parametrize("n,p,q,exponent", [(1000, 300, 300, 900.0), (1000, 3000, 3, 600.0), (1000, 2000, 20, 900.0)])
-    def test_masks_with_small_blocks(self, monkeypatch, block, n, p, q, exponent):
-        monkeypatch.setattr(divergence, "BLOCK", block)
-        cells = _assert_blocked_and_masked(n, p, q, _b_for_exponent(n, p, q, exponent), block)
-        assert cells < (p + 1) * (q + 1)
+    @pytest.mark.parametrize("tile", [3, 16])
+    @pytest.mark.parametrize("n,p,q,exponent", [
+        (1000, 300, 300, 900.0), (1000, 3000, 3, 600.0), (1000, 2000, 20, 900.0),
+        # Flat weights and terms across the tiles at the edge of the tiles read:
+        # a bound with the largest weight in place of the weight mass skips too much.
+        (10, 137, 152, 40.0),
+    ])
+    def test_masks_with_small_blocks(self, monkeypatch, tile, n, p, q, exponent):
+        monkeypatch.setattr(divergence, "TILE", tile)
+        tiles = _assert_blocked_and_masked(n, p, q, _b_for_exponent(n, p, q, exponent))
+        assert len(tiles) < math.ceil((p + 1) / tile) * math.ceil((q + 1) / tile)
 
     @pytest.mark.parametrize("n", [2, 50])
     def test_near_divergent_rows(self, n):
-        # Rows whose bound argument a^2 |U| q reaches 1 get an infinite bound
-        # and are always read; so are such columns.  (At n = 1 the moment
+        # A tile with a corner whose a^2 U V reaches 1 after the bound's slack
+        # gets an infinite bound and is always read.  (At n = 1 the moment
         # series is certified even here.)
         p, q = 300, 400
+        Us = np.arange(-p, p + 1, 2, dtype=float)
+        Vs = np.arange(-q, q + 1, 2, dtype=float)
+        layout = [(r0, c0) for r0 in range(0, p + 1, TILE) for c0 in range(0, q + 1, TILE)]
         for gap in (1e-6, 1e-12, 1e-15):
             b = _b_edge(n, p, q) * (1 - gap)
             a = float(amplitude(n, p, q, b))
+            unbounded = {
+                (r0, c0) for r0, c0 in layout
+                if any(a * a * U * V * (1.0 + divergence._BOUND_SLACK) >= 1.0
+                       for U in Us[r0:r0 + TILE][[0, -1]] for V in Vs[c0:c0 + TILE][[0, -1]])
+            }
+            # Only the grid's corners reach 1, and only within the slack of the edge.
+            assert unbounded == ({(0, 0), layout[-1]} if gap == 1e-15 else set())
             got, reads = _grid_reads(n, p, q, b)
-
-            def unbounded(d, other):
-                Ws = np.arange(-d, d + 1, 2, dtype=float)
-                return set(Ws[a * a * np.abs(Ws) * other * (1.0 + divergence._BOUND_SLACK) >= 1.0].tolist())
-
-            rows = set(np.concatenate([Us for Us, _, _ in reads]).tolist())
-            # Only the corners reach 1, and only within the slack of the edge.
-            assert (unbounded(p, q) == {-p, p}) == (gap == 1e-15) == (unbounded(q, p) == {-q, q})
-            assert unbounded(p, q) <= rows and all(unbounded(q, p) <= set(Vs.tolist()) for _, Vs, _ in reads)
+            assert unbounded <= {_tile_origin(p, q, U_read, V_read) for U_read, V_read, _ in reads}
             if got is OverflowError:
                 assert _referee(n, p, q, b) == math.inf
             else:
