@@ -17,7 +17,6 @@ import hashlib
 import itertools
 import math
 import sys
-from concurrent.futures.process import BrokenProcessPool
 
 from . import divergence as dv
 from .stat_tests import ProblemConfig, estimate_avg_power, estimate_level, phase_curve
@@ -209,6 +208,15 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_pass else EXIT_ORACLE
 
 
+def _point_errors() -> tuple[type[Exception], ...]:
+    """The errors that end a Monte-Carlo grid point in an error row.  The pool's
+    error class is imported only once a point has failed, so that a serial run
+    never loads the process-pool modules."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    return ValueError, ArithmeticError, MemoryError, BrokenProcessPool
+
+
 def _write_mc(args, progress: str, points, error_row: dict) -> int:
     """Rows of a Monte-Carlo command, one per (s_or_b, PowerEstimate) pair that
     ``points(n, p, q)`` returns at each grid point.
@@ -231,7 +239,7 @@ def _write_mc(args, progress: str, points, error_row: dict) -> int:
                        trials=est.trials, rejections=est.rejections,
                        estimate=f"{est.estimate:.6g}", ci_low=f"{est.ci_low:.6g}",
                        ci_high=f"{est.ci_high:.6g}", seed=args.seed, error="")
-        except (ValueError, ArithmeticError, MemoryError, BrokenProcessPool) as exc:
+        except _point_errors() as exc:
             had_error = True
             em.row(**error_row, n=n, p=p, q=q, seed=args.seed, error=str(exc) or type(exc).__name__)
     em.close()

@@ -228,7 +228,7 @@ def _log_lower_bound(n: int, p: int, q: int, a: float) -> float:
 
 def _log_weights(d: int) -> np.ndarray:
     """log(C(d, k) 2^-d) for k = 0..d, from one table of d+1 lgamma values."""
-    lg = np.array([math.lgamma(k + 1.0) for k in range(d + 1)])
+    lg = np.fromiter(map(math.lgamma, range(1, d + 2)), float, d + 1)
     return lg[d] - lg - lg[::-1] - d * LOG2
 
 
@@ -246,12 +246,12 @@ def _grid_terms(
     return terms
 
 
-def _log_tile_peaks(a: float, n: int, U_ends: np.ndarray, V_ends: tuple) -> np.ndarray:
+def _log_tile_peaks(a: float, n: int, U_ends: tuple, V_ends: tuple) -> np.ndarray:
     """Upper bounds on log |expm1(e)|, e = -n log1p(-a^2 U V), over the tiles of
-    rows U_ends[0]..U_ends[1] and columns V_ends[0][j]..V_ends[1][j]: the
-    largest max(e, 0) + log(-expm1(-|e|)) at the four corners, with a^2 U V
-    raised by _BOUND_SLACK; +inf where that reaches 1."""
-    x = np.stack([a * a * U * V for U in U_ends for V in V_ends]) * (1.0 + _BOUND_SLACK)
+    rows U_ends[0][i]..U_ends[1][i] and columns V_ends[0][j]..V_ends[1][j], as
+    an array indexed [i, j]: the largest max(e, 0) + log(-expm1(-|e|)) at the
+    four corners, with a^2 U V raised by _BOUND_SLACK; +inf where that reaches 1."""
+    x = np.stack([a * a * U[:, None] * V for U in U_ends for V in V_ends]) * (1.0 + _BOUND_SLACK)
     with np.errstate(divide="ignore"):
         e = -n * np.log1p(-np.minimum(x, 1.0))
         return np.max(np.maximum(e, 0.0) + np.log(-np.expm1(-np.abs(e))), axis=0)
@@ -270,14 +270,18 @@ def _grid_sum(n: int, p: int, q: int, a: float) -> float:
     log_mass_q = np.logaddexp.reduceat(logw_q, cols) + LOG2
     V_ends = Vs[cols], Vs[np.minimum(cols + TILE, q + 1) - 1]
     log_floor = _log_lower_bound(n, p, q, a) - 72.0 * LOG2 - math.log(rows.size * cols.size)
+    # The bounds of as many rows of tiles at once as keep the bound array
+    # within one tile's cells, so that it never grows with the tile count.
+    step = max(1, TILE * TILE // cols.size)
     total = 0.0
     # Rows of tiles outermost: a cell's bits depend on the order of a^2 U V.
     with np.errstate(over="ignore"):
-        for r0, log_mass in zip(rows.tolist(), log_mass_p.tolist()):
-            rs = slice(r0, r0 + TILE)
-            bounds = log_mass + log_mass_q + _log_tile_peaks(a, n, Us[rs][[0, -1]], V_ends)
-            for c0 in cols[bounds > log_floor].tolist():
-                cs = slice(c0, c0 + TILE)
+        for i0 in range(0, rows.size, step):
+            r0s = rows[i0:i0 + step]
+            U_ends = Us[r0s], Us[np.minimum(r0s + TILE, p + 1) - 1]
+            bounds = log_mass_p[i0:i0 + step, None] + log_mass_q + _log_tile_peaks(a, n, U_ends, V_ends)
+            for i, j in zip(*np.nonzero(bounds > log_floor)):
+                rs, cs = slice(r0s[i], r0s[i] + TILE), slice(cols[j], cols[j] + TILE)
                 total += float(np.sum(_grid_terms(a, n, Us[rs], Vs[cs], logw_p[rs], logw_q[cs])))
     return total
 

@@ -1,9 +1,12 @@
 """Permutation-calibrated cross-covariance tests and power experiments.
 
 The statistic is the squared Frobenius norm of the empirical cross-covariance
-between the X and Y blocks, calibrated by permuting the Y rows.  Power
-experiments average over freshly drawn sign directions, estimating the power
-against the uniform mixture alternative.
+between the X and Y blocks, calibrated by permuting the Y rows.  One kernel,
+``_stats``, computes it for a stack of row permutations of Y; the observed
+statistic is the identity permutation's row of the test's first product, so
+that a drawn identity permutation ties with it exactly.  Power experiments
+average over freshly drawn sign directions, estimating the power against the
+uniform mixture alternative.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ import dataclasses
 import math
 import os
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,11 +108,25 @@ def _blocks(ds: Dataset, centered: bool) -> tuple[np.ndarray, np.ndarray, int]:
     return ds.x - ds.x.mean(axis=0), ds.y - ds.y.mean(axis=0), n - 1
 
 
+def _stats(xt: np.ndarray, y: np.ndarray, rows: np.ndarray, divisor: int) -> np.ndarray:
+    """The statistic at each row permutation of Y in ``rows`` (k x n): one
+    stacked product of X' with the gathered rows, then an in-place divide and
+    square and one sum per permutation.  The statistic's one implementation."""
+    cross = np.matmul(xt, y.take(rows, axis=0))
+    cross /= divisor
+    cross *= cross
+    return np.add.reduce(cross.reshape(len(rows), -1), axis=1)
+
+
 def cross_cov_stat(ds: Dataset, centered: bool = False) -> float:
-    """Squared Frobenius norm of the empirical cross-covariance (see ``_blocks``)."""
+    """Squared Frobenius norm of the empirical cross-covariance (see ``_blocks``).
+
+    The kernel ``_stats`` at the identity permutation, so it equals bit for
+    bit the observed statistic that ``permutation_test`` reads off its first
+    product.
+    """
     x, y, divisor = _blocks(ds, centered)
-    cross = (x.T @ y) / divisor
-    return float(np.sum(cross * cross))
+    return float(_stats(x.T, y, np.arange(ds.n)[None], divisor)[0])
 
 
 def rejection_limit(B: int, alpha: float) -> int:
@@ -128,38 +144,54 @@ def rejection_limit(B: int, alpha: float) -> int:
 
 
 def perm_chunk_size(n: int, p: int, q: int) -> int:
-    """Permutations per product: PERM_CHUNK, fewer if the chunk would exceed
-    PERM_BUFFER_BYTES, never less than one."""
+    """Permutations per product: PERM_CHUNK, fewer if the first product, which
+    also holds the identity, would exceed PERM_BUFFER_BYTES, never less than
+    one."""
     per_perm = 8 * q * (n + p)  # permuted Y rows plus the p x q product
-    return max(1, min(PERM_CHUNK, PERM_BUFFER_BYTES // per_perm))
+    return max(1, min(PERM_CHUNK, PERM_BUFFER_BYTES // per_perm - 1))
 
 
-def permuted_stat_chunks(
-    ds: Dataset, B: int, rng: np.random.Generator, centered: bool = False
+def _stat_chunks(
+    ds: Dataset, B: int, rng: np.random.Generator, centered: bool
 ) -> Iterator[np.ndarray]:
-    """The B permuted statistics, one array per chunk of permutations.
+    """The observed statistic and the B permuted ones, one array per product.
 
+    The first array leads with the identity permutation's row: the observed
+    statistic, from the same kernel call as the chunk's permuted statistics.
     Each chunk's permutations come from one in-place ``rng.permuted`` shuffle
     of rows of ``arange(n)``: row by row the same Fisher-Yates stream as one
     ``rng.permutation(n)`` per statistic, so the permutations and the
     generator state after them are the same bit for bit.  A chunk is drawn
     only when it is requested, so a caller that stops early leaves the
-    remaining draws unmade.  The chunk's products run as one stacked matmul;
-    each statistic is bitwise equal to the one-product-per-permutation loop
-    (``oracles.permuted_stats_loop``).
+    remaining draws unmade.  Each permuted statistic is bitwise equal to the
+    one-product-per-permutation loop (``oracles.permuted_stats_loop``).
     """
     # Row permutation leaves column means unchanged, so center once.
     x, y, divisor = _blocks(ds, centered)
+    xt = x.T
     n = ds.n
     chunk = perm_chunk_size(n, ds.p, ds.q)
     identity = np.arange(n)
-    buf = np.empty((chunk, n), dtype=identity.dtype)
+    rows = np.empty((min(chunk, B) + 1, n), dtype=identity.dtype)
+    rows[0] = identity
+    head = 0  # the first product starts at the identity row, the rest after it
     for start in range(0, B, chunk):
-        perms = buf[:min(chunk, B - start)]
+        perms = rows[1:1 + min(chunk, B - start)]
         perms[...] = identity
         rng.permuted(perms, axis=1, out=perms)
-        cross = np.matmul(x.T, np.take(y, perms, axis=0)) / divisor
-        yield np.sum((cross * cross).reshape(len(perms), -1), axis=1)
+        yield _stats(xt, y, rows[head:1 + len(perms)], divisor)
+        head = 1
+
+
+def permuted_stat_chunks(
+    ds: Dataset, B: int, rng: np.random.Generator, centered: bool = False
+) -> Iterator[np.ndarray]:
+    """The B permuted statistics, one array per chunk of permutations (see
+    ``_stat_chunks``; the identity's row is left out)."""
+    head = 1
+    for stats in _stat_chunks(ds, B, rng, centered):
+        yield stats[head:]
+        head = 0
 
 
 def permutation_test(
@@ -173,22 +205,28 @@ def permutation_test(
     """Permutation calibration: permute Y rows B times, X fixed.
 
     p = (1 + #{permuted >= observed}) / (B + 1), which is exactly level alpha
-    under row exchangeability.  With ``stop_early`` the test is sequential
-    (Besag & Clifford 1991): it stops after the first chunk at which the count
-    already exceeds the rejection limit (accept) or can no longer reach it
-    (reject).  The decision is the full test's; see ``TestDecision``.
+    under row exchangeability.  The observed statistic is the identity's row
+    of the first product, so a drawn identity permutation ties with it.  With
+    ``stop_early`` the test is sequential (Besag & Clifford 1991): it stops
+    after the first chunk at which the count already exceeds the rejection
+    limit (accept) or can no longer reach it (reject).  The decision is the
+    full test's; see ``TestDecision``.
     """
     if B < 19:
         raise ValueError("need at least 19 permutations")
-    observed = cross_cov_stat(ds, centered=centered)
     limit = rejection_limit(B, alpha)
-    chunks = permuted_stat_chunks(ds, B, rng, centered)
+    chunks = _stat_chunks(ds, B, rng, centered)
+    observed = None
     count = 0
     done = 0
     while done < B and not (stop_early and (count > limit or count + B - done <= limit)):
         stats = next(chunks)
+        if observed is None:
+            observed, stats = float(stats[0]), stats[1:]
         count += int(np.count_nonzero(stats >= observed))
         done += len(stats)
+    if observed is None:  # decided before the first product
+        observed = cross_cov_stat(ds, centered)
     if stop_early:
         return TestDecision(statistic=observed, p_value=math.nan, reject=count <= limit, permutations=done)
     p_value = (1 + count) / (B + 1)
@@ -247,6 +285,14 @@ def _trial(args) -> tuple[bool, int]:
     return dec.reject, dec.permutations
 
 
+def _process_pool(workers: int):
+    """A pool of ``workers`` processes.  Imported here, so that a serial run
+    never loads ``multiprocessing``."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def _estimate(generate, params: tuple, trials: int, B: int, alpha: float, seed: int,
               workers: int, regime: str) -> PowerEstimate:
     """Rejection rate over ``trials`` trials on data from ``generate(rng, *params)``."""
@@ -255,7 +301,7 @@ def _estimate(generate, params: tuple, trials: int, B: int, alpha: float, seed: 
     if workers <= 1:
         results = [_trial(a) for a in args]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _process_pool(workers) as pool:
             results = list(pool.map(_trial, args, chunksize=32))
     rej = sum(r for r, _ in results)
     perms = sum(k for _, k in results)

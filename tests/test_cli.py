@@ -205,7 +205,7 @@ class TestPowerAndPhase:
         class BrokenPool:
             """A pool whose worker died: map raises as concurrent.futures does."""
 
-            def __init__(self, max_workers):
+            def __init__(self, workers):
                 pass
 
             def __enter__(self):
@@ -217,7 +217,7 @@ class TestPowerAndPhase:
             def map(self, fn, *iterables, chunksize=1):
                 raise BrokenProcessPool("a child process terminated abruptly")
 
-        monkeypatch.setattr(stat_tests, "ProcessPoolExecutor", BrokenPool)
+        monkeypatch.setattr(stat_tests, "_process_pool", BrokenPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         argv = ["--grid-n", "20", "--grid-p", "2", "--grid-q", "2", "--trials", "100", "--perms", "19",
                 "--workers", "2"]
@@ -423,6 +423,22 @@ def test_parser_reuse_leaks_nothing(tmp_path, capsys):
     helps = [run_cli(capsys, "--help") for _ in range(2)]
     assert [code for code, _, _ in helps] == [EXIT_OK, EXIT_OK]
     assert helps[0][1] == helps[1][1] and "verify" in helps[0][1]
+
+
+def test_serial_runs_load_no_process_pool():
+    # Only --workers > 1 takes the process pool: a serial power run, bound
+    # and verify load neither concurrent.futures.process nor multiprocessing.
+    code = ("import sys\n"
+            "from indeplab import cli\n"
+            "assert cli.main(['power', '--regime', 'null', '--grid-n', '20', '--grid-p', '2', '--grid-q', '2',"
+            " '--trials', '5', '--perms', '19', '--workers', '1']) == 0\n"
+            "assert cli.main(['bound', '--grid-n', '8000', '--grid-p', '250', '--grid-q', '250']) == 0\n"
+            "assert cli.main(['verify']) == 0\n"
+            "print(sorted(m for m in sys.modules if m == 'concurrent.futures.process'"
+            " or m.split('.')[0] == 'multiprocessing'))")
+    result = _python("-c", code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
 
 
 def test_package_loads_no_scipy():

@@ -375,6 +375,30 @@ def _grid_reads(n, p, q, b):
     return got, reads
 
 
+def _grid_sum_row_by_row(n, p, q, a, tile):
+    """``divergence._grid_sum`` with one bound evaluation per row of tiles,
+    the form it had before it evaluated the bounds of blocks of rows."""
+    Us = np.arange(-p, p + 1, 2, dtype=float)
+    Vs = np.arange(-q, q + 1, 2, dtype=float)
+    logw_p, logw_q = divergence._log_weights(p), divergence._log_weights(q)
+    rows, cols = np.arange(0, p + 1, tile), np.arange(0, q + 1, tile)
+    log_mass_p = np.logaddexp.reduceat(logw_p, rows)
+    log_mass_q = np.logaddexp.reduceat(logw_q, cols) + divergence.LOG2
+    V_ends = Vs[cols], Vs[np.minimum(cols + tile, q + 1) - 1]
+    log_floor = divergence._log_lower_bound(n, p, q, a) - 72.0 * divergence.LOG2 - math.log(rows.size * cols.size)
+    total = 0.0
+    for r0, log_mass in zip(rows.tolist(), log_mass_p.tolist()):
+        rs = slice(r0, r0 + tile)
+        x = np.stack([a * a * U * V for U in Us[rs][[0, -1]] for V in V_ends]) * (1.0 + divergence._BOUND_SLACK)
+        with np.errstate(divide="ignore"):
+            e = -n * np.log1p(-np.minimum(x, 1.0))
+            peaks = np.max(np.maximum(e, 0.0) + np.log(-np.expm1(-np.abs(e))), axis=0)
+        for c0 in cols[log_mass + log_mass_q + peaks > log_floor].tolist():
+            cs = slice(c0, c0 + tile)
+            total += float(np.sum(divergence._grid_terms(a, n, Us[rs], Vs[cs], logw_p[rs], logw_q[cs])))
+    return total
+
+
 def _tile_origin(p, q, Us, Vs):
     """(row index, column index) of the first cell of a read."""
     return int(Us[0] + p) // 2, int(Vs[0] + q) // 2
@@ -383,15 +407,17 @@ def _tile_origin(p, q, Us, Vs):
 def _assert_blocked_and_masked(n, p, q, b):
     """The grid reads each cell at most once, one tile of its layout at a time
     (at most TILE rows by TILE columns, counted from the first row and
-    column), each tile it skips weighs at most 2^-72 chi2 / (tile count), and
-    its result is the full grid's exactly rounded sum, up to 2^-71 for the
-    skipped cells and the rounding of np.sum.  Returns the set of tiles read,
-    by their origins (``_tile_origin``)."""
+    column) in row-major order, each tile it skips weighs at most 2^-72 chi2 /
+    (tile count), and its result is the full grid's exactly rounded sum, up
+    to 2^-71 for the skipped cells and the rounding of np.sum.  Returns the
+    set of tiles read, by their origins (``_tile_origin``)."""
     tile = divergence.TILE
     got, reads = _grid_reads(n, p, q, b)
     Us = np.arange(-p, p + 1, 2, dtype=float)
     Vs = np.arange(-q, q + 1, 2, dtype=float)
     tiles = set()
+    origins = [_tile_origin(p, q, U_read, V_read) for U_read, V_read, _ in reads]
+    assert origins == sorted(origins)
     for U_read, V_read, terms in reads:
         assert U_read.size <= tile and V_read.size <= tile
         r0, c0 = _tile_origin(p, q, U_read, V_read)
@@ -465,10 +491,53 @@ class TestGrid:
         e = -n * np.log1p(-(a * a * Us[:, None] * Vs[None, :]))
         cells = np.log(np.abs(np.expm1(e)))
         brute = np.maximum.reduceat(np.maximum.reduceat(cells, rows, axis=0), cols, axis=1)
+        U_ends = Us[rows], Us[np.minimum(rows + side, p + 1) - 1]
         V_ends = Vs[cols], Vs[np.minimum(cols + side, q + 1) - 1]
-        for r0, want in zip(rows.tolist(), brute):
-            peaks = divergence._log_tile_peaks(a, n, Us[r0:r0 + side][[0, -1]], V_ends)
-            assert np.all(want <= peaks) and np.all(peaks <= want + 1e-6 * np.maximum(1.0, np.abs(want)))
+        peaks = divergence._log_tile_peaks(a, n, U_ends, V_ends)
+        assert peaks.shape == brute.shape
+        assert np.all(brute <= peaks) and np.all(peaks <= brute + 1e-6 * np.maximum(1.0, np.abs(brute)))
+
+    @pytest.mark.parametrize("n,p,q,exponent,calls", [
+        (1000, 16389, 1, 1500.0, 1), (1000, 3000, 3, 600.0, 1), (1000, 300, 300, 900.0, 1),
+        (20000, 10**4, 10**4, None, 7),
+    ])
+    def test_tile_bounds_in_blocks_of_rows(self, n, p, q, exponent, calls):
+        # One bound evaluation per block of rows of tiles, each within one
+        # tile's cells: a skinny grid takes one in place of one per row of
+        # tiles (257 at p = 16389), and (1e4 + 1)^2 cells take 7 blocks of
+        # 26 rows of 157 tiles.
+        b = 1.42 if exponent is None else _b_for_exponent(n, p, q, exponent)
+        assert not _takes_series(n, p, q, b)
+        shapes = []
+        log_tile_peaks = divergence._log_tile_peaks
+
+        def recording(*args):
+            peaks = log_tile_peaks(*args)
+            shapes.append(peaks.shape)
+            return peaks
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(divergence, "_log_tile_peaks", recording)
+            chi_square_exact(n, p, q, b)
+        assert len(shapes) == calls
+        assert all(rows * cols <= TILE * TILE for rows, cols in shapes)
+        assert sum(rows for rows, _ in shapes) == -(-(p + 1) // TILE)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3000), st.integers(1, 300), st.integers(1, 300), st.floats(0.1, 1500.0),
+           st.sampled_from([3, 16, 64]))
+    @example(1000, 3000, 3, 600.0, 64)
+    @example(1000, 300, 300, 900.0, 16)
+    def test_blocks_of_rows_keep_the_row_by_row_bits(self, n, p, q, exponent, tile):
+        b = _b_for_exponent(n, p, q, exponent)
+        assume(b < _b_edge(n, p, q) and not _takes_series(n, p, q, b))
+        a = float(amplitude(n, p, q, b))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(divergence, "TILE", tile)
+            with np.errstate(over="ignore"):
+                got = divergence._grid_sum(n, p, q, a)
+                want = _grid_sum_row_by_row(n, p, q, a, tile)
+        assert got.hex() == want.hex()
 
     @pytest.mark.parametrize("exponent", [505.0, 560.0])
     def test_each_cell_read_at_most_once(self, exponent):

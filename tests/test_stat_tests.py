@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from indeplab import stat_tests
@@ -254,6 +254,67 @@ class TestSequentialPermutationTest:
         assert 0 < est.permutations < 100 * 39
 
 
+def _frozen_cross_cov_stat(ds, centered):
+    """The statistic as one product on the Y block view, the form it took
+    before it shared the permutation kernel."""
+    x, y, divisor = stat_tests._blocks(ds, centered)
+    cross = (x.T @ y) / divisor
+    return float(np.sum(cross * cross))
+
+
+def _kernel_dataset(n, p, q, data_seed):
+    return sample_dataset(None, n, np.random.default_rng(data_seed), p=p, q=q)
+
+
+class TestKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 40), st.integers(1, 8), st.sampled_from([1, 1, 2, 3, 5]), st.booleans(),
+           st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+    def test_statistic_is_the_identity_row(self, n, p, q, centered, data_seed, perm_seed):
+        ds = _kernel_dataset(n, p, q, data_seed)
+        dec = permutation_test(ds, 19, 0.05, np.random.default_rng(perm_seed), centered=centered)
+        first = next(stat_tests._stat_chunks(ds, 19, np.random.default_rng(perm_seed), centered))
+        assert len(first) == PERM_CHUNK + 1
+        assert dec.statistic == cross_cov_stat(ds, centered) == first[0]
+
+    # At n = 3 one permutation in six is the identity.  The data of seed 0
+    # gave a q = 1 statistic one ulp above its identity row when it was a
+    # separate product, so the identity draws fell below it.
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 5), st.integers(1, 8), st.sampled_from([1, 1, 2, 3]), st.booleans(),
+           st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+    @example(3, 6, 1, False, 0, 0)
+    def test_drawn_identities_tie_with_the_observed(self, n, p, q, centered, data_seed, perm_seed):
+        ds = _kernel_dataset(n, p, q, data_seed)
+        B = 99
+        dec = permutation_test(ds, B, 0.05, np.random.default_rng(perm_seed), centered=centered)
+        loop = permuted_stats_loop(ds, B, np.random.default_rng(perm_seed), centered)
+        chunked = np.concatenate(list(permuted_stat_chunks(ds, B, np.random.default_rng(perm_seed), centered)))
+        assert np.array_equal(chunked, loop)
+        replay = np.random.default_rng(perm_seed)
+        identity = np.array([np.array_equal(replay.permutation(n), np.arange(n)) for _ in range(B)])
+        assert np.all(loop[identity] >= dec.statistic)
+        assert dec.p_value == (1 + np.count_nonzero(loop >= dec.statistic)) / (B + 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 200), st.integers(1, 40), st.integers(1, 40), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_statistic_keeps_its_bits_off_uncentered_q1(self, n, p, q, centered, data_seed):
+        # Only the uncentered q = 1 statistic moved when it became the
+        # kernel's identity row.
+        ds = _kernel_dataset(n, p, q, data_seed)
+        if q >= 2 or centered:
+            assert cross_cov_stat(ds, centered) == _frozen_cross_cov_stat(ds, centered)
+        else:
+            assert cross_cov_stat(ds, centered) == pytest.approx(_frozen_cross_cov_stat(ds, centered), rel=1e-14)
+
+    @pytest.mark.parametrize("p", [4, 6, 8])
+    def test_no_null_rejection_at_three_rows(self, p):
+        # At n = 3 about one permuted statistic in six is the identity's,
+        # which ties with the observed one, so no null trial rejects at 0.05.
+        est = estimate_level(ProblemConfig(n=3, p=p, q=1), trials=200, B=99, seed=11)
+        assert est.rejections == 0
+
+
 def _gram(x, y):
     return x @ x.T, y @ y.T
 
@@ -333,9 +394,18 @@ class TestChunkSize:
     def test_never_below_one(self):
         assert perm_chunk_size(10**8, 1, 10) == 1
 
+    @pytest.mark.parametrize("rows", [2, 3, 10, 16, 17, 18])
+    def test_first_product_within_budget(self, rows):
+        # The first product holds the chunk's permutations and the identity.
+        n, p = 1000, 24
+        q = PERM_BUFFER_BYTES // (8 * (n + p) * rows)
+        k = perm_chunk_size(n, p, q)
+        assert (k + 1) * 8 * q * (n + p) <= PERM_BUFFER_BYTES
+        assert k == min(PERM_CHUNK, rows - 1)
+
 
 class _RecordingPool:
-    """Stand-in for ProcessPoolExecutor: records max_workers, runs in-process."""
+    """Stand-in for the process pool: records its size, runs in-process."""
 
     def __init__(self, record, max_workers):
         record.append(max_workers)
@@ -353,8 +423,7 @@ class _RecordingPool:
 class TestWorkerCap:
     def test_pool_size_capped_by_cpus_and_trials(self, monkeypatch):
         record = []
-        monkeypatch.setattr(stat_tests, "ProcessPoolExecutor",
-                            lambda max_workers: _RecordingPool(record, max_workers))
+        monkeypatch.setattr(stat_tests, "_process_pool", lambda workers: _RecordingPool(record, workers))
         monkeypatch.setattr(stat_tests.os, "cpu_count", lambda: 4)
 
         def run(trials, workers):
