@@ -17,6 +17,7 @@ from .divergence import (
     select_b,
 )
 from .structured_cov import (
+    CovStack,
     Dataset,
     LeastFavorableCov,
     ProblemConfig,

@@ -10,6 +10,7 @@ fast paths replaced, kept as their references.
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import product
 
@@ -129,6 +130,15 @@ def mc_chi_square(
     return mean - 1.0, stderr
 
 
+@functools.cache
+def _hermite_nodes() -> tuple[np.ndarray, np.ndarray]:
+    """``hermegauss(QUAD_NODES)``, computed once per process; read-only, as
+    every caller shares them."""
+    nodes, weights = np.polynomial.hermite_e.hermegauss(QUAD_NODES)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def quad_chi_square(n: int, p: int, q: int, b: float) -> float:
     """E_0[(f1/f0)^2] - 1 by Gauss-Hermite quadrature of the exact mixture ratio.
 
@@ -143,7 +153,7 @@ def quad_chi_square(n: int, p: int, q: int, b: float) -> float:
     if p + q > MAX_QUAD_DIM:
         raise InfeasibleSizeError(f"p+q = {p + q} exceeds quadrature cap {MAX_QUAD_DIM}")
     a, d = amplitude(n, p, q, b), p + q
-    nodes, w = np.polynomial.hermite_e.hermegauss(QUAD_NODES)
+    nodes, w = _hermite_nodes()
     z = np.stack(np.meshgrid(*[nodes] * d, indexing="ij"), axis=-1).reshape(-1, d)
     weight = np.prod(np.meshgrid(*[w / math.sqrt(math.tau)] * d, indexing="ij"), axis=0).ravel()
     log_g = []
@@ -221,28 +231,23 @@ def gamma_numeric(p, q, ug, vh, a) -> np.ndarray:
     return np.sort(np.linalg.eigvalsh(sqrt_S @ A @ sqrt_S), axis=-1)
 
 
-def quad_form_pair(u, v, g, h, a: float, z: np.ndarray) -> tuple[float, float]:
+def quad_form_pair(chi, p, q, a) -> tuple:
     """Both sides of the identity T(u,v,z) + T(g,h,z) = chi' A chi.
 
-    T(u,v,z) = 2(v'z)(u'z) - qa(u'z)^2 - pa(v'z)^2 with u, v acting on their
-    own blocks of z.  Used to validate the 4x4 reduction on random z.
+    chi = (u'z, v'z, g'z, h'z) holds the sign projections of z, u and g
+    acting on its X block and v and h on its Y block, and
+    T(u,v,z) = 2(v'z)(u'z) - qa(u'z)^2 - pa(v'z)^2.  Used to validate the 4x4
+    reduction on random z.  An (m, 4) chi with p, q, a of length m gives both
+    sides for m configurations, each with the bits of its own call.
     """
-    u = np.asarray(u, float)
-    v = np.asarray(v, float)
-    g = np.asarray(g, float)
-    h = np.asarray(h, float)
-    p, q = u.size, v.size
-    zx, zy = z[:p], z[p:]
+    chi = np.asarray(chi, float)
+    uz, vz, gz, hz = np.moveaxis(chi, -1, 0)
 
-    def T(uu, vv):
-        uz = float(uu @ zx)
-        vz = float(vv @ zy)
-        return 2.0 * vz * uz - q * a * uz * uz - p * a * vz * vz
+    def T(xz, yz):
+        return 2.0 * yz * xz - q * a * xz * xz - p * a * yz * yz
 
-    lhs = T(u, v) + T(g, h)
-    chi = np.array([u @ zx, v @ zy, g @ zx, h @ zy])
-    A = _coupling_matrix(p, q, a)
-    rhs = float(chi @ A @ chi)
+    lhs = T(uz, vz) + T(gz, hz)
+    rhs = (chi[..., None, :] @ _coupling_matrix(p, q, a) @ chi[..., :, None])[..., 0, 0]
     return lhs, rhs
 
 
@@ -269,10 +274,11 @@ def permuted_stats_loop(
 ) -> np.ndarray:
     """The B permuted cross-covariance statistics, one product per permutation.
 
-    Reference for the chunked kernel ``stat_tests.permuted_stat_chunks``: one
+    Reference for the chunked kernel ``stat_tests._stat_chunks``: one
     ``rng.permutation(n)`` per statistic, the stream that the kernel's
     ``rng.permuted`` shuffles reproduce, and the same arithmetic per
-    statistic, so the two agree bit for bit without sharing the draw call.
+    statistic, so the two agree bit for bit, past the kernel's leading
+    identity row, without sharing the draw call.
     """
     x, y = ds.x, ds.y
     n = ds.n

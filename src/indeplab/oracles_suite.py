@@ -4,6 +4,12 @@ Each entry pits a closed form against an independent brute-force computation
 at tiny dimensions and reports the worst-case discrepancy.  Aggregate rows
 use closed_form = 0 as the target with brute_force holding the observed
 maximum error.
+
+Each randomized section draws all its configurations first, in one loop that
+makes the same generator calls in the same order as one check per
+configuration would, and then checks them in stacks: the production closed
+forms broadcast over a leading axis, and every inner product is a stacked
+``matmul``, so each configuration gets the bits of its own call.
 """
 
 from __future__ import annotations
@@ -49,6 +55,34 @@ def _sign_quadruple(rng: np.random.Generator, p: int, q: int) -> tuple[np.ndarra
     return signs[:p], signs[p:2 * p], signs[2 * p:2 * p + q], signs[2 * p + q:]
 
 
+def _sizes(rng: np.random.Generator, high: int) -> tuple[int, int]:
+    """(p, q), each uniform on [1, high)."""
+    return int(rng.integers(1, high)), int(rng.integers(1, high))
+
+
+def _groups(sizes) -> list[tuple[int, list[int]]]:
+    """(k, the indices i with sizes[i] == k, in order) for each size k, ascending.
+
+    Plain Python: ``np.unique`` on integers would import ``numpy.ma``.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, k in enumerate(sizes):
+        groups.setdefault(k, []).append(i)
+    return sorted(groups.items())
+
+
+def _projections(pairs: list[np.ndarray], z: list[np.ndarray]) -> np.ndarray:
+    """(m, 2): s'z[i] and t'z[i] for each concatenated sign pair pairs[i] = (s, t).
+
+    Stacked per length of z[i], with the bits of the 1-d ``s @ z[i]``.
+    """
+    out = np.empty((len(z), 2))
+    for k, idx in _groups([zi.size for zi in z]):
+        s_t = np.array([pairs[i] for i in idx]).reshape(-1, 2, k)
+        out[idx] = sc._dot(s_t, np.array([z[i] for i in idx])[:, None])
+    return out
+
+
 def run_suite(seed: int = 0, inject_fault: bool = False) -> list[dict]:
     rng = np.random.default_rng([seed, 0xFACADE])
     rows: list[dict] = []
@@ -62,10 +96,9 @@ def run_suite(seed: int = 0, inject_fault: bool = False) -> list[dict]:
                 rows.append(_row(f"chi2_enum_p{p}q{q}n{n}b{b:g}", closed, brute, 1e-12))
 
     # Eigenvalue closed form vs dense eigendecomposition; product identity.
-    # All 200 configurations are drawn first, then checked in one batch.
     draws = []
     for _ in range(200):
-        p, q = rng.integers(1, 7, size=2).tolist()
+        p, q = _sizes(rng, 7)
         u, g, v, h = _sign_quadruple(rng, p, q)
         a = float(rng.uniform(0.01, 0.9 / math.sqrt(p * q)))
         draws.append((p, q, u @ g, v @ h, a))
@@ -83,33 +116,44 @@ def run_suite(seed: int = 0, inject_fault: bool = False) -> list[dict]:
     rows.append(_row("gamma_eigs_max_abs_err", 0.0, max_eig_err, 1e-8))
     rows.append(_row("gamma_product_identity_max_rel_err", 0.0, max_prod_err, 1e-10))
 
-    # Sherman-Morrison inverse, determinant, and square root vs dense oracles.
-    max_inv = max_det = max_sqrt = 0.0
+    # Sherman-Morrison inverse, determinant, and square root vs dense oracles,
+    # on one stack of members per size d = p + q.
+    draws = []
     for _ in range(100):
-        p, q = rng.integers(1, 11, size=2).tolist()
+        p, q = _sizes(rng, 11)
         a = float(rng.uniform(0.0, 0.95)) / math.sqrt(p * q)
-        signs = _signs(rng, p + q)
-        lf = sc.LeastFavorableCov(u=signs[:p], v=signs[p:], a=a)
+        draws.append((p, a, _signs(rng, p + q), rng.standard_normal(p + q)))
+    max_inv = max_det = max_sqrt = 0.0
+    for d, idx in _groups([draw[3].size for draw in draws]):
+        # Lists, not zip(*...): its short tuples of varying length would pile
+        # up in the interpreter's tuple free lists, call after call.
+        p, a, signs, z = (np.array([draws[i][c] for i in idx]) for c in range(4))
+        lf = sc.CovStack(signs=signs, p=p, a=a)
         dense = sc.dense_cov(lf)
-        max_inv = max(max_inv, float(np.max(np.abs(dense @ sc.cov_inverse(lf) - np.eye(p + q)))))
+        max_inv = max(max_inv, float(np.max(np.abs(dense @ sc.cov_inverse(lf) - np.eye(d)))))
         det = np.linalg.det(dense)
-        max_det = max(max_det, abs(sc.cov_det(lf) - det) / abs(det))
-        z = rng.standard_normal(p + q)
-        max_sqrt = max(max_sqrt, float(np.max(np.abs(sc.cov_sqrt_apply(lf, sc.cov_sqrt_apply(lf, z)) - dense @ z))))
+        max_det = max(max_det, float(np.max(np.abs(sc.cov_det(lf) - det) / np.abs(det))))
+        twice = sc.cov_sqrt_apply(lf, sc.cov_sqrt_apply(lf, z))
+        max_sqrt = max(max_sqrt, float(np.max(np.abs(twice - (dense @ z[..., None])[..., 0]))))
     rows.append(_row("sherman_morrison_inverse_max_abs_err", 0.0, max_inv, 1e-10))
     rows.append(_row("determinant_max_rel_err", 0.0, max_det, 1e-10))
     rows.append(_row("sqrt_composition_max_abs_err", 0.0, max_sqrt, 1e-10))
 
-    # Quadratic-form reduction to the 4x4 representation.
-    max_quad = 0.0
+    # Quadratic-form reduction to the 4x4 representation, for all 200
+    # configurations at once.
+    draws = []
     for _ in range(200):
-        p, q = rng.integers(1, 7, size=2).tolist()
-        u, g, v, h = _sign_quadruple(rng, p, q)
+        p, q = _sizes(rng, 7)
+        signs = _signs(rng, 2 * (p + q))  # u, g, v, h
         a = float(rng.uniform(0.01, 0.5 / math.sqrt(p * q)))
         z = rng.standard_normal(p + q)
-        lhs, rhs = oracles.quad_form_pair(u, v, g, h, a, z)
-        max_quad = max(max_quad, abs(lhs - rhs))
-    rows.append(_row("quad_form_identity_max_abs_err", 0.0, max_quad, 1e-10))
+        draws.append((p, q, a, signs[:2 * p], z[:p], signs[2 * p:], z[p:]))
+    p, q, a, ug, zx, vh, zy = zip(*draws)
+    chi = np.empty((len(draws), 4))  # u'z, v'z, g'z, h'z
+    chi[:, ::2] = _projections(ug, zx)
+    chi[:, 1::2] = _projections(vh, zy)
+    lhs, rhs = oracles.quad_form_pair(chi, np.array(p), np.array(q), np.array(a))
+    rows.append(_row("quad_form_identity_max_abs_err", 0.0, float(np.max(np.abs(lhs - rhs))), 1e-10))
 
     # Hoeffding tail bound dominates the exact sign-sum tail.
     worst_violation = 0.0
@@ -122,10 +166,12 @@ def run_suite(seed: int = 0, inject_fault: bool = False) -> list[dict]:
     rows.append(_row("hoeffding_tail_dominates", 0.0, max(worst_violation, 0.0), 0.0,
                      passed=worst_violation <= 0.0))
 
-    # (1-x)^(-1/x) <= 4 on x in [-10, 1/2], excluding 0.
-    grid = np.concatenate([np.linspace(-10.0, -1e-6, 20001), np.linspace(1e-6, 0.5, 20001)])
-    vals = np.exp(-np.log1p(-grid) / grid)
-    excess = float(np.max(vals - 4.0))
+    # (1-x)^(-1/x) <= 4 on x in [-10, 1/2], excluding 0, a quarter of each
+    # half at a time: small temporaries, and the max is exact.
+    excess = -math.inf
+    for half in (np.linspace(-10.0, -1e-6, 20001), np.linspace(1e-6, 0.5, 20001)):
+        for x in np.array_split(half, 4):
+            excess = max(excess, float(np.max(np.exp(-np.log1p(-x) / x) - 4.0)))
     rows.append(_row("one_minus_x_pow_bound", 0.0, max(excess, 0.0), 0.0, passed=excess <= 1e-12))
 
     # Quadrature of the exact density ratio checks the Gaussian-integral derivation.

@@ -183,17 +183,6 @@ def _stat_chunks(
         head = 1
 
 
-def permuted_stat_chunks(
-    ds: Dataset, B: int, rng: np.random.Generator, centered: bool = False
-) -> Iterator[np.ndarray]:
-    """The B permuted statistics, one array per chunk of permutations (see
-    ``_stat_chunks``; the identity's row is left out)."""
-    head = 1
-    for stats in _stat_chunks(ds, B, rng, centered):
-        yield stats[head:]
-        head = 0
-
-
 def permutation_test(
     ds: Dataset,
     B: int,

@@ -14,6 +14,7 @@ when a^2 * p * q < 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -91,6 +92,55 @@ class LeastFavorableCov:
         """Frobenius norm of the implied cross-covariance block, a*sqrt(pq)."""
         return self.a * np.sqrt(self.p * self.q)
 
+    @cached_property
+    def padded(self) -> tuple[np.ndarray, np.ndarray]:
+        """Zero-padded (p+q)-vectors (u, 0) and (0, v)."""
+        return np.concatenate([self.u, np.zeros(self.q)]), np.concatenate([np.zeros(self.p), self.v])
+
+
+@dataclass(frozen=True)
+class CovStack:
+    """m members of the family that share the size d = p + q.
+
+    Row k of ``signs`` holds u_k followed by v_k, split after p[k] entries;
+    a holds the m amplitudes.  ``dense_cov``, ``cov_inverse``, ``cov_det``
+    and ``cov_sqrt_apply`` take a stack wherever they take one member and
+    return their results along a leading axis of length m, each member's
+    with the bits of its own call.
+    """
+
+    signs: np.ndarray
+    p: np.ndarray
+    a: np.ndarray
+
+    def __post_init__(self):
+        signs = np.asarray(self.signs, dtype=float)
+        p = np.asarray(self.p, dtype=float)  # exact, and cheaper against floats
+        a = np.asarray(self.a, dtype=float)
+        object.__setattr__(self, "signs", signs)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "a", a)
+        if signs.ndim != 2 or p.shape != (len(signs),) or a.shape != p.shape:
+            raise ValueError("need m x d signs and m sizes p and amplitudes a")
+        if not (np.abs(signs) == 1.0).all():
+            raise ValueError("u and v entries must be exactly +-1")
+        if (p % 1).any() or (p < 1).any() or (self.q < 1).any():
+            raise ValueError("sizes p and q must be positive integers")
+        if (a < 0).any():
+            raise ValueError("amplitude a must be nonnegative")
+        if (a**2 * p * self.q >= 1.0).any():
+            raise SingularCovarianceError("a^2*p*q >= 1 for some member: not positive definite")
+
+    @cached_property
+    def q(self) -> np.ndarray:
+        return self.signs.shape[1] - self.p
+
+    @cached_property
+    def padded(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (m, d) stacks of zero-padded vectors (u, 0) and (0, v)."""
+        x_block = np.arange(self.signs.shape[1]) < self.p[:, None]
+        return np.where(x_block, self.signs, 0.0), np.where(x_block, 0.0, self.signs)
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -141,44 +191,41 @@ def sample_direction(p: int, q: int, rng: np.random.Generator, a: float = 0.0) -
     return LeastFavorableCov(u=u, v=v, a=a)
 
 
-def _padded(lf: LeastFavorableCov) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-padded (p+q)-vectors (u, 0) and (0, v)."""
-    p, q = lf.p, lf.q
-    up = np.concatenate([lf.u, np.zeros(q)])
-    vp = np.concatenate([np.zeros(p), lf.v])
-    return up, vp
+def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """np.outer of the last axes, stacked over any leading ones."""
+    return x[..., :, None] * y[..., None, :]
 
 
-def dense_cov(lf: LeastFavorableCov) -> np.ndarray:
+def _last(x, axes: int) -> np.ndarray:
+    """A per-member scalar (or array of them) with ``axes`` unit axes appended."""
+    return np.asarray(x).reshape(np.shape(x) + (1,) * axes)
+
+
+def dense_cov(lf: LeastFavorableCov | CovStack) -> np.ndarray:
     """Full (p+q) x (p+q) matrix I + a(uv' + vu')."""
-    up, vp = _padded(lf)
-    d = lf.p + lf.q
-    return np.eye(d) + lf.a * (np.outer(up, vp) + np.outer(vp, up))
+    up, vp = lf.padded
+    return np.eye(up.shape[-1]) + _last(lf.a, 2) * (_outer(up, vp) + _outer(vp, up))
 
 
-def cov_inverse(lf: LeastFavorableCov) -> np.ndarray:
+def cov_inverse(lf: LeastFavorableCov | CovStack) -> np.ndarray:
     """Closed-form inverse via the Sherman-Morrison rank-two update.
 
     Sigma^-1 = I - a(vu' + uv' - a(p vv' + q uu')) / (1 - pq a^2).
     """
-    p, q, a = lf.p, lf.q, lf.a
-    denom = 1.0 - p * q * a * a
-    if denom <= 0:
+    p, q, a, denom = (_last(x, 2) for x in (lf.p, lf.q, lf.a, cov_det(lf)))
+    if (denom <= 0).any():
         raise SingularCovarianceError("a^2*p*q >= 1: inverse undefined")
-    up, vp = _padded(lf)
-    d = p + q
-    num = a * (
-        np.outer(vp, up) + np.outer(up, vp) - a * (p * np.outer(vp, vp) + q * np.outer(up, up))
-    )
-    return np.eye(d) - num / denom
+    up, vp = lf.padded
+    num = a * (_outer(vp, up) + _outer(up, vp) - a * (p * _outer(vp, vp) + q * _outer(up, up)))
+    return np.eye(up.shape[-1]) - num / denom
 
 
-def cov_det(lf: LeastFavorableCov) -> float:
+def cov_det(lf: LeastFavorableCov | CovStack) -> float | np.ndarray:
     """det(Sigma_uv) = 1 - pq a^2 (Schur complement + Sylvester)."""
     return 1.0 - lf.p * lf.q * lf.a * lf.a
 
 
-def _sqrt_factors(lf: LeastFavorableCov) -> tuple[float, float, np.ndarray, np.ndarray]:
+def _sqrt_factors(lf: LeastFavorableCov | CovStack) -> tuple:
     """Eigenpairs of the rank-two perturbation.
 
     The perturbation a(uv'+vu') has eigenvalues +-a*sqrt(pq) with unit
@@ -188,25 +235,32 @@ def _sqrt_factors(lf: LeastFavorableCov) -> tuple[float, float, np.ndarray, np.n
     p, q, a = lf.p, lf.q, lf.a
     s = a * np.sqrt(p * q)
     lam_plus, lam_minus = 1.0 + s, 1.0 - s
-    up, vp = _padded(lf)
-    w_plus = up / np.sqrt(2.0 * p) + vp / np.sqrt(2.0 * q)
-    w_minus = up / np.sqrt(2.0 * p) - vp / np.sqrt(2.0 * q)
-    return lam_plus, lam_minus, w_plus, w_minus
+    up, vp = lf.padded
+    up = up / _last(np.sqrt(2.0 * p), 1)
+    vp = vp / _last(np.sqrt(2.0 * q), 1)
+    return lam_plus, lam_minus, up + vp, up - vp
 
 
-def cov_sqrt_apply(lf: LeastFavorableCov, z: np.ndarray) -> np.ndarray:
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x'y over the last axes, one (1 x d)(d x 1) matmul per leading index:
+    the bits of the 1-d ``x @ y``, which a stacked einsum or sum lacks."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def cov_sqrt_apply(lf: LeastFavorableCov | CovStack, z: np.ndarray) -> np.ndarray:
     """Apply the symmetric square root Sigma^(1/2) to z in O(p+q).
 
-    Accepts a single vector of length p+q or a batch of shape (m, p+q).
+    Accepts a single vector of length p+q or a batch of shape (m, p+q); for a
+    ``CovStack`` of m members, z holds one vector per member, shape (m, p+q).
     """
     lam_plus, lam_minus, w_plus, w_minus = _sqrt_factors(lf)
-    if lam_minus <= 0:
+    if (lam_minus <= 0).any():
         raise SingularCovarianceError("smallest eigenvalue <= 0: square root undefined")
     z = np.asarray(z, dtype=float)
     cp = np.sqrt(lam_plus) - 1.0
     cm = np.sqrt(lam_minus) - 1.0
-    if z.ndim == 1:
-        return z + cp * (w_plus @ z) * w_plus + cm * (w_minus @ z) * w_minus
+    if z.ndim == w_plus.ndim:
+        return z + _last(cp * _dot(w_plus, z), 1) * w_plus + _last(cm * _dot(w_minus, z), 1) * w_minus
     return z + np.outer(z @ w_plus, cp * w_plus) + np.outer(z @ w_minus, cm * w_minus)
 
 

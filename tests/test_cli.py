@@ -441,6 +441,18 @@ def test_serial_runs_load_no_process_pool():
     assert result.stdout.splitlines()[-1] == "[]"
 
 
+def test_verify_loads_no_numpy_ma():
+    # verify groups its configurations without np.unique on integers, which
+    # imports numpy.ma (about 1.3 MB of resident memory per process).
+    code = ("import sys\n"
+            "from indeplab import cli\n"
+            "assert cli.main(['verify']) == 0\n"
+            "print('numpy.ma' in sys.modules)")
+    result = _python("-c", code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"
+
+
 def test_package_loads_no_scipy():
     # numpy is the one runtime dependency: importing every module, verify, a
     # bound on the moment series and a chi2 on the grid load no scipy module.

@@ -168,8 +168,36 @@ def test_quad_form_identity_random():
         h = rng.choice([-1.0, 1.0], q)
         a = float(rng.uniform(0.0, 0.5 / math.sqrt(p * q)))
         z = rng.standard_normal(p + q)
-        lhs, rhs = quad_form_pair(u, v, g, h, a, z)
+        lhs, rhs = quad_form_pair([u @ z[:p], v @ z[p:], g @ z[:p], h @ z[p:]], p, q, a)
         assert lhs == pytest.approx(rhs, abs=1e-10 * max(1.0, abs(lhs)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.integers(2, 20), st.integers(0, 2**32 - 1))
+def test_quad_form_pair_stack_matches_single_calls(m, d, seed):
+    # The suite's stacked projections and one stacked quad_form_pair give
+    # each configuration the bits of 1-d dots and its own call.
+    from indeplab.oracles_suite import _projections
+
+    rng = np.random.default_rng(seed)
+    p = rng.integers(1, d, size=m)
+    q = d - p
+    a = rng.uniform(0.0, 0.5, m) / np.sqrt(p * q)
+    signs = rng.integers(0, 2, size=(m, 2 * d)) * 2.0 - 1.0  # u, g, v, h
+    z = rng.standard_normal((m, d))
+    ug = [signs[k, :2 * p[k]] for k in range(m)]
+    vh = [signs[k, 2 * p[k]:] for k in range(m)]
+    chi = np.empty((m, 4))
+    chi[:, ::2] = _projections(ug, [z[k, :p[k]] for k in range(m)])
+    chi[:, 1::2] = _projections(vh, [z[k, p[k]:] for k in range(m)])
+    for k in range(m):
+        zx, zy = z[k, :p[k]], z[k, p[k]:]
+        dots = [ug[k][:p[k]] @ zx, vh[k][:q[k]] @ zy, ug[k][p[k]:] @ zx, vh[k][q[k]:] @ zy]
+        assert [x.hex() for x in chi[k].tolist()] == [float(x).hex() for x in dots]
+    lhs, rhs = quad_form_pair(chi, p, q, a)
+    single = [quad_form_pair(chi[k], int(p[k]), int(q[k]), float(a[k])) for k in range(m)]
+    assert [x.hex() for x in lhs.tolist()] == [float(s[0]).hex() for s in single]
+    assert [x.hex() for x in rhs.tolist()] == [float(s[1]).hex() for s in single]
 
 
 class TestUVTail:
@@ -266,6 +294,20 @@ def test_signs_draw_like_choice():
             assert r1.random() == r2.random()
 
 
+def _frozen_quad_form_pair(u, v, g, h, a, z):
+    """``oracles.quad_form_pair`` as it was, taking the sign vectors and z."""
+    p, q = u.size, v.size
+    zx, zy = z[:p], z[p:]
+
+    def T(uu, vv):
+        uz = float(uu @ zx)
+        vz = float(vv @ zy)
+        return 2.0 * vz * uz - q * a * uz * uz - p * a * vz * vz
+
+    chi = np.array([u @ zx, v @ zy, g @ zx, h @ zy])
+    return T(u, v) + T(g, h), float(chi @ oracles._coupling_matrix(p, q, a) @ chi)
+
+
 def _per_iteration_rows(seed, inject_fault):
     """The eigen, Sherman-Morrison, quadratic-form and Hoeffding sections of
     ``run_suite`` as they were, one configuration per call and one draw per
@@ -312,7 +354,7 @@ def _per_iteration_rows(seed, inject_fault):
         v = rng.choice([-1.0, 1.0], q)
         h = rng.choice([-1.0, 1.0], q)
         a = float(rng.uniform(0.01, 0.5 / math.sqrt(p * q)))
-        lhs, rhs = quad_form_pair(u, v, g, h, a, rng.standard_normal(p + q))
+        lhs, rhs = _frozen_quad_form_pair(u, v, g, h, a, rng.standard_normal(p + q))
         max_quad = max(max_quad, abs(lhs - rhs))
     worst = 0.0
     for (p, q) in [(3, 3), (5, 4), (6, 6)]:
@@ -332,7 +374,8 @@ def _per_iteration_rows(seed, inject_fault):
 
 
 @pytest.mark.parametrize("inject_fault", [False, True])
-@pytest.mark.parametrize("seed", [0, 1, 7, 123, 2024])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 5, 7, 11, 42, 99, 123, 314, 777, 1000, 2024, 2758,
+                                  4096, 31337, 65535, 2**31 - 1, 770799637690793716])
 def test_suite_batches_match_per_iteration_loops(seed, inject_fault):
     from indeplab.oracles_suite import run_suite
 

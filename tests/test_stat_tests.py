@@ -21,7 +21,6 @@ from indeplab.stat_tests import (
     estimate_level,
     perm_chunk_size,
     permutation_test,
-    permuted_stat_chunks,
     phase_curve,
     rejection_limit,
     scenario_regression,
@@ -29,6 +28,13 @@ from indeplab.stat_tests import (
     wilson_interval,
 )
 from indeplab.structured_cov import LeastFavorableCov, sample_dataset
+
+
+def _permuted_chunks(ds, B, rng, centered=False):
+    """The kernel's chunks of B permuted statistics: ``_stat_chunks`` with the
+    first chunk's leading identity row (the observed statistic) dropped."""
+    chunks = list(stat_tests._stat_chunks(ds, B, rng, centered))
+    return [chunks[0][1:]] + chunks[1:]
 
 
 def make_ds(x, y):
@@ -166,7 +172,7 @@ class TestSequentialPermutationTest:
     @given(perm_cases())
     def test_chunked_statistics_bitwise_equal_loop(self, case):
         ds, B, _, centered, seed = case
-        chunked = np.concatenate(list(permuted_stat_chunks(ds, B, np.random.default_rng(seed), centered)))
+        chunked = np.concatenate(_permuted_chunks(ds, B, np.random.default_rng(seed), centered))
         loop = permuted_stats_loop(ds, B, np.random.default_rng(seed), centered)
         assert np.array_equal(chunked, loop)
 
@@ -176,7 +182,7 @@ class TestSequentialPermutationTest:
     def test_chunked_statistics_bitwise_equal_loop_at_benchmark_shapes(self, n, p, q):
         ds = sample_dataset(None, n, np.random.default_rng(n + p), p=p, q=q)
         for centered in (False, True):
-            chunked = np.concatenate(list(permuted_stat_chunks(ds, 40, np.random.default_rng(1), centered)))
+            chunked = np.concatenate(_permuted_chunks(ds, 40, np.random.default_rng(1), centered))
             assert np.array_equal(chunked, permuted_stats_loop(ds, 40, np.random.default_rng(1), centered))
 
     @pytest.mark.parametrize("centered", [False, True])
@@ -186,11 +192,11 @@ class TestSequentialPermutationTest:
         # buffer cap forces chunks of one permutation.
         ds = sample_dataset(None, 23, np.random.default_rng(B), p=3, q=2)
         loop = permuted_stats_loop(ds, B, np.random.default_rng(9), centered)
-        chunks = list(permuted_stat_chunks(ds, B, np.random.default_rng(9), centered))
+        chunks = _permuted_chunks(ds, B, np.random.default_rng(9), centered)
         assert [len(c) for c in chunks] == [PERM_CHUNK] * (B // PERM_CHUNK) + [B % PERM_CHUNK]
         assert np.array_equal(np.concatenate(chunks), loop)
         monkeypatch.setattr(stat_tests, "PERM_BUFFER_BYTES", 1)
-        chunks = list(permuted_stat_chunks(ds, B, np.random.default_rng(9), centered))
+        chunks = _permuted_chunks(ds, B, np.random.default_rng(9), centered)
         assert [len(c) for c in chunks] == [1] * B
         assert np.array_equal(np.concatenate(chunks), loop)
 
@@ -289,7 +295,7 @@ class TestKernel:
         B = 99
         dec = permutation_test(ds, B, 0.05, np.random.default_rng(perm_seed), centered=centered)
         loop = permuted_stats_loop(ds, B, np.random.default_rng(perm_seed), centered)
-        chunked = np.concatenate(list(permuted_stat_chunks(ds, B, np.random.default_rng(perm_seed), centered)))
+        chunked = np.concatenate(_permuted_chunks(ds, B, np.random.default_rng(perm_seed), centered))
         assert np.array_equal(chunked, loop)
         replay = np.random.default_rng(perm_seed)
         identity = np.array([np.array_equal(replay.permutation(n), np.arange(n)) for _ in range(B)])
@@ -358,7 +364,7 @@ class TestPermutationDraws:
         ds = sample_dataset(None, 50, np.random.default_rng(314), p=5, q=5)
         x, y, divisor = stat_tests._blocks(ds, centered)
         exact = _exact_permutation_mean(*_gram(x, y), divisor)
-        stats = np.concatenate(list(permuted_stat_chunks(ds, 10_000, np.random.default_rng(2718), centered)))
+        stats = np.concatenate(_permuted_chunks(ds, 10_000, np.random.default_rng(2718), centered))
         se = stats.std(ddof=1) / math.sqrt(stats.size)
         assert abs(stats.mean() - exact) <= 5 * se
 
@@ -375,7 +381,7 @@ class TestPermutationDraws:
         p_exact = np.mean(_all_trace_forms(*_gram(ds.x, ds.y), n) >= observed * (1 - 1e-9))
         assert 1 / math.factorial(n) < p_exact < 1.0  # more than the identity
         B = 4000
-        stats = np.concatenate(list(permuted_stat_chunks(ds, B, np.random.default_rng(1234))))
+        stats = np.concatenate(_permuted_chunks(ds, B, np.random.default_rng(1234)))
         count = np.count_nonzero(stats >= observed)
         assert abs(count - B * p_exact) <= 5 * math.sqrt(B * p_exact * (1 - p_exact))
 

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from indeplab import structured_cov
 from indeplab.structured_cov import (
+    CovStack,
     Dataset,
     LeastFavorableCov,
     ProblemConfig,
@@ -208,3 +210,58 @@ class TestDataset:
     def test_block_views(self):
         ds = Dataset(values=np.arange(12.0).reshape(3, 4), p=3, q=1)
         assert ds.x.shape == (3, 3) and ds.y.shape == (3, 1)
+
+
+def _hex(x):
+    return [v.hex() for v in np.ravel(x).tolist()]
+
+
+class TestCovStack:
+    # Each closed form on a stack of m members of one size d gives each member
+    # the bits of its own call.
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 8), st.integers(2, 20), st.integers(0, 2**32 - 1))
+    def test_stack_matches_member_calls(self, m, d, seed):
+        rng = np.random.default_rng(seed)
+        p = rng.integers(1, d, size=m)
+        signs = rng.integers(0, 2, size=(m, d)) * 2.0 - 1.0
+        a = rng.choice([0.0, 0.5, 0.95, 0.999], m) * rng.uniform(0.0, 1.0, m) / np.sqrt(p * (d - p))
+        z = rng.standard_normal((m, d))
+        stack = CovStack(signs=signs, p=p, a=a)
+        dense, inv, det = dense_cov(stack), cov_inverse(stack), cov_det(stack)
+        root, twice = cov_sqrt_apply(stack, z), cov_sqrt_apply(stack, cov_sqrt_apply(stack, z))
+        assert dense.shape == inv.shape == (m, d, d) and det.shape == (m,) and root.shape == (m, d)
+        for k in range(m):
+            lf = LeastFavorableCov(u=signs[k, :p[k]], v=signs[k, p[k]:], a=float(a[k]))
+            assert _hex(dense[k]) == _hex(dense_cov(lf))
+            assert _hex(inv[k]) == _hex(cov_inverse(lf))
+            assert _hex(det[k]) == _hex(cov_det(lf))
+            assert _hex(root[k]) == _hex(cov_sqrt_apply(lf, z[k]))
+            assert _hex(twice[k]) == _hex(cov_sqrt_apply(lf, cov_sqrt_apply(lf, z[k])))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 8), st.integers(2, 20), st.integers(0, 2**32 - 1))
+    def test_stacked_dot_matches_one_d_dot(self, m, d, seed):
+        # A stacked einsum or sum would round differently.
+        rng = np.random.default_rng(seed)
+        x, y = rng.standard_normal((2, m, d))
+        assert _hex(structured_cov._dot(x, y)) == _hex([float(x[k] @ y[k]) for k in range(m)])
+
+    def test_padded_blocks(self):
+        stack = CovStack(signs=[[1.0, -1.0, 1.0], [-1.0, 1.0, 1.0]], p=[1, 2], a=[0.1, 0.2])
+        up, vp = stack.padded
+        assert np.array_equal(up, [[1.0, 0.0, 0.0], [-1.0, 1.0, 0.0]])
+        assert np.array_equal(vp, [[0.0, -1.0, 1.0], [0.0, 0.0, 1.0]])
+        assert stack.q.tolist() == [2, 1]
+
+    @pytest.mark.parametrize("signs, p, a, error", [
+        ([[1.0, 0.5]], [1], [0.1], ValueError),  # not a sign
+        ([[1.0, 1.0]], [2], [0.1], ValueError),  # empty v
+        ([[1.0, 1.0, 1.0]], [1.5], [0.1], ValueError),
+        ([[1.0, 1.0]], [1], [-0.1], ValueError),
+        ([[1.0, 1.0], [1.0, -1.0]], [1, 1], [0.1, 1.0], SingularCovarianceError),
+        ([1.0, 1.0], [1], [0.1], ValueError),  # not a stack
+    ])
+    def test_rejects_invalid_members(self, signs, p, a, error):
+        with pytest.raises(error):
+            CovStack(signs=signs, p=p, a=a)
