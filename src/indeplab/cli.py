@@ -64,12 +64,23 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--beta", type=float, default=0.35)
         sp.add_argument("--kappa", type=float, default=1.0)
 
+    def signal(sp):
+        sp.add_argument("--b", type=float, help="signal constant; default select_b(kappa, alpha, beta)")
+
+    def monte_carlo(sp):
+        sp.add_argument("--trials", type=int, default=1000)
+        sp.add_argument("--perms", type=int, default=200)
+        sp.add_argument("--workers", type=int, default=1)
+
+    def grid(sp, n: float):
+        sp.add_argument("--grid-n", type=_parse_grid, default=[n])
+        sp.add_argument("--grid-p", type=_parse_grid, default=[10.0])
+        sp.add_argument("--grid-q", type=_parse_grid, default=[10.0])
+
     sp = sub.add_parser("bound", allow_abbrev=False, help="divergence and power bounds over a grid")
     common(sp)
-    sp.add_argument("--b", type=float, help="signal constant; default select_b(kappa, alpha, beta)")
-    sp.add_argument("--grid-n", type=_parse_grid, default=[100.0])
-    sp.add_argument("--grid-p", type=_parse_grid, default=[10.0])
-    sp.add_argument("--grid-q", type=_parse_grid, default=[10.0])
+    signal(sp)
+    grid(sp, 100.0)
 
     sp = sub.add_parser("verify", allow_abbrev=False, help="run the brute-force oracle suite")
     common(sp)
@@ -78,22 +89,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("power", allow_abbrev=False, help="Monte-Carlo level / power estimation")
     common(sp)
     sp.add_argument("--regime", choices=["null", "lf"], default="lf")
-    sp.add_argument("--b", type=float, help="signal constant; default select_b(kappa, alpha, beta)")
-    sp.add_argument("--trials", type=int, default=1000)
-    sp.add_argument("--perms", type=int, default=200)
-    sp.add_argument("--workers", type=int, default=1)
-    sp.add_argument("--grid-n", type=_parse_grid, default=[100.0])
-    sp.add_argument("--grid-p", type=_parse_grid, default=[10.0])
-    sp.add_argument("--grid-q", type=_parse_grid, default=[10.0])
+    signal(sp)
+    monte_carlo(sp)
+    grid(sp, 100.0)
 
     sp = sub.add_parser("phase", allow_abbrev=False, help="power curve over the dimensionless signal axis")
     common(sp)
-    sp.add_argument("--trials", type=int, default=1000)
-    sp.add_argument("--perms", type=int, default=200)
-    sp.add_argument("--workers", type=int, default=1)
-    sp.add_argument("--grid-n", type=_parse_grid, default=[200.0])
-    sp.add_argument("--grid-p", type=_parse_grid, default=[10.0])
-    sp.add_argument("--grid-q", type=_parse_grid, default=[10.0])
+    monte_carlo(sp)
+    grid(sp, 200.0)
     sp.add_argument("--grid-s", type=_parse_grid, default=[0.0, 1.0, 5.0, 25.0, 50.0])
 
     sp = sub.add_parser("divergence", allow_abbrev=False, help="single-point divergence report")
@@ -101,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--b", type=float, help="signal constant; default select_b(kappa, alpha, beta)")
+    signal(sp)
     return parser
 
 

@@ -39,19 +39,9 @@ def _row(name: str, closed: float, brute: float, tol: float, passed: bool | None
     }
 
 
-def _signs(rng: np.random.Generator, k: int) -> np.ndarray:
-    """k random signs; the same draws as ``rng.choice([-1.0, 1.0], k)``, faster.
-
-    Bounded ``integers`` takes one 32-bit word per value from the bit
-    generator's buffered stream, in order, so one call for several vectors,
-    sliced apart, draws the same signs as one call per vector.
-    """
-    return rng.integers(0, 2, size=k) * 2.0 - 1.0
-
-
 def _sign_quadruple(rng: np.random.Generator, p: int, q: int) -> tuple[np.ndarray, ...]:
     """Sign vectors u, g of length p and v, h of length q, in that order, from one draw."""
-    signs = _signs(rng, 2 * (p + q))
+    signs = sc.random_signs(rng, 2 * (p + q))
     return signs[:p], signs[p:2 * p], signs[2 * p:2 * p + q], signs[2 * p + q:]
 
 
@@ -122,7 +112,7 @@ def run_suite(seed: int = 0, inject_fault: bool = False) -> list[dict]:
     for _ in range(100):
         p, q = _sizes(rng, 11)
         a = float(rng.uniform(0.0, 0.95)) / math.sqrt(p * q)
-        draws.append((p, a, _signs(rng, p + q), rng.standard_normal(p + q)))
+        draws.append((p, a, sc.random_signs(rng, p + q), rng.standard_normal(p + q)))
     max_inv = max_det = max_sqrt = 0.0
     for d, idx in _groups([draw[3].size for draw in draws]):
         # Lists, not zip(*...): its short tuples of varying length would pile
@@ -144,7 +134,7 @@ def run_suite(seed: int = 0, inject_fault: bool = False) -> list[dict]:
     draws = []
     for _ in range(200):
         p, q = _sizes(rng, 7)
-        signs = _signs(rng, 2 * (p + q))  # u, g, v, h
+        signs = sc.random_signs(rng, 2 * (p + q))  # u, g, v, h
         a = float(rng.uniform(0.01, 0.5 / math.sqrt(p * q)))
         z = rng.standard_normal(p + q)
         draws.append((p, q, a, signs[:2 * p], z[:p], signs[2 * p:], z[p:]))

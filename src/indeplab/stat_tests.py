@@ -23,6 +23,7 @@ from .structured_cov import (
     Dataset,
     ProblemConfig,
     amplitude,
+    random_signs,
     sample_dataset,
     sample_direction,
 )
@@ -259,7 +260,7 @@ def _phase_data(rng: np.random.Generator, n: int, p: int, q: int, sigma: float) 
     # sigma (random sign per pair per trial), remaining coordinates standard
     # normal.  Cross-covariance Frobenius norm is sigma * sqrt(m); PD for any
     # sigma < 1, which reaches signal levels the rank-two sign family cannot.
-    signs = rng.integers(0, 2, size=m) * 2.0 - 1.0
+    signs = random_signs(rng, m)
     x = rng.standard_normal((n, p))
     y = rng.standard_normal((n, q))
     y[:, :m] = signs * sigma * x[:, :m] + math.sqrt(1.0 - sigma * sigma) * y[:, :m]

@@ -9,6 +9,10 @@ length-q sign vector (padded with zeros on the X block), and a > 0 a small
 amplitude.  Every entry of the implied cross-covariance block is +-a, so its
 Frobenius norm is a * sqrt(p*q).  The matrix is positive definite exactly
 when a^2 * p * q < 1.
+
+``CovStack`` is the one type for members of the family: with no leading axis
+it is one member, with a leading axis of length m a stack of m members of one
+size p + q.  ``LeastFavorableCov(u, v, a)`` builds one member from u and v.
 """
 
 from __future__ import annotations
@@ -52,94 +56,57 @@ class ProblemConfig:
 
 
 @dataclass(frozen=True)
-class LeastFavorableCov:
-    """One member of the sign-vector covariance family.
-
-    u, v are stored as their nonzero sign blocks (lengths p and q); the
-    zero-padding of the full (p+q)-vectors is purely notational.
-    """
-
-    u: np.ndarray
-    v: np.ndarray
-    a: float
-
-    def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
-        v = np.asarray(self.v, dtype=float)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        if u.ndim != 1 or v.ndim != 1 or u.size < 1 or v.size < 1:
-            raise ValueError("u and v must be nonempty 1-d arrays")
-        if not np.all(np.abs(u) == 1.0) or not np.all(np.abs(v) == 1.0):
-            raise ValueError("u and v entries must be exactly +-1")
-        if self.a < 0:
-            raise ValueError("amplitude a must be nonnegative")
-        if self.a**2 * self.p * self.q >= 1.0:
-            raise SingularCovarianceError(
-                f"a^2*p*q = {self.a**2 * self.p * self.q:.4g} >= 1: not positive definite"
-            )
-
-    @property
-    def p(self) -> int:
-        return self.u.size
-
-    @property
-    def q(self) -> int:
-        return self.v.size
-
-    @property
-    def cross_frobenius(self) -> float:
-        """Frobenius norm of the implied cross-covariance block, a*sqrt(pq)."""
-        return self.a * np.sqrt(self.p * self.q)
-
-    @cached_property
-    def padded(self) -> tuple[np.ndarray, np.ndarray]:
-        """Zero-padded (p+q)-vectors (u, 0) and (0, v)."""
-        return np.concatenate([self.u, np.zeros(self.q)]), np.concatenate([np.zeros(self.p), self.v])
-
-
-@dataclass(frozen=True)
 class CovStack:
-    """m members of the family that share the size d = p + q.
+    """One member of the family, or a stack of members of one size.
 
-    Row k of ``signs`` holds u_k followed by v_k, split after p[k] entries;
-    a holds the m amplitudes.  ``dense_cov``, ``cov_inverse``, ``cov_det``
-    and ``cov_sqrt_apply`` take a stack wherever they take one member and
-    return their results along a leading axis of length m, each member's
-    with the bits of its own call.
+    The last axis of ``signs`` holds u followed by v, split after p entries,
+    and a is the amplitude.  With no leading axis (signs of length d = p + q,
+    scalar p and a) it is one member; with a leading axis of length m it is m
+    members that share the size d, with p and a of length m.  ``dense_cov``,
+    ``cov_inverse``, ``cov_det`` and ``cov_sqrt_apply`` take either and return
+    a stack's results along the leading axis, each member's with the bits of
+    its own call.
     """
 
     signs: np.ndarray
-    p: np.ndarray
-    a: np.ndarray
+    p: int | np.ndarray
+    a: float | np.ndarray
 
     def __post_init__(self):
         signs = np.asarray(self.signs, dtype=float)
         p = np.asarray(self.p, dtype=float)  # exact, and cheaper against floats
         a = np.asarray(self.a, dtype=float)
-        object.__setattr__(self, "signs", signs)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "a", a)
-        if signs.ndim != 2 or p.shape != (len(signs),) or a.shape != p.shape:
-            raise ValueError("need m x d signs and m sizes p and amplitudes a")
+        if signs.ndim not in (1, 2) or p.shape != signs.shape[:-1] or a.shape != p.shape:
+            raise ValueError("need signs of length d, or m x d, and one size p and amplitude a per member")
+        p, a = p[()], a[()]  # one member's as scalars, which every closed form takes faster
         if not (np.abs(signs) == 1.0).all():
             raise ValueError("u and v entries must be exactly +-1")
-        if (p % 1).any() or (p < 1).any() or (self.q < 1).any():
+        q = signs.shape[-1] - p
+        if np.count_nonzero((p % 1 != 0) | (p < 1) | (q < 1)):
             raise ValueError("sizes p and q must be positive integers")
-        if (a < 0).any():
+        if np.count_nonzero(a < 0):
             raise ValueError("amplitude a must be nonnegative")
-        if (a**2 * p * self.q >= 1.0).any():
-            raise SingularCovarianceError("a^2*p*q >= 1 for some member: not positive definite")
+        if np.count_nonzero(a * a * p * q >= 1.0):
+            raise SingularCovarianceError("a^2*p*q >= 1: not positive definite")
+        object.__setattr__(self, "signs", signs)
+        object.__setattr__(self, "p", p if signs.ndim == 2 else int(p))  # one member's p can size arrays
+        object.__setattr__(self, "a", a)
 
     @cached_property
-    def q(self) -> np.ndarray:
-        return self.signs.shape[1] - self.p
+    def q(self) -> int | np.ndarray:
+        return self.signs.shape[-1] - self.p
 
     @cached_property
     def padded(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (m, d) stacks of zero-padded vectors (u, 0) and (0, v)."""
-        x_block = np.arange(self.signs.shape[1]) < self.p[:, None]
+        """Zero-padded vectors (u, 0) and (0, v), stacked like ``signs``."""
+        x_block = np.arange(self.signs.shape[-1]) < _last(self.p, 1)
         return np.where(x_block, self.signs, 0.0), np.where(x_block, 0.0, self.signs)
+
+
+def LeastFavorableCov(u: np.ndarray, v: np.ndarray, a: float) -> CovStack:
+    """One member of the family, a ``CovStack`` with no leading axis, from its
+    sign blocks u (length p) and v (length q)."""
+    return CovStack(signs=np.concatenate([u, v]), p=np.size(u), a=a)
 
 
 @dataclass(frozen=True)
@@ -184,11 +151,19 @@ def amplitude(n: int, p: int, q: int, b: float) -> float:
     return b / (np.sqrt(2.0 * n) * (p * q) ** 0.25)
 
 
-def sample_direction(p: int, q: int, rng: np.random.Generator, a: float = 0.0) -> LeastFavorableCov:
+def random_signs(rng: np.random.Generator, k: int) -> np.ndarray:
+    """k random signs; the same draws as ``rng.choice([-1.0, 1.0], k)``, faster.
+
+    Bounded ``integers`` takes one 32-bit word per value from the bit
+    generator's buffered stream, in order, so one call for several vectors,
+    sliced apart, draws the same signs as one call per vector.
+    """
+    return rng.integers(0, 2, size=k) * 2.0 - 1.0
+
+
+def sample_direction(p: int, q: int, rng: np.random.Generator, a: float = 0.0) -> CovStack:
     """Draw (u, v) uniformly over the 2^(p+q) sign patterns."""
-    u = rng.integers(0, 2, size=p) * 2.0 - 1.0
-    v = rng.integers(0, 2, size=q) * 2.0 - 1.0
-    return LeastFavorableCov(u=u, v=v, a=a)
+    return CovStack(signs=random_signs(rng, p + q), p=p, a=a)
 
 
 def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -201,13 +176,13 @@ def _last(x, axes: int) -> np.ndarray:
     return np.asarray(x).reshape(np.shape(x) + (1,) * axes)
 
 
-def dense_cov(lf: LeastFavorableCov | CovStack) -> np.ndarray:
+def dense_cov(lf: CovStack) -> np.ndarray:
     """Full (p+q) x (p+q) matrix I + a(uv' + vu')."""
     up, vp = lf.padded
     return np.eye(up.shape[-1]) + _last(lf.a, 2) * (_outer(up, vp) + _outer(vp, up))
 
 
-def cov_inverse(lf: LeastFavorableCov | CovStack) -> np.ndarray:
+def cov_inverse(lf: CovStack) -> np.ndarray:
     """Closed-form inverse via the Sherman-Morrison rank-two update.
 
     Sigma^-1 = I - a(vu' + uv' - a(p vv' + q uu')) / (1 - pq a^2).
@@ -220,12 +195,12 @@ def cov_inverse(lf: LeastFavorableCov | CovStack) -> np.ndarray:
     return np.eye(up.shape[-1]) - num / denom
 
 
-def cov_det(lf: LeastFavorableCov | CovStack) -> float | np.ndarray:
+def cov_det(lf: CovStack) -> float | np.ndarray:
     """det(Sigma_uv) = 1 - pq a^2 (Schur complement + Sylvester)."""
     return 1.0 - lf.p * lf.q * lf.a * lf.a
 
 
-def _sqrt_factors(lf: LeastFavorableCov | CovStack) -> tuple:
+def _sqrt_factors(lf: CovStack) -> tuple:
     """Eigenpairs of the rank-two perturbation.
 
     The perturbation a(uv'+vu') has eigenvalues +-a*sqrt(pq) with unit
@@ -247,7 +222,7 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
-def cov_sqrt_apply(lf: LeastFavorableCov | CovStack, z: np.ndarray) -> np.ndarray:
+def cov_sqrt_apply(lf: CovStack, z: np.ndarray) -> np.ndarray:
     """Apply the symmetric square root Sigma^(1/2) to z in O(p+q).
 
     Accepts a single vector of length p+q or a batch of shape (m, p+q); for a
@@ -265,7 +240,7 @@ def cov_sqrt_apply(lf: LeastFavorableCov | CovStack, z: np.ndarray) -> np.ndarra
 
 
 def sample_dataset(
-    lf: LeastFavorableCov | None,
+    lf: CovStack | None,
     n: int,
     rng: np.random.Generator,
     p: int | None = None,

@@ -133,6 +133,20 @@ class TestVerify:
         _, out, _ = run_cli(capsys, "verify", *argv)
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("argv, digest", [
+        ("power --regime lf --grid-n 40 --grid-p 3,7 --grid-q 2",
+         "ebec9f607270409437c85289466e3dacf256bc1c99d8b74c01031e76fb5a9c4c"),
+        ("power --regime null --grid-n 30 --grid-p 3 --grid-q 2",
+         "8c76af64bdb03d7618c7b187951e2d765e098d88515b64ccb1698af3a994d3dd"),
+        ("phase --grid-n 40 --grid-p 3 --grid-q 2 --grid-s 0,1,2",
+         "dd3158f93a41cb822fcca13f2d4a1738a15f3ea763ade2463d11c5c985bbb53b"),
+    ], ids=["power_lf", "power_null", "phase"])
+    def test_monte_carlo_golden_bytes(self, capsys, argv, digest):
+        # A change to the sign or data draws, or to the permutation test's
+        # stream, changes these bytes.
+        _, out, _ = run_cli(capsys, *argv.split(), "--trials", "40", "--perms", "39", "--seed", "5")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestPowerAndPhase:
     def test_null_regime_level(self, capsys):

@@ -111,6 +111,13 @@ def _b_edge(n, p, q):
     return math.sqrt(2.0 * n / math.sqrt(p * q))
 
 
+def _finite(n, p, q, b):
+    """The package's own condition for a finite chi2: 1 - a^2 pq > 0 at the
+    double a.  ``b < _b_edge`` in floats does not imply it."""
+    a = float(amplitude(n, p, q, b))
+    return 1.0 - a * a * p * q > 0.0
+
+
 def _takes_series(n, p, q, b):
     return divergence._moment_series(n, p, q, float(amplitude(n, p, q, b))) is not None
 
@@ -449,7 +456,7 @@ class TestGrid:
     @example(23, 1, 55, 749.0)
     def test_masks_drop_at_most_2_to_minus_71(self, n, p, q, exponent):
         b = _b_for_exponent(n, p, q, exponent)
-        assume(b < _b_edge(n, p, q) and not _takes_series(n, p, q, b))
+        assume(_finite(n, p, q, b) and not _takes_series(n, p, q, b))
         full = _full_grid_terms(n, p, q, b).ravel().tolist()
         assume(np.isfinite(full).all())
         try:
@@ -530,7 +537,7 @@ class TestGrid:
     @example(1000, 300, 300, 900.0, 16)
     def test_blocks_of_rows_keep_the_row_by_row_bits(self, n, p, q, exponent, tile):
         b = _b_for_exponent(n, p, q, exponent)
-        assume(b < _b_edge(n, p, q) and not _takes_series(n, p, q, b))
+        assume(_finite(n, p, q, b) and not _takes_series(n, p, q, b))
         a = float(amplitude(n, p, q, b))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(divergence, "TILE", tile)
@@ -589,6 +596,17 @@ class TestGrid:
         for b in (edge, edge * (1 + 1e-15), 2 * edge):
             with pytest.raises(DivergenceInfiniteError):
                 chi_square_exact(n, p, q, b)
+
+    @pytest.mark.parametrize("n,p,q,exponent", [
+        (42, 289, 101, 1478.1905503243904),  # 1 - a^2 pq = 0.0
+        (6, 281, 233, 224.0980699290061),  # 1 - a^2 pq = -4.4e-16
+    ])
+    def test_below_the_float_edge_yet_divergent(self, n, p, q, exponent):
+        # b < _b_edge in floats, but not at the double a: chi2 is infinite.
+        b = _b_for_exponent(n, p, q, exponent)
+        assert b < _b_edge(n, p, q) and not _finite(n, p, q, b)
+        with pytest.raises(DivergenceInfiniteError):
+            chi_square_exact(n, p, q, b)
 
     @pytest.mark.parametrize("p,q", [
         (TILE - 2, 5),  # TILE - 1 rows: one row of tiles

@@ -285,12 +285,12 @@ def test_mc_chi_square_replays_einsum_bits(n, p, q):
 
 
 def test_signs_draw_like_choice():
-    from indeplab.oracles_suite import _signs
+    from indeplab.structured_cov import random_signs
 
     for seed in range(50):
         for k in range(1, 12):
             r1, r2 = np.random.default_rng([seed, k]), np.random.default_rng([seed, k])
-            assert np.array_equal(_signs(r1, k), r2.choice([-1.0, 1.0], k))
+            assert np.array_equal(random_signs(r1, k), r2.choice([-1.0, 1.0], k))
             assert r1.random() == r2.random()
 
 

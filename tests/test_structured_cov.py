@@ -66,13 +66,27 @@ class TestProblemConfig:
 class TestSampleDirection:
     def test_signs_only(self):
         rng = np.random.default_rng(7)
-        lf = sample_direction(5, 3, rng)
-        assert set(np.abs(lf.u)) == {1.0} and set(np.abs(lf.v)) == {1.0}
+        lf = sample_direction(5, 3, rng, a=0.1)
+        assert lf.signs.shape == (8,) and set(np.abs(lf.signs)) == {1.0}
+        assert (lf.p, lf.q, lf.a) == (5, 3, 0.1)
 
     def test_deterministic(self):
         a = sample_direction(4, 4, np.random.default_rng(11))
         b = sample_direction(4, 4, np.random.default_rng(11))
-        assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
+        assert np.array_equal(a.signs, b.signs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 70), st.integers(1, 70), st.integers(0, 2**32 - 1))
+    def test_one_draw_matches_one_draw_per_block(self, p, q, seed):
+        # Frozen copy of the earlier sampler, which drew u and v in two calls:
+        # the one call for both takes the same signs and leaves the same state.
+        two_calls = np.random.default_rng(seed)
+        u = two_calls.integers(0, 2, size=p) * 2.0 - 1.0
+        v = two_calls.integers(0, 2, size=q) * 2.0 - 1.0
+        one_call = np.random.default_rng(seed)
+        lf = sample_direction(p, q, one_call)
+        assert np.array_equal(lf.signs, np.concatenate([u, v]))
+        assert one_call.bit_generator.state == two_calls.bit_generator.state
 
     def test_uniform_over_sign_patterns(self):
         # chi-square goodness of fit over the 2^(3+2)=32 patterns
@@ -81,7 +95,7 @@ class TestSampleDirection:
         counts = np.zeros(32)
         for _ in range(draws):
             lf = sample_direction(p, q, rng)
-            bits = np.concatenate([lf.u, lf.v]) > 0
+            bits = lf.signs > 0
             counts[int("".join("1" if x else "0" for x in bits), 2)] += 1
         expected = draws / 32
         chi2 = float(np.sum((counts - expected) ** 2 / expected))
@@ -232,7 +246,8 @@ class TestCovStack:
         root, twice = cov_sqrt_apply(stack, z), cov_sqrt_apply(stack, cov_sqrt_apply(stack, z))
         assert dense.shape == inv.shape == (m, d, d) and det.shape == (m,) and root.shape == (m, d)
         for k in range(m):
-            lf = LeastFavorableCov(u=signs[k, :p[k]], v=signs[k, p[k]:], a=float(a[k]))
+            lf = CovStack(signs=signs[k], p=p[k], a=a[k])  # one member: no leading axis
+            assert lf.signs.shape == (d,) and type(lf.p) is int and np.ndim(lf.a) == 0
             assert _hex(dense[k]) == _hex(dense_cov(lf))
             assert _hex(inv[k]) == _hex(cov_inverse(lf))
             assert _hex(det[k]) == _hex(cov_det(lf))
@@ -260,7 +275,9 @@ class TestCovStack:
         ([[1.0, 1.0, 1.0]], [1.5], [0.1], ValueError),
         ([[1.0, 1.0]], [1], [-0.1], ValueError),
         ([[1.0, 1.0], [1.0, -1.0]], [1, 1], [0.1, 1.0], SingularCovarianceError),
-        ([1.0, 1.0], [1], [0.1], ValueError),  # not a stack
+        ([1.0, 1.0], [1], [0.1], ValueError),  # one member's p is a scalar
+        ([[1.0, 1.0]], 1, 0.1, ValueError),  # a stack's p is one size per member
+        ([[[1.0, 1.0]]], [[1]], [[0.1]], ValueError),  # at most one leading axis
     ])
     def test_rejects_invalid_members(self, signs, p, a, error):
         with pytest.raises(error):
