@@ -54,6 +54,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -177,18 +178,19 @@ def _moments(d: int) -> Iterator[float]:
         yield sum(map(operator.mul, falling, row)) / d**k
 
 
-def _ratio_bound(n: int, p: int, q: int, a4pq: float, K: int) -> float:
+def _ratio_bound(n: int, p: int, q: int, a4pq: float, K: int, scale: int = 1) -> float:
     """R_K = max_{k>=K} r(k), where r(k) bounds the series' term ratio t_{k+1}/t_k.
 
     r(k) = a^4 pq (n+2k+1)(n+2k) / ((2k+2)(2k+1)) min(2k+1, p) min(2k+1, q)
     increases while 2k+1 <= min(p, q); between min(p, q) and max(p, q) it is
     a^4 pq min(p, q) (x + 2n - 3 + (n-1)(n-2)/x), x = 2k+2, convex in k; past
     max(p, q) it does not increase.  So its largest value at k >= K sits at K
-    or at an end of one of those three pieces.
+    or at an end of one of those three pieces.  With ``scale`` = n, a4pq holds
+    n^2 a^4 pq and each factor n + j enters as (n + j) / n.
     """
     def r(k: int) -> float:
-        return (a4pq * (n + 2 * k + 1) * (n + 2 * k) / ((2 * k + 2) * (2 * k + 1))
-                * min(2 * k + 1, p) * min(2 * k + 1, q))
+        return (a4pq * ((n + 2 * k + 1) / scale) * ((n + 2 * k) / scale)
+                / ((2 * k + 2) * (2 * k + 1)) * min(2 * k + 1, p) * min(2 * k + 1, q))
 
     ends = ((min(p, q) - 1) // 2, (max(p, q) - 1) // 2)
     return max(r(k) for k in (K, *ends, *(e + 1 for e in ends)) if k >= K)
@@ -196,17 +198,25 @@ def _ratio_bound(n: int, p: int, q: int, a4pq: float, K: int) -> float:
 
 def _moment_series(n: int, p: int, q: int, a: float) -> float | None:
     """chi2 from the moment series when its remainder is certified below 2^-60
-    of the partial sum within _MAX_TERMS terms, else None."""
-    a4pq = (a * a) ** 2 * p * q
+    of the partial sum within _MAX_TERMS terms, else None.
+
+    Below the normal range a^4 pq = b^4 / (4 n^2) loses bits, or all of them
+    (at b = 0.196 from n = 1.3e152 on, and all by n = 1e160 at p = q = 3), so
+    there the recurrence carries n^2 a^4 pq = b^4 / 4 and takes each factor
+    n + j as (n + j) / n.
+    """
+    a4pq, scale = (a * a) ** 2 * p * q, 1
+    if a4pq < sys.float_info.min:
+        a4pq, scale = (n * (a * a)) ** 2 * p * q, n
     # R_K does not increase with K, so this decides whether any K can pass.
-    if _ratio_bound(n, p, q, a4pq, _MAX_TERMS) >= 1.0:
+    if _ratio_bound(n, p, q, a4pq, _MAX_TERMS, scale) >= 1.0:
         return None
     coef, total = 1.0, 0.0  # coef = C(n+2k-1, 2k) (a^4 pq)^k
     for k, (m_p, m_q) in enumerate(zip(_moments(p), _moments(q)), start=1):
-        coef *= a4pq * (n + 2 * k - 1) * (n + 2 * k - 2) / (2 * k * (2 * k - 1))
+        coef *= a4pq * ((n + 2 * k - 1) / scale) * ((n + 2 * k - 2) / scale) / (2 * k * (2 * k - 1))
         term = coef * m_p * m_q
         total += term
-        ratio = _ratio_bound(n, p, q, a4pq, k)
+        ratio = _ratio_bound(n, p, q, a4pq, k, scale)
         if ratio < 1.0 and term * ratio / (1.0 - ratio) <= 2.0**-60 * total:
             return total
     return None
@@ -310,7 +320,7 @@ def chi_square_exact(n: int, p: int, q: int, b: float) -> float:
         raise ValueError("b must not be NaN")
     if b == 0.0:
         return 0.0
-    a = float(amplitude(n, p, q, b))
+    a = amplitude(n, p, q, b)
     if 1.0 - a * a * p * q <= 0.0:
         raise DivergenceInfiniteError(
             "1 - a^2 U V <= 0 at some support point: the integral diverges"

@@ -5,11 +5,10 @@ at tiny dimensions and reports the worst-case discrepancy.  Aggregate rows
 use closed_form = 0 as the target with brute_force holding the observed
 maximum error.
 
-Each randomized section draws all its configurations first, in one loop that
-makes the same generator calls in the same order as one check per
-configuration would, and then checks them in stacks: the production closed
-forms broadcast over a leading axis, and every inner product is a stacked
-``matmul``, so each configuration gets the bits of its own call.
+Each randomized section draws all its configurations at once, one generator
+call per kind (sizes, signs, amplitudes, z), each configuration's signs and z
+in fixed slots of which it uses the first p or q, and then checks them in
+stacks: the production closed forms broadcast over a leading axis.
 """
 
 from __future__ import annotations
@@ -39,15 +38,13 @@ def _row(name: str, closed: float, brute: float, tol: float, passed: bool | None
     }
 
 
-def _sign_quadruple(rng: np.random.Generator, p: int, q: int) -> tuple[np.ndarray, ...]:
-    """Sign vectors u, g of length p and v, h of length q, in that order, from one draw."""
-    signs = sc.random_signs(rng, 2 * (p + q))
-    return signs[:p], signs[p:2 * p], signs[2 * p:2 * p + q], signs[2 * p + q:]
-
-
-def _sizes(rng: np.random.Generator, high: int) -> tuple[int, int]:
-    """(p, q), each uniform on [1, high)."""
-    return int(rng.integers(1, high)), int(rng.integers(1, high))
+def _draw(rng: np.random.Generator, m: int, high: int, a_lo: float, a_hi: float, slots: tuple):
+    """m configurations, one generator call per kind: sizes p and q, each uniform
+    on [1, high); signs of shape (m, *slots); and the amplitude a, uniform on
+    [a_lo, a_hi / sqrt(pq))."""
+    p, q = rng.integers(1, high, size=(2, m))
+    signs = sc.random_signs(rng, m * math.prod(slots)).reshape(m, *slots)
+    return p, q, signs, rng.uniform(a_lo, a_hi / np.sqrt(p * q))
 
 
 def _groups(sizes) -> list[tuple[int, list[int]]]:
@@ -59,18 +56,6 @@ def _groups(sizes) -> list[tuple[int, list[int]]]:
     for i, k in enumerate(sizes):
         groups.setdefault(k, []).append(i)
     return sorted(groups.items())
-
-
-def _projections(pairs: list[np.ndarray], z: list[np.ndarray]) -> np.ndarray:
-    """(m, 2): s'z[i] and t'z[i] for each concatenated sign pair pairs[i] = (s, t).
-
-    Stacked per length of z[i], with the bits of the 1-d ``s @ z[i]``.
-    """
-    out = np.empty((len(z), 2))
-    for k, idx in _groups([zi.size for zi in z]):
-        s_t = np.array([pairs[i] for i in idx]).reshape(-1, 2, k)
-        out[idx] = sc._dot(s_t, np.array([z[i] for i in idx])[:, None])
-    return out
 
 
 def run_suite(seed: int = 0, inject_fault: bool = False) -> list[dict]:
@@ -86,63 +71,50 @@ def run_suite(seed: int = 0, inject_fault: bool = False) -> list[dict]:
                 rows.append(_row(f"chi2_enum_p{p}q{q}n{n}b{b:g}", closed, brute, 1e-12))
 
     # Eigenvalue closed form vs dense eigendecomposition; product identity.
-    draws = []
-    for _ in range(200):
-        p, q = _sizes(rng, 7)
-        u, g, v, h = _sign_quadruple(rng, p, q)
-        a = float(rng.uniform(0.01, 0.9 / math.sqrt(p * q)))
-        draws.append((p, q, u @ g, v @ h, a))
-    p, q, ug, vh, a = (np.array(col) for col in zip(*draws))
+    # Signs in slots (u, v), (g, h) of 6 each: u and g take the first p of
+    # theirs, v and h the first q.
+    p, q, signs, a = _draw(rng, 200, 7, 0.01, 0.9, (2, 2, 6))
+    in_block = np.arange(6) < np.stack([p, q], axis=-1)[..., None]
+    ug, vh = np.sum(signs[:, 0] * signs[:, 1] * in_block, axis=-1).T
     quad = dv.gamma_eigs(a, p, q, ug, vh)
     closed = np.sort(np.stack(quad.gammas, axis=-1), axis=-1)
     if inject_fault:
         closed = closed * (1.0 + 1e-3)
     numeric = oracles.gamma_numeric(p, q, ug, vh, a)
     max_eig_err = float(np.max(np.abs(closed - numeric)))
-    prods = np.prod(1.0 - quad.t[:, None] * closed, axis=-1).tolist()
-    ratios = ((1.0 - a * a * ug * vh) / (1.0 - a * a * p * q)).tolist()
-    # Squared one float at a time: libm's pow, as for a scalar, not numpy's x * x.
-    max_prod_err = max(abs(prod - r**2) / abs(r**2) for prod, r in zip(prods, ratios))
+    prods = np.prod(1.0 - quad.t[:, None] * closed, axis=-1)
+    target = ((1.0 - a * a * ug * vh) / (1.0 - a * a * p * q)) ** 2
+    max_prod_err = float(np.max(np.abs(prods - target) / np.abs(target)))
     rows.append(_row("gamma_eigs_max_abs_err", 0.0, max_eig_err, 1e-8))
     rows.append(_row("gamma_product_identity_max_rel_err", 0.0, max_prod_err, 1e-10))
 
     # Sherman-Morrison inverse, determinant, and square root vs dense oracles,
-    # on one stack of members per size d = p + q.
-    draws = []
-    for _ in range(100):
-        p, q = _sizes(rng, 11)
-        a = float(rng.uniform(0.0, 0.95)) / math.sqrt(p * q)
-        draws.append((p, a, sc.random_signs(rng, p + q), rng.standard_normal(p + q)))
+    # on one stack of members per size d = p + q, each with the signs (u, v)
+    # and z in the first d of its 20 slots.
+    p, q, signs, a = _draw(rng, 100, 11, 0.0, 0.95, (20,))
+    z = rng.standard_normal((100, 20))
     max_inv = max_det = max_sqrt = 0.0
-    for d, idx in _groups([draw[3].size for draw in draws]):
-        # Lists, not zip(*...): its short tuples of varying length would pile
-        # up in the interpreter's tuple free lists, call after call.
-        p, a, signs, z = (np.array([draws[i][c] for i in idx]) for c in range(4))
-        lf = sc.CovStack(signs=signs, p=p, a=a)
+    for d, idx in _groups((p + q).tolist()):
+        lf = sc.CovStack(signs=signs[idx, :d], p=p[idx], a=a[idx])
         dense = sc.dense_cov(lf)
         max_inv = max(max_inv, float(np.max(np.abs(dense @ sc.cov_inverse(lf) - np.eye(d)))))
         det = np.linalg.det(dense)
         max_det = max(max_det, float(np.max(np.abs(sc.cov_det(lf) - det) / np.abs(det))))
-        twice = sc.cov_sqrt_apply(lf, sc.cov_sqrt_apply(lf, z))
-        max_sqrt = max(max_sqrt, float(np.max(np.abs(twice - (dense @ z[..., None])[..., 0]))))
+        zd = z[idx, :d]
+        twice = sc.cov_sqrt_apply(lf, sc.cov_sqrt_apply(lf, zd))
+        max_sqrt = max(max_sqrt, float(np.max(np.abs(twice - (dense @ zd[..., None])[..., 0]))))
     rows.append(_row("sherman_morrison_inverse_max_abs_err", 0.0, max_inv, 1e-10))
     rows.append(_row("determinant_max_rel_err", 0.0, max_det, 1e-10))
     rows.append(_row("sqrt_composition_max_abs_err", 0.0, max_sqrt, 1e-10))
 
     # Quadratic-form reduction to the 4x4 representation, for all 200
-    # configurations at once.
-    draws = []
-    for _ in range(200):
-        p, q = _sizes(rng, 7)
-        signs = sc.random_signs(rng, 2 * (p + q))  # u, g, v, h
-        a = float(rng.uniform(0.01, 0.5 / math.sqrt(p * q)))
-        z = rng.standard_normal(p + q)
-        draws.append((p, q, a, signs[:2 * p], z[:p], signs[2 * p:], z[p:]))
-    p, q, a, ug, zx, vh, zy = zip(*draws)
-    chi = np.empty((len(draws), 4))  # u'z, v'z, g'z, h'z
-    chi[:, ::2] = _projections(ug, zx)
-    chi[:, 1::2] = _projections(vh, zy)
-    lhs, rhs = oracles.quad_form_pair(chi, np.array(p), np.array(q), np.array(a))
+    # configurations at once; signs in slots as for the eigenvalues, z's X and
+    # Y blocks in the first p and q of its two slots of 6.
+    p, q, signs, a = _draw(rng, 200, 7, 0.01, 0.5, (2, 2, 6))
+    in_block = np.arange(6) < np.stack([p, q], axis=-1)[..., None]
+    z = rng.standard_normal((200, 2, 6)) * in_block
+    chi = np.sum(signs * z[:, None], axis=-1).reshape(-1, 4)  # u'z, v'z, g'z, h'z
+    lhs, rhs = oracles.quad_form_pair(chi, p, q, a)
     rows.append(_row("quad_form_identity_max_abs_err", 0.0, float(np.max(np.abs(lhs - rhs))), 1e-10))
 
     # Hoeffding tail bound dominates the exact sign-sum tail.

@@ -11,7 +11,6 @@ uniform mixture alternative.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 from collections.abc import Iterator
@@ -62,10 +61,6 @@ class PowerEstimate:
     ci_high: float
     regime: str
     permutations: int  # permuted statistics evaluated over all trials
-
-    @property
-    def stderr(self) -> float:
-        return math.sqrt(self.estimate * (1.0 - self.estimate) / self.trials)
 
     @property
     def mean_permutations(self) -> float:
@@ -343,23 +338,22 @@ def phase_curve(
     the lower-bound experiments.
     """
     m = min(p, q)
-    out = []
-    for idx, s in enumerate(signal_grid):
+    points = []  # (generator, parameters) per s, all checked before any trial runs
+    for s in signal_grid:
         if s < 0:
             raise ValueError("signal values must be nonnegative")
-        sub_seed = seed + 1000003 * idx  # disjoint per-point streams
         if s == 0.0:
-            est = _estimate(_null_data, (n, p, q), trials, B, alpha, sub_seed, workers, "null")
-        else:
-            sigma_sq = s * math.sqrt(p * q) / (n * m)
-            if sigma_sq >= 1.0:
-                raise ValueError(
-                    f"s = {s:g} needs per-pair correlation^2 = {sigma_sq:.3g} >= 1: not attainable"
-                )
-            est = _estimate(_phase_data, (n, p, q, math.sqrt(sigma_sq)), trials, B, alpha,
-                            sub_seed, workers, "phase")
-        out.append((s, dataclasses.replace(est, regime=f"s={s:g}")))
-    return out
+            points.append((_null_data, (n, p, q)))
+            continue
+        sigma_sq = s * math.sqrt(p * q) / (n * m)
+        if sigma_sq >= 1.0:
+            raise ValueError(
+                f"s = {s:g} needs per-pair correlation^2 = {sigma_sq:.3g} >= 1: not attainable"
+            )
+        points.append((_phase_data, (n, p, q, math.sqrt(sigma_sq))))
+    # seed + 1000003 * idx: disjoint per-point streams.
+    return [(s, _estimate(generate, params, trials, B, alpha, seed + 1000003 * idx, workers, f"s={s:g}"))
+            for idx, (s, (generate, params)) in enumerate(zip(signal_grid, points))]
 
 
 def scenario_regression(spec: ScenarioSpec, n: int, rng: np.random.Generator) -> Dataset:

@@ -17,6 +17,7 @@ size p + q.  ``LeastFavorableCov(u, v, a)`` builds one member from u and v.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -148,7 +149,7 @@ def amplitude(n: int, p: int, q: int, b: float) -> float:
         raise ValueError("n, p, q must be positive")
     if b <= 0:
         raise ValueError("b must be positive")
-    return b / (np.sqrt(2.0 * n) * (p * q) ** 0.25)
+    return b / (math.sqrt(2.0 * n) * (p * q) ** 0.25)
 
 
 def random_signs(rng: np.random.Generator, k: int) -> np.ndarray:

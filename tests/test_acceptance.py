@@ -146,7 +146,7 @@ def test_criterion_7_theorem_surrogate():
     for (n, p, q) in [(100, 20, 20), (200, 50, 50)]:
         cfg = ProblemConfig(n=n, p=p, q=q, alpha=0.05, beta=0.35, kappa=1.0, b=b)
         est = estimate_avg_power(cfg, trials=1000, B=200, seed=70707)
-        cap = 0.35 + 3.0 * est.stderr
+        cap = 0.35 + 3.0 * math.sqrt(est.estimate * (1.0 - est.estimate) / est.trials)
         ok &= est.estimate <= cap
         details.append(f"({n},{p},{q}): {est.estimate:.3f} <= {cap:.3f}")
     report(7, ok, "; ".join(details))

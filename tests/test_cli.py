@@ -121,11 +121,11 @@ class TestVerify:
         assert any(r["pass"] == "False" for r in rows)
 
     @pytest.mark.parametrize("argv, digest", [
-        (["--seed", "0"], "abf57d872d24325de958a3342a0b8e197d75a188b18ee8230868ab0cd4a85c1e"),
-        (["--seed", "1"], "cf785f47de703caaa59d55e94f05801476ba984dee5ff58275da1ea94f27bc58"),
-        (["--seed", "2758"], "a0549d21add68b0a84dd1f29ceb8b7877f86f44455cd82897d074c6e89401685"),
-        (["--seed", "770799637690793716"], "7716aa3b680178fb2167e0bd62a1ab05b64c4a0486ea62a2c4a084b0ee506d25"),
-        (["--inject-fault"], "84808384d473a1590c96d7f69b7a39ea9fc7c820d6ab768e599fef0a24c002a3"),
+        (["--seed", "0"], "bdd5378664b2c1bb968da73c79e43f447d13c097b652473f310ac7f25d6c8945"),
+        (["--seed", "1"], "af33ec93d3fe5283f44ee7cd254b720a9fd76e90b147da4cd7b79683c8f8c986"),
+        (["--seed", "2758"], "927b48b91aaaa9dc03ba269d3e4711f7174155d18e3a22bdb2da8c04724520f0"),
+        (["--seed", "770799637690793716"], "c553dca8b0cb74ef8d65f2e589e1021c89497b91a65ad71c1b2420189382fd2a"),
+        (["--inject-fault"], "48a9f96ef2385f8aecee4a419a0308dabd69de37a79e9c2ace62397289098266"),
     ], ids=["seed0", "seed1", "seed2758", "seed_large", "inject_fault"])
     def test_golden_bytes(self, capsys, argv, digest):
         # A change to the oracle draws or to the enumeration's summation
@@ -235,7 +235,9 @@ class TestPowerAndPhase:
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         argv = ["--grid-n", "20", "--grid-p", "2", "--grid-q", "2", "--trials", "100", "--perms", "19",
                 "--workers", "2"]
-        code, out, _ = run_cli(capsys, command, *argv, *(["--regime", "null"] if command == "power" else []))
+        # phase's default grid reaches s = 25, not attainable at n = 20, p = q = 2.
+        extra = ["--regime", "null"] if command == "power" else ["--grid-s", "0,1"]
+        code, out, _ = run_cli(capsys, command, *argv, *extra)
         assert code == EXIT_NUMERIC
         _, rows = parse_csv(out)
         assert [(r["regime"], r["error"]) for r in rows] == [(regime, "a child process terminated abruptly")]
@@ -246,6 +248,18 @@ class TestPowerAndPhase:
         assert code == EXIT_NUMERIC
         _, rows = parse_csv(out)
         assert [(r["regime"], r["s_or_b"], r["error"]) for r in rows] == [("phase", "", "MemoryError")]
+
+    def test_phase_checks_every_signal_before_any_trial(self, capsys, monkeypatch):
+        # The default grid's s = 50 is not attainable at (40, 3, 2): its error
+        # row comes before the trials of s = 0, 1, 5 and 25 would run.
+        monkeypatch.setattr(stat_tests, "_estimate", _out_of_memory)
+        code, out, _ = run_cli(capsys, "phase", "--grid-n", "40", "--grid-p", "3", "--grid-q", "2",
+                               "--trials", "40", "--perms", "39", "--seed", "4")
+        assert code == EXIT_NUMERIC
+        _, rows = parse_csv(out)
+        assert [(r["regime"], r["error"]) for r in rows] == [
+            ("phase", "s = 50 needs per-pair correlation^2 = 1.53 >= 1: not attainable")
+        ]
 
     def test_seed_reproducibility(self, capsys):
         argv = ["power", "--regime", "null", "--grid-n", "20", "--grid-p", "2",
@@ -274,6 +288,22 @@ class TestDivergenceCommand:
         assert code == EXIT_NUMERIC
         assert out == "" and "overflows" in err
         assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+    # amplitude is a Python float: at b = 1e300, a^2 pq reads inf without
+    # numpy's overflow warning, and each command exits numeric.
+    @pytest.mark.parametrize("argv", [
+        ["divergence", "--n", "10", "--p", "3", "--q", "3"],
+        ["bound", "--grid-n", "10", "--grid-p", "3", "--grid-q", "3"],
+        ["power", "--regime", "lf", "--grid-n", "10", "--grid-p", "3", "--grid-q", "3", "--trials", "5",
+         "--perms", "19"],
+    ], ids=["divergence", "bound", "power_lf"])
+    def test_huge_b_exits_numeric(self, capsys, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, _ = run_cli(capsys, *argv, "--b", "1e300")
+        assert code == EXIT_NUMERIC
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 

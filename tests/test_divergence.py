@@ -251,12 +251,28 @@ class TestAccuracy:
         got = chi_square_exact(n, p, q, b)
         assert got > 0.0 and _rel_err(got, want) <= 1e-14
 
+    # At SELECT_B, a^4 pq is subnormal from n = 1.3e152 on and zero by
+    # n = 1e160, where chi2 once read 0.  As n grows chi2 tends to
+    # E[exp(c U V)] - 1, c = n a^2, within O(1/n).
+    @pytest.mark.parametrize("n", [10**150, 10**160, 10**300], ids=["1e150", "1e160", "1e300"])
+    def test_huge_n_against_the_limit(self, n):
+        mpmath = pytest.importorskip("mpmath")
+        p, q = 3, 3
+        with mpmath.workdps(40):
+            c = n * mpmath.mpf(amplitude(n, p, q, SELECT_B)) ** 2
+            limit = mpmath.fsum(math.comb(p, i) * math.comb(q, j) * mpmath.expm1(c * (p - 2 * i) * (q - 2 * j))
+                                for i in range(p + 1) for j in range(q + 1))
+        limit /= 2 ** (p + q)
+        assert _rel_err(chi_square_exact(n, p, q, SELECT_B), float(limit)) <= 1e-14
+
     # Points where the grid's terms cancel to rounding: chi2 is far below an
     # ulp of the largest term.  Found by a probe of 1,500 random points with b
-    # log-uniform in [1e-20, 0.1].
+    # log-uniform in [1e-20, 0.1].  At the last point a^4 pq = b^4 / (4 n^2)
+    # is subnormal; taken as such, it put chi2 off by 3.5e-13.
     @pytest.mark.parametrize("n,p,q,b", [
         (225, 284, 10, 4.38e-11), (255, 4, 304, 2.31306317231167e-09),
         (698, 267, 7, 1.811946219314848e-10), (96, 4, 333, 5.223739465341126e-18),
+        (1000, 3, 3, 1e-76),
     ])
     def test_tiny_b_against_the_referee(self, n, p, q, b):
         got = chi_square_exact(n, p, q, b)

@@ -175,25 +175,12 @@ def test_quad_form_identity_random():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 40), st.integers(2, 20), st.integers(0, 2**32 - 1))
 def test_quad_form_pair_stack_matches_single_calls(m, d, seed):
-    # The suite's stacked projections and one stacked quad_form_pair give
-    # each configuration the bits of 1-d dots and its own call.
-    from indeplab.oracles_suite import _projections
-
+    # One stacked quad_form_pair gives each configuration the bits of its own call.
     rng = np.random.default_rng(seed)
     p = rng.integers(1, d, size=m)
     q = d - p
     a = rng.uniform(0.0, 0.5, m) / np.sqrt(p * q)
-    signs = rng.integers(0, 2, size=(m, 2 * d)) * 2.0 - 1.0  # u, g, v, h
-    z = rng.standard_normal((m, d))
-    ug = [signs[k, :2 * p[k]] for k in range(m)]
-    vh = [signs[k, 2 * p[k]:] for k in range(m)]
-    chi = np.empty((m, 4))
-    chi[:, ::2] = _projections(ug, [z[k, :p[k]] for k in range(m)])
-    chi[:, 1::2] = _projections(vh, [z[k, p[k]:] for k in range(m)])
-    for k in range(m):
-        zx, zy = z[k, :p[k]], z[k, p[k]:]
-        dots = [ug[k][:p[k]] @ zx, vh[k][:q[k]] @ zy, ug[k][p[k]:] @ zx, vh[k][q[k]:] @ zy]
-        assert [x.hex() for x in chi[k].tolist()] == [float(x).hex() for x in dots]
+    chi = rng.standard_normal((m, 4))
     lhs, rhs = quad_form_pair(chi, p, q, a)
     single = [quad_form_pair(chi[k], int(p[k]), int(q[k]), float(a[k])) for k in range(m)]
     assert [x.hex() for x in lhs.tolist()] == [float(s[0]).hex() for s in single]
@@ -310,51 +297,47 @@ def _frozen_quad_form_pair(u, v, g, h, a, z):
 
 def _per_iteration_rows(seed, inject_fault):
     """The eigen, Sherman-Morrison, quadratic-form and Hoeffding sections of
-    ``run_suite`` as they were, one configuration per call and one draw per
-    number or vector: {row name: (brute_force, pass)}."""
+    ``run_suite`` one configuration per call: the suite's array draws, then
+    scalar or one-member calls on each configuration's slots:
+    {row name: (brute_force, pass)}."""
     from indeplab import structured_cov as sc
 
     rng = np.random.default_rng([seed, 0xFACADE])
+    P, Q = rng.integers(1, 7, size=(2, 200))
+    signs = sc.random_signs(rng, 200 * 24).reshape(200, 2, 2, 6)  # (u, v), (g, h)
+    A = rng.uniform(0.01, 0.9 / np.sqrt(P * Q))
     max_eig_err = max_prod_err = 0.0
-    for _ in range(200):
-        p = int(rng.integers(1, 7))
-        q = int(rng.integers(1, 7))
-        u = rng.choice([-1.0, 1.0], p)
-        g = rng.choice([-1.0, 1.0], p)
-        v = rng.choice([-1.0, 1.0], q)
-        h = rng.choice([-1.0, 1.0], q)
-        a = float(rng.uniform(0.01, 0.9 / math.sqrt(p * q)))
-        quad = gamma_eigs(a, p, q, int(u @ g), int(v @ h))
+    for p, q, s, a in zip(P.tolist(), Q.tolist(), signs, A.tolist()):
+        ug, vh = float(s[0, 0, :p] @ s[1, 0, :p]), float(s[0, 1, :q] @ s[1, 1, :q])
+        quad = gamma_eigs(a, p, q, ug, vh)
         closed = np.sort(np.array(quad.gammas))
         if inject_fault:
             closed = closed * (1.0 + 1e-3)
-        numeric = gamma_numeric(p, q, u @ g, v @ h, a)
+        numeric = gamma_numeric(p, q, ug, vh, a)
         max_eig_err = max(max_eig_err, float(np.max(np.abs(closed - numeric))))
         prod = float(np.prod(1.0 - quad.t * closed))
-        target = ((1.0 - a * a * (u @ g) * (v @ h)) / (1.0 - a * a * p * q)) ** 2
-        max_prod_err = max(max_prod_err, abs(prod - target) / abs(target))
+        r = (1.0 - a * a * ug * vh) / (1.0 - a * a * p * q)
+        max_prod_err = max(max_prod_err, abs(prod - r * r) / abs(r * r))
+    P, Q = rng.integers(1, 11, size=(2, 100))
+    signs = sc.random_signs(rng, 100 * 20).reshape(100, 20)
+    A = rng.uniform(0.0, 0.95 / np.sqrt(P * Q))
     max_inv = max_det = max_sqrt = 0.0
-    for _ in range(100):
-        p = int(rng.integers(1, 11))
-        q = int(rng.integers(1, 11))
-        a = float(rng.uniform(0.0, 0.95)) / math.sqrt(p * q)
-        lf = sc.LeastFavorableCov(u=rng.choice([-1.0, 1.0], p), v=rng.choice([-1.0, 1.0], q), a=a)
+    for p, q, s, a, z in zip(P.tolist(), Q.tolist(), signs, A.tolist(), rng.standard_normal((100, 20))):
+        d = p + q
+        lf = sc.LeastFavorableCov(u=s[:p], v=s[p:d], a=a)
         dense = sc.dense_cov(lf)
-        max_inv = max(max_inv, float(np.max(np.abs(dense @ sc.cov_inverse(lf) - np.eye(p + q)))))
+        max_inv = max(max_inv, float(np.max(np.abs(dense @ sc.cov_inverse(lf) - np.eye(d)))))
         det = np.linalg.det(dense)
         max_det = max(max_det, abs(sc.cov_det(lf) - det) / abs(det))
-        z = rng.standard_normal(p + q)
+        z = z[:d]
         max_sqrt = max(max_sqrt, float(np.max(np.abs(sc.cov_sqrt_apply(lf, sc.cov_sqrt_apply(lf, z)) - dense @ z))))
+    P, Q = rng.integers(1, 7, size=(2, 200))
+    signs = sc.random_signs(rng, 200 * 24).reshape(200, 2, 2, 6)
+    A = rng.uniform(0.01, 0.5 / np.sqrt(P * Q))
     max_quad = 0.0
-    for _ in range(200):
-        p = int(rng.integers(1, 7))
-        q = int(rng.integers(1, 7))
-        u = rng.choice([-1.0, 1.0], p)
-        g = rng.choice([-1.0, 1.0], p)
-        v = rng.choice([-1.0, 1.0], q)
-        h = rng.choice([-1.0, 1.0], q)
-        a = float(rng.uniform(0.01, 0.5 / math.sqrt(p * q)))
-        lhs, rhs = _frozen_quad_form_pair(u, v, g, h, a, rng.standard_normal(p + q))
+    for p, q, s, a, z in zip(P.tolist(), Q.tolist(), signs, A.tolist(), rng.standard_normal((200, 2, 6))):
+        u, v, g, h = s[0, 0, :p], s[0, 1, :q], s[1, 0, :p], s[1, 1, :q]
+        lhs, rhs = _frozen_quad_form_pair(u, v, g, h, a, np.concatenate([z[0, :p], z[1, :q]]))
         max_quad = max(max_quad, abs(lhs - rhs))
     worst = 0.0
     for (p, q) in [(3, 3), (5, 4), (6, 6)]:
@@ -383,3 +366,30 @@ def test_suite_batches_match_per_iteration_loops(seed, inject_fault):
     for name, (brute, passed) in _per_iteration_rows(seed, inject_fault).items():
         assert float(rows[name]["brute_force"]).hex() == float(brute).hex(), name
         assert rows[name]["pass"] == passed, name
+
+
+def test_suite_draws_each_kind_once_per_section(monkeypatch):
+    # Sizes, signs and amplitudes for each of the three randomized sections,
+    # and z for two of them: 11 generator calls, where one call per number or
+    # vector took 2,300.
+    from indeplab.oracles_suite import run_suite
+
+    calls = []
+    make = np.random.default_rng
+
+    class Counting:
+        def __init__(self, rng):
+            self._rng = rng
+
+        def __getattr__(self, name):
+            method = getattr(self._rng, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return method(*args, **kwargs)
+            return call
+
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: Counting(make(*args)))
+    run_suite(seed=0)
+    section = ["integers", "integers", "uniform"]  # sizes, signs, amplitudes
+    assert calls == section + section + ["standard_normal"] + section + ["standard_normal"]
