@@ -20,7 +20,6 @@ from .structured_cov import (
     CovStack,
     Dataset,
     LeastFavorableCov,
-    ProblemConfig,
     SingularCovarianceError,
     amplitude,
     cov_det,
@@ -32,7 +31,6 @@ from .structured_cov import (
 )
 from .stat_tests import (
     PowerEstimate,
-    ScenarioSpec,
     TestDecision,
     cross_cov_stat,
     estimate_avg_power,

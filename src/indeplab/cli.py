@@ -19,7 +19,7 @@ import math
 import sys
 
 from . import divergence as dv
-from .stat_tests import ProblemConfig, estimate_avg_power, estimate_level, phase_curve
+from .stat_tests import estimate_avg_power, estimate_level, phase_curve
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -185,7 +185,7 @@ def cmd_bound(args) -> int:
                    chi2_closed_bound=f"{rep.chi2_closed_bound:.12g}",
                    tv_upper=f"{rep.tv_upper:.12g}",
                    power_upper=f"{rep.power_upper:.12g}",
-                   pd_ok=rep.pd_ok, mgf_ok=rep.mgf_ok, b_caps_ok=rep.b_caps_ok, error="")
+                   pd_ok=rep.pd_ok, mgf_ok=rep.pd_ok, b_caps_ok=rep.b_caps_ok, error="")
         except (ValueError, ArithmeticError, MemoryError) as exc:
             had_error = True
             em.row(n=n, p=p, q=q, b=f"{b:.12g}", error=str(exc) or type(exc).__name__)
@@ -253,10 +253,12 @@ def cmd_power(args) -> int:
     b = _resolve_b(args) if args.regime == "lf" else 0.0
 
     def points(n, p, q):
-        cfg = ProblemConfig(n=n, p=p, q=q, alpha=args.alpha, beta=args.beta,
-                            b=b if args.regime == "lf" else None)
-        estimate = estimate_level if args.regime == "null" else estimate_avg_power
-        return [(f"{b:.12g}", estimate(cfg, args.trials, args.perms, args.seed, args.workers))]
+        mc = (args.trials, args.perms, args.seed, args.alpha, args.workers)
+        if args.regime == "null":
+            est = estimate_level(n, p, q, *mc)
+        else:
+            est = estimate_avg_power(n, p, q, b, *mc)
+        return [(f"{b:.12g}", est)]
 
     return _write_mc(args, "power: regime={a.regime} n={n} p={p} q={q}", points,
                      {"regime": args.regime, "s_or_b": f"{b:.12g}"})
@@ -284,7 +286,7 @@ def cmd_divergence(args) -> int:
     print(f"chi2_closed_bound={rep.chi2_closed_bound:.12g}")
     print(f"tv_upper={rep.tv_upper:.12g}")
     print(f"power_upper={rep.power_upper:.12g}")
-    print(f"pd_ok={rep.pd_ok} mgf_ok={rep.mgf_ok} b_caps_ok={rep.b_caps_ok}")
+    print(f"pd_ok={rep.pd_ok} mgf_ok={rep.pd_ok} b_caps_ok={rep.b_caps_ok}")
     return EXIT_OK
 
 

@@ -81,14 +81,14 @@ class DivergenceInfiniteError(ValueError):
 
 @dataclass(frozen=True)
 class DivergenceReport:
-    """Chi-square divergence with the full chain of derived bounds."""
+    """Chi-square divergence with the full chain of derived bounds.  ``pd_ok``
+    is ``mgf_validity``'s a^2 pq < 1, which decides MGF validity too."""
 
     chi2_exact: float
     chi2_closed_bound: float
     tv_upper: float
     power_upper: float
     pd_ok: bool
-    mgf_ok: bool
     b_caps_ok: bool
 
 
@@ -364,7 +364,7 @@ def minimax_power_upper(n: int, p: int, q: int, b: float, alpha: float) -> Diver
     distance is at most the chi-square divergence.
     """
     a = amplitude(n, p, q, b) if b > 0 else 0.0
-    pd_ok = mgf_validity(a, p, q)  # a^2 pq < 1 decides both flags
+    pd_ok = mgf_validity(a, p, q)
     b_caps_ok = 0.0 <= b < 1.0 / math.sqrt(LOG4)
     chi2 = chi_square_exact(n, p, q, b)
     closed = chi_square_closed_bound(b) if (b_caps_ok and b > 0) else (0.0 if b == 0 else math.inf)
@@ -375,7 +375,6 @@ def minimax_power_upper(n: int, p: int, q: int, b: float, alpha: float) -> Diver
         tv_upper=tv,
         power_upper=alpha + tv,
         pd_ok=pd_ok,
-        mgf_ok=pd_ok,
         b_caps_ok=b_caps_ok,
     )
 

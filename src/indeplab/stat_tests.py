@@ -20,7 +20,6 @@ import numpy as np
 
 from .structured_cov import (
     Dataset,
-    ProblemConfig,
     amplitude,
     random_signs,
     sample_dataset,
@@ -65,29 +64,6 @@ class PowerEstimate:
     @property
     def mean_permutations(self) -> float:
         return self.permutations / self.trials
-
-
-@dataclass(frozen=True)
-class ScenarioSpec:
-    """Linear-regression scenario for ``scenario_regression``; ``kind`` must
-    be ``"regression"``."""
-
-    kind: str
-    coefficients: np.ndarray | None = None
-    noise: float = 1.0
-    sigma_x: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.kind != "regression":
-            raise ValueError(f"unknown scenario kind {self.kind!r}")
-        if self.coefficients is None:
-            raise ValueError("regression scenario needs coefficients")
-        if self.noise <= 0:
-            raise ValueError("noise standard deviation must be positive")
-        if self.sigma_x is not None:
-            sx = np.asarray(self.sigma_x, float)
-            if np.any(np.linalg.eigvalsh(sx) <= 0):
-                raise ValueError("sigma_x must be positive definite")
 
 
 def _blocks(ds: Dataset, centered: bool) -> tuple[np.ndarray, np.ndarray, int]:
@@ -294,38 +270,43 @@ def _estimate(generate, params: tuple, trials: int, B: int, alpha: float, seed: 
     return PowerEstimate(trials, rej, rej / trials, lo, hi, regime, perms)
 
 
+def _check_problem(n: int, p: int, q: int, alpha: float) -> None:
+    """The estimators' shared check, made first; NaN fails it."""
+    if not (n >= 1 and p >= 1 and q >= 1):
+        raise ValueError(f"n, p, q must be positive integers, got {n}, {p}, {q}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0,1), got {alpha}")
+
+
 def estimate_level(
-    cfg: ProblemConfig, trials: int, B: int, seed: int, workers: int = 1
+    n: int, p: int, q: int, trials: int, B: int, seed: int, alpha: float = 0.05, workers: int = 1
 ) -> PowerEstimate:
     """Empirical type-I error over fresh null datasets."""
-    return _estimate(_null_data, (cfg.n, cfg.p, cfg.q), trials, B, cfg.alpha, seed, workers, "null")
+    _check_problem(n, p, q, alpha)
+    return _estimate(_null_data, (n, p, q), trials, B, alpha, seed, workers, "null")
 
 
 def estimate_avg_power(
-    cfg: ProblemConfig, trials: int, B: int, seed: int, workers: int = 1
+    n: int, p: int, q: int, b: float, trials: int, B: int, seed: int, alpha: float = 0.05,
+    workers: int = 1,
 ) -> PowerEstimate:
-    """Power against the sign-mixture alternative, fresh (u, v) per trial."""
-    if cfg.b is None:
-        raise ValueError("cfg.b required for the alternative regime")
-    if cfg.b == 0.0:
-        return estimate_level(cfg, trials, B, seed, workers)
-    a = amplitude(cfg.n, cfg.p, cfg.q, cfg.b)
-    if a * a * cfg.p * cfg.q >= 1.0:
+    """Power against the sign-mixture alternative at signal constant b, fresh
+    (u, v) per trial; b = 0 is the null."""
+    _check_problem(n, p, q, alpha)
+    if not b >= 0:
+        raise ValueError(f"b must be nonnegative, got {b}")
+    if b == 0.0:
+        return estimate_level(n, p, q, trials, B, seed, alpha, workers)
+    a = amplitude(n, p, q, b)
+    if a * a * p * q >= 1.0:
         raise ValueError("a^2 p q >= 1: alternative covariance not positive definite")
-    return _estimate(_lf_data, (cfg.n, cfg.p, cfg.q, a), trials, B, cfg.alpha, seed, workers,
-                     f"least_favorable(b={cfg.b:g})")
+    return _estimate(_lf_data, (n, p, q, a), trials, B, alpha, seed, workers,
+                     f"least_favorable(b={b:g})")
 
 
 def phase_curve(
-    n: int,
-    p: int,
-    q: int,
-    signal_grid: list[float],
-    trials: int,
-    B: int,
-    seed: int,
-    alpha: float = 0.05,
-    workers: int = 1,
+    n: int, p: int, q: int, signal_grid: list[float], trials: int, B: int, seed: int,
+    alpha: float = 0.05, workers: int = 1,
 ) -> list[tuple[float, PowerEstimate]]:
     """Power along the dimensionless signal axis s = n ||Sigma_XY||_F^2 / sqrt(pq).
 
@@ -337,10 +318,11 @@ def phase_curve(
     large s at all, which is why this generator differs from the one used for
     the lower-bound experiments.
     """
+    _check_problem(n, p, q, alpha)
     m = min(p, q)
     points = []  # (generator, parameters) per s, all checked before any trial runs
     for s in signal_grid:
-        if s < 0:
+        if not s >= 0:
             raise ValueError("signal values must be nonnegative")
         if s == 0.0:
             points.append((_null_data, (n, p, q)))
@@ -356,16 +338,23 @@ def phase_curve(
             for idx, (s, (generate, params)) in enumerate(zip(signal_grid, points))]
 
 
-def scenario_regression(spec: ScenarioSpec, n: int, rng: np.random.Generator) -> Dataset:
-    """Linear-model data: X ~ N(0, Sigma_X), Y = X beta + noise, q = 1."""
-    beta = np.asarray(spec.coefficients, float)
+def scenario_regression(
+    coefficients: np.ndarray, n: int, rng: np.random.Generator, noise: float = 1.0,
+    sigma_x: np.ndarray | None = None,
+) -> Dataset:
+    """Linear-model data: X ~ N(0, Sigma_X), Y = X beta + noise N(0, 1), q = 1;
+    Sigma_X is the identity when ``sigma_x`` is None."""
+    beta = np.asarray(coefficients, float)
     p = beta.size
-    if spec.sigma_x is None:
-        x = rng.standard_normal((n, p))
-    else:
-        sx = np.asarray(spec.sigma_x, float)
-        x = rng.standard_normal((n, p)) @ np.linalg.cholesky(sx).T
-    y = x @ beta + spec.noise * rng.standard_normal(n)
+    if not noise > 0:
+        raise ValueError(f"noise standard deviation must be positive, got {noise}")
+    sx = None if sigma_x is None else np.asarray(sigma_x, float)
+    if sx is not None and (sx.shape != (p, p) or not np.all(np.linalg.eigvalsh(sx) > 0)):
+        raise ValueError(f"sigma_x must be a positive definite {p} x {p} matrix")
+    x = rng.standard_normal((n, p))
+    if sx is not None:
+        x = x @ np.linalg.cholesky(sx).T
+    y = x @ beta + noise * rng.standard_normal(n)
     return Dataset(values=np.hstack([x, y[:, None]]), p=p, q=1)
 
 

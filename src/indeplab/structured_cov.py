@@ -29,34 +29,6 @@ class SingularCovarianceError(ValueError):
 
 
 @dataclass(frozen=True)
-class ProblemConfig:
-    """Dimensions and test-design parameters for one testing problem."""
-
-    n: int
-    p: int
-    q: int
-    alpha: float = 0.05
-    beta: float = 0.35
-    kappa: float | None = None
-    b: float | None = None
-
-    def __post_init__(self):
-        if self.n < 1 or self.p < 1 or self.q < 1:
-            raise ValueError("n, p, q must be positive integers")
-        if not (0.0 < self.alpha < self.beta < 1.0):
-            raise ValueError(f"need 0 < alpha < beta < 1, got alpha={self.alpha}, beta={self.beta}")
-        if self.kappa is not None:
-            if self.kappa <= 0:
-                raise ValueError("kappa must be positive")
-            if (self.p + self.q) / self.n > self.kappa:
-                raise ValueError(
-                    f"(p+q)/n = {(self.p + self.q) / self.n:.4g} exceeds kappa = {self.kappa}"
-                )
-        if self.b is not None and self.b < 0:
-            raise ValueError("b must be nonnegative")
-
-
-@dataclass(frozen=True)
 class CovStack:
     """One member of the family, or a stack of members of one size.
 

@@ -21,8 +21,6 @@ from indeplab.divergence import (
 )
 from indeplab.oracles import enumerate_chi_square, gamma_numeric, mc_chi_square
 from indeplab.stat_tests import (
-    ProblemConfig,
-    ScenarioSpec,
     estimate_avg_power,
     estimate_level,
     phase_curve,
@@ -131,8 +129,7 @@ def test_criterion_5_matrix_identities():
 
 def test_criterion_6_level_control():
     """Permutation type-I error over 2000 null trials inside the 99% Wilson band."""
-    cfg = ProblemConfig(n=50, p=5, q=5, alpha=0.05, beta=0.35)
-    est = estimate_level(cfg, trials=2000, B=200, seed=60601)
+    est = estimate_level(50, 5, 5, trials=2000, B=200, seed=60601, alpha=0.05)
     lo, hi = wilson_interval(est.rejections, est.trials, z=Z99)
     ok = lo <= 0.05 <= hi
     report(6, ok, f"empirical level {est.estimate:.4f}, 99% Wilson [{lo:.4f}, {hi:.4f}] contains 0.05")
@@ -144,8 +141,8 @@ def test_criterion_7_theorem_surrogate():
     details = []
     ok = True
     for (n, p, q) in [(100, 20, 20), (200, 50, 50)]:
-        cfg = ProblemConfig(n=n, p=p, q=q, alpha=0.05, beta=0.35, kappa=1.0, b=b)
-        est = estimate_avg_power(cfg, trials=1000, B=200, seed=70707)
+        assert (p + q) / n <= 1.0  # the theorem's regime at kappa = 1
+        est = estimate_avg_power(n, p, q, b, trials=1000, B=200, seed=70707, alpha=0.05)
         cap = 0.35 + 3.0 * math.sqrt(est.estimate * (1.0 - est.estimate) / est.trials)
         ok &= est.estimate <= cap
         details.append(f"({n},{p},{q}): {est.estimate:.3f} <= {cap:.3f}")
@@ -222,8 +219,7 @@ def test_criterion_9_scenario_moments():
             [0.0, 0.0, 0.1, 1.0],
         ]
     )
-    spec = ScenarioSpec(kind="regression", coefficients=beta, noise=0.8, sigma_x=sigma_x)
-    ds = scenario_regression(spec, n, rng)
+    ds = scenario_regression(beta, n, rng, noise=0.8, sigma_x=sigma_x)
     tol = 3.0 / math.sqrt(n)
     cross_err = float(np.max(np.abs(ds.x.T @ ds.y[:, 0] / n - sigma_x @ beta)))
     var_err = abs(float(np.var(ds.y)) - (0.64 + float(beta @ sigma_x @ beta)))

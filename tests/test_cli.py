@@ -62,7 +62,7 @@ class TestBound:
 
 
     def test_mgf_ok_at_the_pd_boundary(self, capsys):
-        # 1 - |a| sqrt(pq) is about 5e-9 here; mgf_ok is the same test as pd_ok.
+        # 1 - |a| sqrt(pq) is about 5e-9 here; the mgf_ok column repeats pd_ok.
         code, out, _ = run_cli(
             capsys, "bound", "--grid-n", "1", "--grid-p", "1", "--grid-q", "3", "--b", "1.07456992645"
         )
@@ -198,8 +198,8 @@ class TestPowerAndPhase:
         assert code == EXIT_OK
         _, rows = parse_csv(out)
         assert [(r["regime"], r["error"]) for r in rows] == [("s=0", ""), ("s=1", "")]
-        cfg = stat_tests.ProblemConfig(n=30, p=2, q=2, alpha=0.6, beta=0.7)
-        assert rows[0]["rejections"] == str(stat_tests.estimate_level(cfg, 5, 19, 0).rejections)
+        level = stat_tests.estimate_level(30, 2, 2, 5, 19, 0, alpha=0.6)
+        assert rows[0]["rejections"] == str(level.rejections)
 
     def test_memory_error_is_an_error_row(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "estimate_level", _out_of_memory)

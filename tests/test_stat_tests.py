@@ -14,8 +14,6 @@ from indeplab.stat_tests import (
     PERM_CHUNK,
     Dataset,
     PowerEstimate,
-    ProblemConfig,
-    ScenarioSpec,
     cross_cov_stat,
     estimate_avg_power,
     estimate_level,
@@ -250,8 +248,7 @@ class TestSequentialPermutationTest:
 
     def test_estimator_matches_full_tests_per_trial(self):
         # Same per-trial streams as the full test: rejections unchanged, fewer statistics.
-        cfg = ProblemConfig(n=30, p=3, q=3, alpha=0.1, beta=0.5)
-        est = estimate_level(cfg, trials=100, B=39, seed=7)
+        est = estimate_level(30, 3, 3, trials=100, B=39, seed=7, alpha=0.1)
         full = 0
         for i in range(100):
             rng = np.random.default_rng([7, i])
@@ -317,7 +314,7 @@ class TestKernel:
     def test_no_null_rejection_at_three_rows(self, p):
         # At n = 3 about one permuted statistic in six is the identity's,
         # which ties with the observed one, so no null trial rejects at 0.05.
-        est = estimate_level(ProblemConfig(n=3, p=p, q=1), trials=200, B=99, seed=11)
+        est = estimate_level(3, p, 1, trials=200, B=99, seed=11)
         assert est.rejections == 0
 
 
@@ -458,26 +455,49 @@ class TestWilson:
         assert hi == 1.0 and lo < 1.0
 
 
+def _no_trial(args):
+    raise AssertionError("a trial ran before the arguments were checked")
+
+
+# Each estimator at one valid setting of its own arguments, as a function of
+# the shared ones.
+_ESTIMATORS = {
+    "level": lambda n, p, q, alpha: estimate_level(n, p, q, 10, 19, 0, alpha=alpha),
+    "avg_power": lambda n, p, q, alpha: estimate_avg_power(n, p, q, 0.5, 10, 19, 0, alpha=alpha),
+    "phase": lambda n, p, q, alpha: phase_curve(n, p, q, [1.0], 10, 19, 0, alpha=alpha),
+}
+
+
+class TestArgumentCheck:
+    @pytest.mark.parametrize("estimator", list(_ESTIMATORS))
+    @pytest.mark.parametrize("n, p, q, alpha", [
+        (10, 0, 2, 0.05), (10, 2, 0, 0.05), (0, 2, 2, 0.05), (-3, 2, 2, 0.05),
+        (10, 2, 2, 0.0), (10, 2, 2, 1.0), (10, 2, 2, 1.5), (10, 2, 2, -0.1), (10, 2, 2, math.nan),
+    ])
+    def test_bad_problem_raises_before_any_trial(self, monkeypatch, estimator, n, p, q, alpha):
+        # phase_curve once divided by zero at p = 0, rejected every trial at
+        # alpha = 1.5 and failed inside a trial at alpha = NaN.
+        monkeypatch.setattr(stat_tests, "_trial", _no_trial)
+        with pytest.raises(ValueError):
+            _ESTIMATORS[estimator](n, p, q, alpha)
+
+
 class TestPowerEstimation:
     def test_level_near_alpha(self):
-        cfg = ProblemConfig(n=30, p=3, q=3, alpha=0.1, beta=0.5)
-        est = estimate_level(cfg, trials=400, B=39, seed=7)
+        est = estimate_level(30, 3, 3, trials=400, B=39, seed=7, alpha=0.1)
         se = math.sqrt(0.1 * 0.9 / 400)
         assert abs(est.estimate - 0.1) < 4 * se
         assert est.ci_low <= est.estimate <= est.ci_high
 
     def test_trials_floor(self):
         # The floor is one trial, as for every estimator; 50 trials run.
-        cfg = ProblemConfig(n=10, p=2, q=2)
         with pytest.raises(ValueError):
-            estimate_level(cfg, trials=0, B=39, seed=0)
-        assert estimate_level(cfg, trials=50, B=39, seed=0).trials == 50
+            estimate_level(10, 2, 2, trials=0, B=39, seed=0)
+        assert estimate_level(10, 2, 2, trials=50, B=39, seed=0).trials == 50
 
     def test_avg_power_zero_signal_reduces_to_level(self):
-        cfg0 = ProblemConfig(n=30, p=3, q=3, alpha=0.1, beta=0.5, b=0.0)
-        cfg1 = ProblemConfig(n=30, p=3, q=3, alpha=0.1, beta=0.5)
-        a = estimate_avg_power(cfg0, trials=200, B=39, seed=13)
-        b = estimate_level(cfg1, trials=200, B=39, seed=13)
+        a = estimate_avg_power(30, 3, 3, 0.0, trials=200, B=39, seed=13, alpha=0.1)
+        b = estimate_level(30, 3, 3, trials=200, B=39, seed=13, alpha=0.1)
         assert a.rejections == b.rejections
 
     def test_strong_signal_high_power(self):
@@ -485,15 +505,17 @@ class TestPowerEstimation:
         curve = phase_curve(200, 10, 10, [50.0], trials=150, B=99, seed=3)
         assert curve[0][1].estimate >= 0.9
 
-    def test_avg_power_rejects_non_pd_signal(self):
-        cfg = ProblemConfig(n=200, p=10, q=10, alpha=0.05, beta=0.35, b=10.0)
+    @pytest.mark.parametrize("b", [10.0, -0.5, math.nan])
+    def test_avg_power_rejects_non_pd_signal(self, monkeypatch, b):
+        # b = 10 is not positive definite at (200, 10, 10); a NaN b once
+        # reached a trial and failed on its non-finite data.
+        monkeypatch.setattr(stat_tests, "_trial", _no_trial)
         with pytest.raises(ValueError):
-            estimate_avg_power(cfg, trials=100, B=39, seed=0)
+            estimate_avg_power(200, 10, 10, b, trials=100, B=39, seed=0)
 
     def test_determinism_across_worker_counts(self):
-        cfg = ProblemConfig(n=20, p=2, q=2, alpha=0.1, beta=0.5, b=0.3)
-        serial = estimate_avg_power(cfg, trials=120, B=39, seed=41, workers=1)
-        parallel = estimate_avg_power(cfg, trials=120, B=39, seed=41, workers=2)
+        serial = estimate_avg_power(20, 2, 2, 0.3, trials=120, B=39, seed=41, alpha=0.1, workers=1)
+        parallel = estimate_avg_power(20, 2, 2, 0.3, trials=120, B=39, seed=41, alpha=0.1, workers=2)
         assert serial == parallel
 
 
@@ -512,9 +534,13 @@ class TestPhaseCurve:
             assert hi >= lo - 0.08
         assert estimates[-1] > 0.9
 
-    def test_rejects_negative_signal(self):
-        with pytest.raises(ValueError):
-            phase_curve(50, 2, 2, [-1.0], trials=100, B=39, seed=0)
+    @pytest.mark.parametrize("grid", [[-1.0], [0.0, math.nan], [0.0, -math.inf]])
+    def test_rejects_negative_signal(self, monkeypatch, grid):
+        # Every s is checked before any trial: a NaN once ran all of s = 0
+        # first, then failed inside a trial on non-finite data.
+        monkeypatch.setattr(stat_tests, "_trial", _no_trial)
+        with pytest.raises(ValueError, match="nonnegative"):
+            phase_curve(50, 2, 2, grid, trials=100, B=39, seed=0)
 
     def test_rejects_unattainable_signal(self):
         # sigma^2 = s sqrt(pq) / (n min(p,q)) >= 1
@@ -524,26 +550,32 @@ class TestPhaseCurve:
 
 class TestScenarios:
     def test_regression_null_when_beta_zero(self):
-        spec = ScenarioSpec(kind="regression", coefficients=np.zeros(3))
         rng = np.random.default_rng(0)
         rejections = sum(
-            permutation_test(scenario_regression(spec, 40, rng), 39, 0.1, rng, centered=True).reject
+            permutation_test(scenario_regression(np.zeros(3), 40, rng), 39, 0.1, rng, centered=True).reject
             for _ in range(300)
         )
         assert rejections / 300 <= 0.1 + 3 * math.sqrt(0.1 * 0.9 / 300)
 
     def test_regression_cross_covariance(self):
         beta = np.array([0.5, -0.25, 0.0, 1.0])
-        spec = ScenarioSpec(kind="regression", coefficients=beta, noise=0.7)
-        ds = scenario_regression(spec, 100_000, np.random.default_rng(8))
+        ds = scenario_regression(beta, 100_000, np.random.default_rng(8), noise=0.7)
         emp = (ds.x.T @ ds.y[:, 0]) / ds.n
         assert np.max(np.abs(emp - beta)) < 3.0 / math.sqrt(ds.n) * 2
         var_y = float(np.var(ds.y))
         assert var_y == pytest.approx(0.49 + float(beta @ beta), rel=0.05)
 
-    def test_regression_validates_sigma_x(self):
+    @pytest.mark.parametrize("kwargs", [
+        {"sigma_x": -np.eye(2)}, {"sigma_x": np.diag([1.0, 0.0])}, {"sigma_x": np.full((2, 2), np.nan)},
+        {"sigma_x": np.eye(3)}, {"noise": 0.0}, {"noise": -1.0}, {"noise": math.nan},
+    ], ids=["neg_sigma_x", "singular_sigma_x", "nan_sigma_x", "wrong_size_sigma_x", "zero_noise",
+            "neg_noise", "nan_noise"])
+    def test_regression_validates_before_drawing(self, kwargs):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
         with pytest.raises(ValueError):
-            ScenarioSpec(kind="regression", coefficients=np.ones(2), sigma_x=-np.eye(2))
+            scenario_regression(np.ones(2), 10, rng, **kwargs)
+        assert rng.bit_generator.state == state
 
     def test_two_sample_cross_covariance(self):
         mu1 = np.array([0.5, 0.0, -0.3])
@@ -565,7 +597,3 @@ class TestScenarios:
     def test_two_sample_length_mismatch(self):
         with pytest.raises(ValueError):
             scenario_two_sample(np.ones(2), np.ones(3), 10, np.random.default_rng(0))
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            ScenarioSpec(kind="mystery")

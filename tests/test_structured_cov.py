@@ -8,7 +8,6 @@ from indeplab.structured_cov import (
     CovStack,
     Dataset,
     LeastFavorableCov,
-    ProblemConfig,
     SingularCovarianceError,
     amplitude,
     cov_det,
@@ -50,17 +49,6 @@ class TestAmplitude:
     def test_rejects_nonpositive(self, bad):
         with pytest.raises(ValueError):
             amplitude(*bad)
-
-
-class TestProblemConfig:
-    def test_alpha_beta_ordering(self):
-        with pytest.raises(ValueError):
-            ProblemConfig(n=10, p=2, q=2, alpha=0.4, beta=0.3)
-
-    def test_kappa_cap(self):
-        with pytest.raises(ValueError):
-            ProblemConfig(n=10, p=20, q=20, kappa=1.0)
-        ProblemConfig(n=40, p=20, q=20, kappa=1.0)  # boundary allowed
 
 
 class TestSampleDirection:
