@@ -269,9 +269,7 @@ def enumerate_uv_tail(p: int, q: int, threshold):
     return tails[0] if np.ndim(threshold) == 0 else np.array(tails)
 
 
-def permuted_stats_loop(
-    ds: Dataset, B: int, rng: np.random.Generator, centered: bool = False
-) -> np.ndarray:
+def permuted_stats_loop(ds: Dataset, B: int, rng: np.random.Generator) -> np.ndarray:
     """The B permuted cross-covariance statistics, one product per permutation.
 
     Reference for the chunked kernel ``stat_tests._stat_chunks``: one
@@ -282,14 +280,8 @@ def permuted_stats_loop(
     """
     x, y = ds.x, ds.y
     n = ds.n
-    if centered:
-        x = x - x.mean(axis=0)
-        y = y - y.mean(axis=0)
-        denom = n - 1
-    else:
-        denom = n
     out = np.empty(B)
     for i in range(B):
-        cross = (x.T @ y[rng.permutation(n)]) / denom
+        cross = (x.T @ y[rng.permutation(n)]) / n
         out[i] = float(np.sum(cross * cross))
     return out

@@ -1,7 +1,8 @@
 """Permutation-calibrated cross-covariance tests and power experiments.
 
-The statistic is the squared Frobenius norm of the empirical cross-covariance
-between the X and Y blocks, calibrated by permuting the Y rows.  One kernel,
+The statistic is the squared Frobenius norm ||X'Y / n||_F^2 of the empirical
+cross-covariance between the mean-zero X and Y blocks, calibrated by
+permuting the Y rows.  One kernel,
 ``_stats``, computes it for a stack of row permutations of Y; the observed
 statistic is the identity permutation's row of the test's first product, so
 that a drawn identity permutation ties with it exactly.  Power experiments
@@ -21,6 +22,7 @@ import numpy as np
 from .structured_cov import (
     Dataset,
     amplitude,
+    positive_definite,
     random_signs,
     sample_dataset,
     sample_direction,
@@ -66,39 +68,26 @@ class PowerEstimate:
         return self.permutations / self.trials
 
 
-def _blocks(ds: Dataset, centered: bool) -> tuple[np.ndarray, np.ndarray, int]:
-    """X and Y blocks and the divisor of the cross-covariance X'Y / divisor.
-
-    Uncentered: the raw blocks and n (population mean known to be zero).
-    Centered: column-centred blocks and n - 1.
-    """
-    n = ds.n
-    if not centered:
-        return ds.x, ds.y, n
-    if n < 2:
-        raise ValueError("centered statistic requires n >= 2")
-    return ds.x - ds.x.mean(axis=0), ds.y - ds.y.mean(axis=0), n - 1
-
-
-def _stats(xt: np.ndarray, y: np.ndarray, rows: np.ndarray, divisor: int) -> np.ndarray:
+def _stats(xt: np.ndarray, y: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The statistic at each row permutation of Y in ``rows`` (k x n): one
-    stacked product of X' with the gathered rows, then an in-place divide and
-    square and one sum per permutation.  The statistic's one implementation."""
+    stacked product of X' with the gathered rows, then an in-place divide by
+    n and square and one sum per permutation.  The statistic's one
+    implementation."""
     cross = np.matmul(xt, y.take(rows, axis=0))
-    cross /= divisor
+    cross /= rows.shape[1]
     cross *= cross
     return np.add.reduce(cross.reshape(len(rows), -1), axis=1)
 
 
-def cross_cov_stat(ds: Dataset, centered: bool = False) -> float:
-    """Squared Frobenius norm of the empirical cross-covariance (see ``_blocks``).
+def cross_cov_stat(ds: Dataset) -> float:
+    """Squared Frobenius norm ||X'Y / n||_F^2 of the empirical cross-covariance
+    of mean-zero X and Y.
 
     The kernel ``_stats`` at the identity permutation, so it equals bit for
     bit the observed statistic that ``permutation_test`` reads off its first
     product.
     """
-    x, y, divisor = _blocks(ds, centered)
-    return float(_stats(x.T, y, np.arange(ds.n)[None], divisor)[0])
+    return float(_stats(ds.x.T, ds.y, np.arange(ds.n)[None])[0])
 
 
 def rejection_limit(B: int, alpha: float) -> int:
@@ -123,9 +112,7 @@ def perm_chunk_size(n: int, p: int, q: int) -> int:
     return max(1, min(PERM_CHUNK, PERM_BUFFER_BYTES // per_perm - 1))
 
 
-def _stat_chunks(
-    ds: Dataset, B: int, rng: np.random.Generator, centered: bool
-) -> Iterator[np.ndarray]:
+def _stat_chunks(ds: Dataset, B: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
     """The observed statistic and the B permuted ones, one array per product.
 
     The first array leads with the identity permutation's row: the observed
@@ -138,9 +125,7 @@ def _stat_chunks(
     remaining draws unmade.  Each permuted statistic is bitwise equal to the
     one-product-per-permutation loop (``oracles.permuted_stats_loop``).
     """
-    # Row permutation leaves column means unchanged, so center once.
-    x, y, divisor = _blocks(ds, centered)
-    xt = x.T
+    xt, y = ds.x.T, ds.y
     n = ds.n
     chunk = perm_chunk_size(n, ds.p, ds.q)
     identity = np.arange(n)
@@ -151,7 +136,7 @@ def _stat_chunks(
         perms = rows[1:1 + min(chunk, B - start)]
         perms[...] = identity
         rng.permuted(perms, axis=1, out=perms)
-        yield _stats(xt, y, rows[head:1 + len(perms)], divisor)
+        yield _stats(xt, y, rows[head:1 + len(perms)])
         head = 1
 
 
@@ -160,7 +145,6 @@ def permutation_test(
     B: int,
     alpha: float,
     rng: np.random.Generator,
-    centered: bool = False,
     stop_early: bool = False,
 ) -> TestDecision:
     """Permutation calibration: permute Y rows B times, X fixed.
@@ -176,7 +160,7 @@ def permutation_test(
     if B < 19:
         raise ValueError("need at least 19 permutations")
     limit = rejection_limit(B, alpha)
-    chunks = _stat_chunks(ds, B, rng, centered)
+    chunks = _stat_chunks(ds, B, rng)
     observed = None
     count = 0
     done = 0
@@ -187,7 +171,7 @@ def permutation_test(
         count += int(np.count_nonzero(stats >= observed))
         done += len(stats)
     if observed is None:  # decided before the first product
-        observed = cross_cov_stat(ds, centered)
+        observed = cross_cov_stat(ds)
     if stop_early:
         return TestDecision(statistic=observed, p_value=math.nan, reject=count <= limit, permutations=done)
     p_value = (1 + count) / (B + 1)
@@ -270,10 +254,13 @@ def _estimate(generate, params: tuple, trials: int, B: int, alpha: float, seed: 
     return PowerEstimate(trials, rej, rej / trials, lo, hi, regime, perms)
 
 
-def _check_problem(n: int, p: int, q: int, alpha: float) -> None:
-    """The estimators' shared check, made first; NaN fails it."""
+def _check_problem(n: int, p: int, q: int, B: int, alpha: float) -> None:
+    """The estimators' shared check, made before any dataset or process pool;
+    NaN fails it."""
     if not (n >= 1 and p >= 1 and q >= 1):
         raise ValueError(f"n, p, q must be positive integers, got {n}, {p}, {q}")
+    if not B >= 19:
+        raise ValueError("need at least 19 permutations")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0,1), got {alpha}")
 
@@ -282,7 +269,7 @@ def estimate_level(
     n: int, p: int, q: int, trials: int, B: int, seed: int, alpha: float = 0.05, workers: int = 1
 ) -> PowerEstimate:
     """Empirical type-I error over fresh null datasets."""
-    _check_problem(n, p, q, alpha)
+    _check_problem(n, p, q, B, alpha)
     return _estimate(_null_data, (n, p, q), trials, B, alpha, seed, workers, "null")
 
 
@@ -292,13 +279,13 @@ def estimate_avg_power(
 ) -> PowerEstimate:
     """Power against the sign-mixture alternative at signal constant b, fresh
     (u, v) per trial; b = 0 is the null."""
-    _check_problem(n, p, q, alpha)
+    _check_problem(n, p, q, B, alpha)
     if not b >= 0:
         raise ValueError(f"b must be nonnegative, got {b}")
     if b == 0.0:
-        return estimate_level(n, p, q, trials, B, seed, alpha, workers)
+        return _estimate(_null_data, (n, p, q), trials, B, alpha, seed, workers, "null")
     a = amplitude(n, p, q, b)
-    if a * a * p * q >= 1.0:
+    if not positive_definite(p, q, a):
         raise ValueError("a^2 p q >= 1: alternative covariance not positive definite")
     return _estimate(_lf_data, (n, p, q, a), trials, B, alpha, seed, workers,
                      f"least_favorable(b={b:g})")
@@ -318,7 +305,7 @@ def phase_curve(
     large s at all, which is why this generator differs from the one used for
     the lower-bound experiments.
     """
-    _check_problem(n, p, q, alpha)
+    _check_problem(n, p, q, B, alpha)
     m = min(p, q)
     points = []  # (generator, parameters) per s, all checked before any trial runs
     for s in signal_grid:

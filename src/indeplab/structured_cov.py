@@ -8,7 +8,10 @@ where u is a length-p sign vector (padded with zeros on the Y block), v a
 length-q sign vector (padded with zeros on the X block), and a > 0 a small
 amplitude.  Every entry of the implied cross-covariance block is +-a, so its
 Frobenius norm is a * sqrt(p*q).  The matrix is positive definite exactly
-when a^2 * p * q < 1.
+when a^2 * p * q < 1.  In floating point ``positive_definite`` decides it,
+from the smallest eigenvalue and the determinant as ``cov_sqrt_apply`` and
+``cov_inverse`` compute them, so every member ``CovStack`` accepts has a
+finite square root and inverse.
 
 ``CovStack`` is the one type for members of the family: with no leading axis
 it is one member, with a leading axis of length m a stack of m members of one
@@ -25,7 +28,7 @@ import numpy as np
 
 
 class SingularCovarianceError(ValueError):
-    """Raised when a^2 * p * q >= 1 and the family member is not PD."""
+    """Raised when a member fails ``positive_definite``."""
 
 
 @dataclass(frozen=True)
@@ -59,7 +62,7 @@ class CovStack:
             raise ValueError("sizes p and q must be positive integers")
         if np.count_nonzero(a < 0):
             raise ValueError("amplitude a must be nonnegative")
-        if np.count_nonzero(a * a * p * q >= 1.0):
+        if not positive_definite(p, q, a).all():
             raise SingularCovarianceError("a^2*p*q >= 1: not positive definite")
         object.__setattr__(self, "signs", signs)
         object.__setattr__(self, "p", p if signs.ndim == 2 else int(p))  # one member's p can size arrays
@@ -74,6 +77,14 @@ class CovStack:
         """Zero-padded vectors (u, 0) and (0, v), stacked like ``signs``."""
         x_block = np.arange(self.signs.shape[-1]) < _last(self.p, 1)
         return np.where(x_block, self.signs, 0.0), np.where(x_block, 0.0, self.signs)
+
+
+def positive_definite(p, q, a) -> bool | np.ndarray:
+    """Whether members of sizes p, q and amplitude a are positive definite: the
+    smallest eigenvalue 1 - a sqrt(pq) and the determinant 1 - pq a^2, each in
+    the expression ``_sqrt_factors`` and ``cov_det`` evaluate, are positive.
+    NaN fails."""
+    return (1.0 - a * np.sqrt(p * q) > 0.0) & (1.0 - p * q * a * a > 0.0)
 
 
 def LeastFavorableCov(u: np.ndarray, v: np.ndarray, a: float) -> CovStack:
@@ -161,8 +172,6 @@ def cov_inverse(lf: CovStack) -> np.ndarray:
     Sigma^-1 = I - a(vu' + uv' - a(p vv' + q uu')) / (1 - pq a^2).
     """
     p, q, a, denom = (_last(x, 2) for x in (lf.p, lf.q, lf.a, cov_det(lf)))
-    if (denom <= 0).any():
-        raise SingularCovarianceError("a^2*p*q >= 1: inverse undefined")
     up, vp = lf.padded
     num = a * (_outer(vp, up) + _outer(up, vp) - a * (p * _outer(vp, vp) + q * _outer(up, up)))
     return np.eye(up.shape[-1]) - num / denom
@@ -202,8 +211,6 @@ def cov_sqrt_apply(lf: CovStack, z: np.ndarray) -> np.ndarray:
     ``CovStack`` of m members, z holds one vector per member, shape (m, p+q).
     """
     lam_plus, lam_minus, w_plus, w_minus = _sqrt_factors(lf)
-    if (lam_minus <= 0).any():
-        raise SingularCovarianceError("smallest eigenvalue <= 0: square root undefined")
     z = np.asarray(z, dtype=float)
     cp = np.sqrt(lam_plus) - 1.0
     cm = np.sqrt(lam_minus) - 1.0

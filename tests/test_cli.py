@@ -140,7 +140,12 @@ class TestVerify:
          "8c76af64bdb03d7618c7b187951e2d765e098d88515b64ccb1698af3a994d3dd"),
         ("phase --grid-n 40 --grid-p 3 --grid-q 2 --grid-s 0,1,2",
          "dd3158f93a41cb822fcca13f2d4a1738a15f3ea763ade2463d11c5c985bbb53b"),
-    ], ids=["power_lf", "power_null", "phase"])
+        # b = 0 and s = 0 take the same null generator.
+        ("power --regime lf --b 0 --grid-n 40 --grid-p 3,7 --grid-q 2",
+         "19fca015dd701137afe7ab2913830b4fe1212a049f3336e5d26c9eaa8d0e2342"),
+        ("phase --grid-n 40 --grid-p 3 --grid-q 2 --grid-s 0,1",
+         "1d3395135e964a9cf9b02a26b6f0705047615d26d1b686786a3d0f805c190a5a"),
+    ], ids=["power_lf", "power_null", "phase", "power_lf_b0", "phase_s0"])
     def test_monte_carlo_golden_bytes(self, capsys, argv, digest):
         # A change to the sign or data draws, or to the permutation test's
         # stream, changes these bytes.

@@ -43,8 +43,7 @@ DIVERGENCE = {"divergence.minimax_power_upper": 1, "divergence.chi_square_exact"
     (["power", "--regime", "lf", *MC],
      {"stat_tests.estimator": 1, "structured_cov.sample_direction": 3,
       "structured_cov.cov_sqrt_apply": 3, **SAMPLING}),
-    # b = 0 runs the null through stat_tests.estimate_level, a nested span.
-    (["power", "--regime", "lf", "--b", "0", *MC], {"stat_tests.estimator": 2, **SAMPLING}),
+    (["power", "--regime", "lf", "--b", "0", *MC], {"stat_tests.estimator": 1, **SAMPLING}),
     (["phase", "--grid-s", "0,1", *MC],
      {"stat_tests.estimator": 1, "structured_cov.sample_dataset": 3, "stat_tests.permutation_test": 6}),
     (["bound", "--grid-n", "100", "--grid-p", "10", "--grid-q", "10"], DIVERGENCE),
@@ -62,5 +61,7 @@ def test_command_spans_fire(argv, fired):
         tr.uninstall()
     counts = Counter(name for _, name, *_ in tr.spans)
     assert counts[tracer.ROOT_SPAN] == 1
-    # Each span fires at least the given number of times.
-    assert all(counts[name] >= n for name, n in fired.items()), counts
+    # Each span fires at least the given number of times, the estimator span
+    # exactly, so that an estimator calling another would show.
+    assert all(counts[name] == n if name == "stat_tests.estimator" else counts[name] >= n
+               for name, n in fired.items()), counts

@@ -28,10 +28,10 @@ from indeplab.stat_tests import (
 from indeplab.structured_cov import LeastFavorableCov, sample_dataset
 
 
-def _permuted_chunks(ds, B, rng, centered=False):
+def _permuted_chunks(ds, B, rng):
     """The kernel's chunks of B permuted statistics: ``_stat_chunks`` with the
     first chunk's leading identity row (the observed statistic) dropped."""
-    chunks = list(stat_tests._stat_chunks(ds, B, rng, centered))
+    chunks = list(stat_tests._stat_chunks(ds, B, rng))
     return [chunks[0][1:]] + chunks[1:]
 
 
@@ -61,11 +61,6 @@ class TestCrossCovStat:
         mean = float(np.mean(vals))
         se = float(np.std(vals) / math.sqrt(reps))
         assert abs(mean - p * q) < 4 * se
-
-    def test_centered_requires_two_rows(self):
-        ds = make_ds([[1.0]], [[1.0]])
-        with pytest.raises(ValueError):
-            cross_cov_stat(ds, centered=True)
 
     def test_invariant_under_joint_row_permutation(self):
         rng = np.random.default_rng(3)
@@ -147,16 +142,16 @@ def perm_cases(draw):
     x = rng.standard_normal((n, p))
     y = coupling * x[:, :1] + rng.standard_normal((n, q))
     ds = Dataset(values=np.hstack([x, y]), p=p, q=q)
-    return ds, B, alpha, draw(st.booleans()), seed
+    return ds, B, alpha, seed
 
 
 class TestSequentialPermutationTest:
     @settings(max_examples=60, deadline=None)
     @given(perm_cases())
     def test_decision_matches_full_test(self, case):
-        ds, B, alpha, centered, seed = case
-        full = permutation_test(ds, B, alpha, np.random.default_rng(seed), centered=centered)
-        seq = permutation_test(ds, B, alpha, np.random.default_rng(seed), centered=centered, stop_early=True)
+        ds, B, alpha, seed = case
+        full = permutation_test(ds, B, alpha, np.random.default_rng(seed))
+        seq = permutation_test(ds, B, alpha, np.random.default_rng(seed), stop_early=True)
         assert seq.reject == full.reject
         assert seq.statistic == full.statistic
         assert 0 <= seq.permutations <= B
@@ -169,9 +164,9 @@ class TestSequentialPermutationTest:
     @settings(max_examples=60, deadline=None)
     @given(perm_cases())
     def test_chunked_statistics_bitwise_equal_loop(self, case):
-        ds, B, _, centered, seed = case
-        chunked = np.concatenate(_permuted_chunks(ds, B, np.random.default_rng(seed), centered))
-        loop = permuted_stats_loop(ds, B, np.random.default_rng(seed), centered)
+        ds, B, _, seed = case
+        chunked = np.concatenate(_permuted_chunks(ds, B, np.random.default_rng(seed)))
+        loop = permuted_stats_loop(ds, B, np.random.default_rng(seed))
         assert np.array_equal(chunked, loop)
 
     # p = 1 puts a single row on the left of matmul, whose rounding depends
@@ -179,22 +174,20 @@ class TestSequentialPermutationTest:
     @pytest.mark.parametrize("n,p,q", [(50, 5, 5), (200, 10, 10), (200, 50, 50), (30, 3, 7), (23, 1, 3)])
     def test_chunked_statistics_bitwise_equal_loop_at_benchmark_shapes(self, n, p, q):
         ds = sample_dataset(None, n, np.random.default_rng(n + p), p=p, q=q)
-        for centered in (False, True):
-            chunked = np.concatenate(_permuted_chunks(ds, 40, np.random.default_rng(1), centered))
-            assert np.array_equal(chunked, permuted_stats_loop(ds, 40, np.random.default_rng(1), centered))
+        chunked = np.concatenate(_permuted_chunks(ds, 40, np.random.default_rng(1)))
+        assert np.array_equal(chunked, permuted_stats_loop(ds, 40, np.random.default_rng(1)))
 
-    @pytest.mark.parametrize("centered", [False, True])
     @pytest.mark.parametrize("B", [19, 41])
-    def test_chunked_statistics_bitwise_equal_loop_ragged_and_single(self, monkeypatch, B, centered):
+    def test_chunked_statistics_bitwise_equal_loop_ragged_and_single(self, monkeypatch, B):
         # B = 19 and 41 leave a ragged last chunk of 3 and 9; a one-byte
         # buffer cap forces chunks of one permutation.
         ds = sample_dataset(None, 23, np.random.default_rng(B), p=3, q=2)
-        loop = permuted_stats_loop(ds, B, np.random.default_rng(9), centered)
-        chunks = _permuted_chunks(ds, B, np.random.default_rng(9), centered)
+        loop = permuted_stats_loop(ds, B, np.random.default_rng(9))
+        chunks = _permuted_chunks(ds, B, np.random.default_rng(9))
         assert [len(c) for c in chunks] == [PERM_CHUNK] * (B // PERM_CHUNK) + [B % PERM_CHUNK]
         assert np.array_equal(np.concatenate(chunks), loop)
         monkeypatch.setattr(stat_tests, "PERM_BUFFER_BYTES", 1)
-        chunks = _permuted_chunks(ds, B, np.random.default_rng(9), centered)
+        chunks = _permuted_chunks(ds, B, np.random.default_rng(9))
         assert [len(c) for c in chunks] == [1] * B
         assert np.array_equal(np.concatenate(chunks), loop)
 
@@ -257,11 +250,10 @@ class TestSequentialPermutationTest:
         assert 0 < est.permutations < 100 * 39
 
 
-def _frozen_cross_cov_stat(ds, centered):
+def _frozen_cross_cov_stat(ds):
     """The statistic as one product on the Y block view, the form it took
     before it shared the permutation kernel."""
-    x, y, divisor = stat_tests._blocks(ds, centered)
-    cross = (x.T @ y) / divisor
+    cross = (ds.x.T @ ds.y) / ds.n
     return float(np.sum(cross * cross))
 
 
@@ -271,28 +263,28 @@ def _kernel_dataset(n, p, q, data_seed):
 
 class TestKernel:
     @settings(max_examples=80, deadline=None)
-    @given(st.integers(2, 40), st.integers(1, 8), st.sampled_from([1, 1, 2, 3, 5]), st.booleans(),
+    @given(st.integers(2, 40), st.integers(1, 8), st.sampled_from([1, 1, 2, 3, 5]),
            st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
-    def test_statistic_is_the_identity_row(self, n, p, q, centered, data_seed, perm_seed):
+    def test_statistic_is_the_identity_row(self, n, p, q, data_seed, perm_seed):
         ds = _kernel_dataset(n, p, q, data_seed)
-        dec = permutation_test(ds, 19, 0.05, np.random.default_rng(perm_seed), centered=centered)
-        first = next(stat_tests._stat_chunks(ds, 19, np.random.default_rng(perm_seed), centered))
+        dec = permutation_test(ds, 19, 0.05, np.random.default_rng(perm_seed))
+        first = next(stat_tests._stat_chunks(ds, 19, np.random.default_rng(perm_seed)))
         assert len(first) == PERM_CHUNK + 1
-        assert dec.statistic == cross_cov_stat(ds, centered) == first[0]
+        assert dec.statistic == cross_cov_stat(ds) == first[0]
 
     # At n = 3 one permutation in six is the identity.  The data of seed 0
     # gave a q = 1 statistic one ulp above its identity row when it was a
     # separate product, so the identity draws fell below it.
     @settings(max_examples=80, deadline=None)
-    @given(st.integers(2, 5), st.integers(1, 8), st.sampled_from([1, 1, 2, 3]), st.booleans(),
+    @given(st.integers(2, 5), st.integers(1, 8), st.sampled_from([1, 1, 2, 3]),
            st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
-    @example(3, 6, 1, False, 0, 0)
-    def test_drawn_identities_tie_with_the_observed(self, n, p, q, centered, data_seed, perm_seed):
+    @example(3, 6, 1, 0, 0)
+    def test_drawn_identities_tie_with_the_observed(self, n, p, q, data_seed, perm_seed):
         ds = _kernel_dataset(n, p, q, data_seed)
         B = 99
-        dec = permutation_test(ds, B, 0.05, np.random.default_rng(perm_seed), centered=centered)
-        loop = permuted_stats_loop(ds, B, np.random.default_rng(perm_seed), centered)
-        chunked = np.concatenate(_permuted_chunks(ds, B, np.random.default_rng(perm_seed), centered))
+        dec = permutation_test(ds, B, 0.05, np.random.default_rng(perm_seed))
+        loop = permuted_stats_loop(ds, B, np.random.default_rng(perm_seed))
+        chunked = np.concatenate(_permuted_chunks(ds, B, np.random.default_rng(perm_seed)))
         assert np.array_equal(chunked, loop)
         replay = np.random.default_rng(perm_seed)
         identity = np.array([np.array_equal(replay.permutation(n), np.arange(n)) for _ in range(B)])
@@ -300,15 +292,15 @@ class TestKernel:
         assert dec.p_value == (1 + np.count_nonzero(loop >= dec.statistic)) / (B + 1)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(2, 200), st.integers(1, 40), st.integers(1, 40), st.booleans(), st.integers(0, 2**32 - 1))
-    def test_statistic_keeps_its_bits_off_uncentered_q1(self, n, p, q, centered, data_seed):
-        # Only the uncentered q = 1 statistic moved when it became the
-        # kernel's identity row.
+    @given(st.integers(2, 200), st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_statistic_keeps_its_bits_off_uncentered_q1(self, n, p, q, data_seed):
+        # Only the q = 1 statistic moved when it became the kernel's
+        # identity row.
         ds = _kernel_dataset(n, p, q, data_seed)
-        if q >= 2 or centered:
-            assert cross_cov_stat(ds, centered) == _frozen_cross_cov_stat(ds, centered)
+        if q >= 2:
+            assert cross_cov_stat(ds) == _frozen_cross_cov_stat(ds)
         else:
-            assert cross_cov_stat(ds, centered) == pytest.approx(_frozen_cross_cov_stat(ds, centered), rel=1e-14)
+            assert cross_cov_stat(ds) == pytest.approx(_frozen_cross_cov_stat(ds), rel=1e-14)
 
     @pytest.mark.parametrize("p", [4, 6, 8])
     def test_no_null_rejection_at_three_rows(self, p):
@@ -356,12 +348,10 @@ class TestPermutationDraws:
         a, b = _gram(ds.x, ds.y)
         assert np.mean(_all_trace_forms(a, b, 6)) == pytest.approx(_exact_permutation_mean(a, b, 6), rel=1e-12)
 
-    @pytest.mark.parametrize("centered", [False, True])
-    def test_mean_matches_exact_permutation_mean(self, centered):
+    def test_mean_matches_exact_permutation_mean(self):
         ds = sample_dataset(None, 50, np.random.default_rng(314), p=5, q=5)
-        x, y, divisor = stat_tests._blocks(ds, centered)
-        exact = _exact_permutation_mean(*_gram(x, y), divisor)
-        stats = np.concatenate(_permuted_chunks(ds, 10_000, np.random.default_rng(2718), centered))
+        exact = _exact_permutation_mean(*_gram(ds.x, ds.y), ds.n)
+        stats = np.concatenate(_permuted_chunks(ds, 10_000, np.random.default_rng(2718)))
         se = stats.std(ddof=1) / math.sqrt(stats.size)
         assert abs(stats.mean() - exact) <= 5 * se
 
@@ -462,24 +452,27 @@ def _no_trial(args):
 # Each estimator at one valid setting of its own arguments, as a function of
 # the shared ones.
 _ESTIMATORS = {
-    "level": lambda n, p, q, alpha: estimate_level(n, p, q, 10, 19, 0, alpha=alpha),
-    "avg_power": lambda n, p, q, alpha: estimate_avg_power(n, p, q, 0.5, 10, 19, 0, alpha=alpha),
-    "phase": lambda n, p, q, alpha: phase_curve(n, p, q, [1.0], 10, 19, 0, alpha=alpha),
+    "level": lambda n, p, q, B, alpha: estimate_level(n, p, q, 10, B, 0, alpha=alpha),
+    "avg_power": lambda n, p, q, B, alpha: estimate_avg_power(n, p, q, 0.5, 10, B, 0, alpha=alpha),
+    "avg_power_b0": lambda n, p, q, B, alpha: estimate_avg_power(n, p, q, 0.0, 10, B, 0, alpha=alpha),
+    "phase": lambda n, p, q, B, alpha: phase_curve(n, p, q, [1.0], 10, B, 0, alpha=alpha),
 }
 
 
 class TestArgumentCheck:
     @pytest.mark.parametrize("estimator", list(_ESTIMATORS))
-    @pytest.mark.parametrize("n, p, q, alpha", [
-        (10, 0, 2, 0.05), (10, 2, 0, 0.05), (0, 2, 2, 0.05), (-3, 2, 2, 0.05),
-        (10, 2, 2, 0.0), (10, 2, 2, 1.0), (10, 2, 2, 1.5), (10, 2, 2, -0.1), (10, 2, 2, math.nan),
+    @pytest.mark.parametrize("n, p, q, B, alpha", [
+        (10, 0, 2, 19, 0.05), (10, 2, 0, 19, 0.05), (0, 2, 2, 19, 0.05), (-3, 2, 2, 19, 0.05),
+        (10, 2, 2, 19, 0.0), (10, 2, 2, 19, 1.0), (10, 2, 2, 19, 1.5), (10, 2, 2, 19, -0.1),
+        (10, 2, 2, 19, math.nan), (10, 2, 2, 18, 0.05), (10, 2, 2, 5, 0.05), (10, 2, 2, 0, 0.05),
     ])
-    def test_bad_problem_raises_before_any_trial(self, monkeypatch, estimator, n, p, q, alpha):
+    def test_bad_problem_raises_before_any_trial(self, monkeypatch, estimator, n, p, q, B, alpha):
         # phase_curve once divided by zero at p = 0, rejected every trial at
-        # alpha = 1.5 and failed inside a trial at alpha = NaN.
+        # alpha = 1.5 and failed inside a trial at alpha = NaN; B < 19 once
+        # raised only inside the first trial, after its dataset was drawn.
         monkeypatch.setattr(stat_tests, "_trial", _no_trial)
         with pytest.raises(ValueError):
-            _ESTIMATORS[estimator](n, p, q, alpha)
+            _ESTIMATORS[estimator](n, p, q, B, alpha)
 
 
 class TestPowerEstimation:
@@ -505,13 +498,17 @@ class TestPowerEstimation:
         curve = phase_curve(200, 10, 10, [50.0], trials=150, B=99, seed=3)
         assert curve[0][1].estimate >= 0.9
 
-    @pytest.mark.parametrize("b", [10.0, -0.5, math.nan])
-    def test_avg_power_rejects_non_pd_signal(self, monkeypatch, b):
+    @pytest.mark.parametrize("n, p, q, b", [
+        (200, 10, 10, 10.0), (200, 10, 10, -0.5), (200, 10, 10, math.nan), (1466, 17, 21, 12.45704200699826),
+    ])
+    def test_avg_power_rejects_non_pd_signal(self, monkeypatch, n, p, q, b):
         # b = 10 is not positive definite at (200, 10, 10); a NaN b once
-        # reached a trial and failed on its non-finite data.
+        # reached a trial and failed on its non-finite data.  At (1466, 17, 21)
+        # that b gives a^2 p q < 1 in floating point, yet a smallest eigenvalue
+        # of 0.0: it once failed inside the first trial.
         monkeypatch.setattr(stat_tests, "_trial", _no_trial)
         with pytest.raises(ValueError):
-            estimate_avg_power(200, 10, 10, b, trials=100, B=39, seed=0)
+            estimate_avg_power(n, p, q, b, trials=100, B=39, seed=0)
 
     def test_determinism_across_worker_counts(self):
         serial = estimate_avg_power(20, 2, 2, 0.3, trials=120, B=39, seed=41, alpha=0.1, workers=1)
@@ -552,7 +549,7 @@ class TestScenarios:
     def test_regression_null_when_beta_zero(self):
         rng = np.random.default_rng(0)
         rejections = sum(
-            permutation_test(scenario_regression(np.zeros(3), 40, rng), 39, 0.1, rng, centered=True).reject
+            permutation_test(scenario_regression(np.zeros(3), 40, rng), 39, 0.1, rng).reject
             for _ in range(300)
         )
         assert rejections / 300 <= 0.1 + 3 * math.sqrt(0.1 * 0.9 / 300)
@@ -591,7 +588,7 @@ class TestScenarios:
         for i in range(trials):
             rng = np.random.default_rng([53, i])
             ds = scenario_two_sample(mu, mu, 30, rng)
-            rejections += permutation_test(ds, 39, 0.1, rng, centered=True).reject
+            rejections += permutation_test(ds, 39, 0.1, rng).reject
         assert rejections / trials <= 0.1 + 3 * math.sqrt(0.1 * 0.9 / trials)
 
     def test_two_sample_length_mismatch(self):

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from indeplab import structured_cov
@@ -14,6 +16,7 @@ from indeplab.structured_cov import (
     cov_inverse,
     cov_sqrt_apply,
     dense_cov,
+    random_signs,
     sample_dataset,
     sample_direction,
 )
@@ -154,6 +157,27 @@ class TestInverseAndDet:
         rng = np.random.default_rng(5)
         lf = random_lf(rng, p=3, q=4, a_frac=0.999)
         assert np.min(np.linalg.eigvalsh(dense_cov(lf))) > 0
+
+    # The edge a = 1/sqrt(pq) and up to 8 ulps below it, where a^2 p q < 1
+    # once admitted members whose smallest eigenvalue or determinant rounds
+    # to zero or below.  (17, 21) at the edge is the amplitude of
+    # `power --regime lf --b 12.45704200699826 --grid-n 1466`.
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 39), st.integers(1, 39), st.integers(0, 2**32 - 1))
+    @example(17, 21, 0)
+    def test_accepted_members_near_the_edge_have_root_and_inverse(self, p, q, seed):
+        rng = np.random.default_rng(seed)
+        a = 1.0 / math.sqrt(p * q)
+        for _ in range(9):
+            try:
+                lf = CovStack(signs=random_signs(rng, p + q), p=p, a=a)
+            except SingularCovarianceError:
+                assert not structured_cov.positive_definite(p, q, a)
+            else:
+                assert cov_det(lf) > 0 and structured_cov._sqrt_factors(lf)[1] > 0
+                assert np.isfinite(cov_inverse(lf)).all()
+                assert np.isfinite(cov_sqrt_apply(lf, rng.standard_normal(p + q))).all()
+            a = math.nextafter(a, 0.0)
 
 
 class TestSqrtAndSampling:
