@@ -238,18 +238,25 @@ def _process_pool(workers: int):
     return ProcessPoolExecutor(max_workers=workers)
 
 
+def _tally(results) -> tuple[int, int]:
+    """(rejections, permuted statistics) summed over trial results as they come."""
+    rej = perms = 0
+    for reject, k in results:
+        rej, perms = rej + reject, perms + k
+    return rej, perms
+
+
 def _estimate(generate, params: tuple, trials: int, B: int, alpha: float, seed: int,
               workers: int, regime: str) -> PowerEstimate:
-    """Rejection rate over ``trials`` trials on data from ``generate(rng, *params)``."""
-    args = [(generate, params, seed, i, B, alpha) for i in range(trials)]
+    """Rejection rate over ``trials`` trials on data from ``generate(rng, *params)``;
+    each trial's arguments are made, and its result summed, as the trial runs."""
+    args = ((generate, params, seed, i, B, alpha) for i in range(trials))
     workers = min(workers, os.cpu_count() or 1, trials)
     if workers <= 1:
-        results = [_trial(a) for a in args]
+        rej, perms = _tally(map(_trial, args))
     else:
         with _process_pool(workers) as pool:
-            results = list(pool.map(_trial, args, chunksize=32))
-    rej = sum(r for r, _ in results)
-    perms = sum(k for _, k in results)
+            rej, perms = _tally(pool.map(_trial, args, chunksize=32))
     lo, hi = wilson_interval(rej, trials)
     return PowerEstimate(trials, rej, rej / trials, lo, hi, regime, perms)
 

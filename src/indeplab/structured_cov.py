@@ -14,14 +14,16 @@ from the smallest eigenvalue and the determinant as ``cov_sqrt_apply`` and
 finite square root and inverse.
 
 ``CovStack`` is the one type for members of the family: with no leading axis
-it is one member, with a leading axis of length m a stack of m members of one
-size p + q.  ``LeastFavorableCov(u, v, a)`` builds one member from u and v.
+it is one member, with a leading axis of length m a stack of m members of any
+sizes, each padded with zeros to the stack's width d, where every closed form
+acts as the identity.  ``LeastFavorableCov(u, v, a)`` builds one member from
+u and v.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -33,20 +35,22 @@ class SingularCovarianceError(ValueError):
 
 @dataclass(frozen=True)
 class CovStack:
-    """One member of the family, or a stack of members of one size.
+    """One member of the family, or a stack of members of any sizes.
 
-    The last axis of ``signs`` holds u followed by v, split after p entries,
-    and a is the amplitude.  With no leading axis (signs of length d = p + q,
-    scalar p and a) it is one member; with a leading axis of length m it is m
-    members that share the size d, with p and a of length m.  ``dense_cov``,
-    ``cov_inverse``, ``cov_det`` and ``cov_sqrt_apply`` take either and return
-    a stack's results along the leading axis, each member's with the bits of
-    its own call.
+    The last axis of ``signs`` holds u, then v, then zeros up to the width d:
+    p entries of u, and q, read off as the nonzero count less p, of v.  a is
+    the amplitude.  With no leading axis (signs of length d, scalar p and a)
+    it is one member; with a leading axis of length m it is m members padded
+    to one width d, with p and a of length m.  ``dense_cov``, ``cov_inverse``,
+    ``cov_det`` and ``cov_sqrt_apply`` take either and return a stack's
+    results along the leading axis, each member's with the bits of its own
+    call at the width d; on the padding they act as the identity.
     """
 
     signs: np.ndarray
     p: int | np.ndarray
     a: float | np.ndarray
+    q: int | np.ndarray = field(init=False)
 
     def __post_init__(self):
         signs = np.asarray(self.signs, dtype=float)
@@ -55,9 +59,9 @@ class CovStack:
         if signs.ndim not in (1, 2) or p.shape != signs.shape[:-1] or a.shape != p.shape:
             raise ValueError("need signs of length d, or m x d, and one size p and amplitude a per member")
         p, a = p[()], a[()]  # one member's as scalars, which every closed form takes faster
-        if not (np.abs(signs) == 1.0).all():
-            raise ValueError("u and v entries must be exactly +-1")
-        q = signs.shape[-1] - p
+        q = np.count_nonzero(signs, axis=-1) - p
+        if not (np.abs(signs) == (np.arange(signs.shape[-1]) < _last(p + q, 1))).all():
+            raise ValueError("u and v entries must be exactly +-1, and zero after them")
         if np.count_nonzero((p % 1 != 0) | (p < 1) | (q < 1)):
             raise ValueError("sizes p and q must be positive integers")
         if np.count_nonzero(a < 0):
@@ -65,16 +69,14 @@ class CovStack:
         if not positive_definite(p, q, a).all():
             raise SingularCovarianceError("a^2*p*q >= 1: not positive definite")
         object.__setattr__(self, "signs", signs)
-        object.__setattr__(self, "p", p if signs.ndim == 2 else int(p))  # one member's p can size arrays
+        # One member's sizes are ints, which can size arrays.
+        object.__setattr__(self, "p", p if signs.ndim == 2 else int(p))
+        object.__setattr__(self, "q", q if signs.ndim == 2 else int(q))
         object.__setattr__(self, "a", a)
 
     @cached_property
-    def q(self) -> int | np.ndarray:
-        return self.signs.shape[-1] - self.p
-
-    @cached_property
     def padded(self) -> tuple[np.ndarray, np.ndarray]:
-        """Zero-padded vectors (u, 0) and (0, v), stacked like ``signs``."""
+        """Zero-padded vectors (u, 0) and (0, v, 0), stacked like ``signs``."""
         x_block = np.arange(self.signs.shape[-1]) < _last(self.p, 1)
         return np.where(x_block, self.signs, 0.0), np.where(x_block, 0.0, self.signs)
 
@@ -161,7 +163,7 @@ def _last(x, axes: int) -> np.ndarray:
 
 
 def dense_cov(lf: CovStack) -> np.ndarray:
-    """Full (p+q) x (p+q) matrix I + a(uv' + vu')."""
+    """Full d x d matrix I + a(uv' + vu')."""
     up, vp = lf.padded
     return np.eye(up.shape[-1]) + _last(lf.a, 2) * (_outer(up, vp) + _outer(vp, up))
 
@@ -205,18 +207,17 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def cov_sqrt_apply(lf: CovStack, z: np.ndarray) -> np.ndarray:
-    """Apply the symmetric square root Sigma^(1/2) to z in O(p+q).
+    """Apply the symmetric square root Sigma^(1/2) to z in O(d).
 
-    Accepts a single vector of length p+q or a batch of shape (m, p+q); for a
-    ``CovStack`` of m members, z holds one vector per member, shape (m, p+q).
+    z is one vector of length d, a batch of shape (n, d) for one member, or
+    one vector per member of a stack, shape (m, d).  One expression serves all
+    three: each vector gets the bits of its own one-vector call.
     """
     lam_plus, lam_minus, w_plus, w_minus = _sqrt_factors(lf)
     z = np.asarray(z, dtype=float)
-    cp = np.sqrt(lam_plus) - 1.0
-    cm = np.sqrt(lam_minus) - 1.0
-    if z.ndim == w_plus.ndim:
-        return z + _last(cp * _dot(w_plus, z), 1) * w_plus + _last(cm * _dot(w_minus, z), 1) * w_minus
-    return z + np.outer(z @ w_plus, cp * w_plus) + np.outer(z @ w_minus, cm * w_minus)
+    cw_plus = _last(np.sqrt(lam_plus) - 1.0, 1) * w_plus
+    cw_minus = _last(np.sqrt(lam_minus) - 1.0, 1) * w_minus
+    return z + _last(_dot(w_plus, z), 1) * cw_plus + _last(_dot(w_minus, z), 1) * cw_minus
 
 
 def sample_dataset(
@@ -235,6 +236,6 @@ def sample_dataset(
             raise ValueError("p and q required for null-hypothesis sampling")
         values = rng.standard_normal((n, p + q))
         return Dataset(values=values, p=p, q=q)
-    z = rng.standard_normal((n, lf.p + lf.q))
+    z = rng.standard_normal((n, lf.signs.shape[-1]))  # a padded member's rows fail Dataset's check
     values = cov_sqrt_apply(lf, z)
     return Dataset(values=values, p=lf.p, q=lf.q)

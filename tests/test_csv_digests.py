@@ -1,0 +1,35 @@
+"""Self-test of tools/csv_digests.py on a two-command subset."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("csv_digests", ROOT / "tools" / "csv_digests.py")
+csv_digests = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(csv_digests)
+
+COMMANDS = (
+    "power --regime null --grid-n 20 --grid-p 2 --grid-q 2 --trials 20 --perms 19",
+    "divergence --n 200 --p 10 --q 10",
+)
+
+
+def _record():
+    return csv_digests.digests(COMMANDS, seeds=(0, 1), names=("mc_level",), request_seeds=(0,), requests=1)
+
+
+def test_two_runs_agree_and_an_edited_digest_is_reported(tmp_path, capsys):
+    first, second = _record(), _record()
+    assert json.dumps(first) == json.dumps(second)
+    assert list(first) == [
+        f"{command} --seed {seed}" for command in COMMANDS for seed in (0, 1)
+    ] + ["request mc_level seed=0 index=0"]
+    same, edited = tmp_path / "same.json", tmp_path / "edited.json"
+    same.write_text(json.dumps(first))
+    name = f"{COMMANDS[1]} --seed 1"
+    edited.write_text(json.dumps({**second, name: "0" * 64}))
+    assert csv_digests.main(["--compare", str(same), str(same)]) == 0
+    assert capsys.readouterr().out == ""
+    assert csv_digests.main(["--compare", str(same), str(edited)]) == 1
+    assert capsys.readouterr().out == name + "\n"

@@ -323,13 +323,11 @@ def _per_iteration_rows(seed, inject_fault):
     A = rng.uniform(0.0, 0.95 / np.sqrt(P * Q))
     max_inv = max_det = max_sqrt = 0.0
     for p, q, s, a, z in zip(P.tolist(), Q.tolist(), signs, A.tolist(), rng.standard_normal((100, 20))):
-        d = p + q
-        lf = sc.LeastFavorableCov(u=s[:p], v=s[p:d], a=a)
+        lf = sc.CovStack(signs=s * (np.arange(20) < p + q), p=p, a=a)  # one member, padded to width 20
         dense = sc.dense_cov(lf)
-        max_inv = max(max_inv, float(np.max(np.abs(dense @ sc.cov_inverse(lf) - np.eye(d)))))
+        max_inv = max(max_inv, float(np.max(np.abs(dense @ sc.cov_inverse(lf) - np.eye(20)))))
         det = np.linalg.det(dense)
         max_det = max(max_det, abs(sc.cov_det(lf) - det) / abs(det))
-        z = z[:d]
         max_sqrt = max(max_sqrt, float(np.max(np.abs(sc.cov_sqrt_apply(lf, sc.cov_sqrt_apply(lf, z)) - dense @ z))))
     P, Q = rng.integers(1, 7, size=(2, 200))
     signs = sc.random_signs(rng, 200 * 24).reshape(200, 2, 2, 6)

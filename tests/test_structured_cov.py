@@ -242,29 +242,72 @@ def _hex(x):
     return [v.hex() for v in np.ravel(x).tolist()]
 
 
+def _mixed_stack(rng, m, d):
+    """m members of sizes p + q from 2 to d, signs padded with zeros to width d,
+    and amplitudes from 0 up to just below the positive-definite edge."""
+    size = rng.integers(2, d + 1, size=m)
+    p = rng.integers(1, size)
+    signs = (rng.integers(0, 2, size=(m, d)) * 2.0 - 1.0) * (np.arange(d) < size[:, None])
+    a = rng.choice([0.0, 0.5, 0.95, 0.999], m) * rng.uniform(0.0, 1.0, m) / np.sqrt(p * (size - p))
+    return signs, p, size - p, a
+
+
 class TestCovStack:
-    # Each closed form on a stack of m members of one size d gives each member
-    # the bits of its own call.
+    # Each closed form on a stack of m members of any sizes, padded to one
+    # width d, gives each member the bits of its own call at the width d.
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 8), st.integers(2, 20), st.integers(0, 2**32 - 1))
     def test_stack_matches_member_calls(self, m, d, seed):
         rng = np.random.default_rng(seed)
-        p = rng.integers(1, d, size=m)
-        signs = rng.integers(0, 2, size=(m, d)) * 2.0 - 1.0
-        a = rng.choice([0.0, 0.5, 0.95, 0.999], m) * rng.uniform(0.0, 1.0, m) / np.sqrt(p * (d - p))
+        signs, p, q, a = _mixed_stack(rng, m, d)
         z = rng.standard_normal((m, d))
         stack = CovStack(signs=signs, p=p, a=a)
+        assert stack.q.tolist() == q.tolist()
         dense, inv, det = dense_cov(stack), cov_inverse(stack), cov_det(stack)
         root, twice = cov_sqrt_apply(stack, z), cov_sqrt_apply(stack, cov_sqrt_apply(stack, z))
         assert dense.shape == inv.shape == (m, d, d) and det.shape == (m,) and root.shape == (m, d)
         for k in range(m):
             lf = CovStack(signs=signs[k], p=p[k], a=a[k])  # one member: no leading axis
-            assert lf.signs.shape == (d,) and type(lf.p) is int and np.ndim(lf.a) == 0
+            assert lf.signs.shape == (d,) and type(lf.p) is type(lf.q) is int and np.ndim(lf.a) == 0
             assert _hex(dense[k]) == _hex(dense_cov(lf))
             assert _hex(inv[k]) == _hex(cov_inverse(lf))
             assert _hex(det[k]) == _hex(cov_det(lf))
             assert _hex(root[k]) == _hex(cov_sqrt_apply(lf, z[k]))
             assert _hex(twice[k]) == _hex(cov_sqrt_apply(lf, cov_sqrt_apply(lf, z[k])))
+
+    # A padded member is the unpadded one on its leading block and the
+    # identity on the padding.
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 8), st.integers(2, 20), st.integers(0, 2**32 - 1))
+    def test_padded_member_matches_unpadded(self, m, d, seed):
+        rng = np.random.default_rng(seed)
+        signs, p, q, a = _mixed_stack(rng, m, d)
+        z = rng.standard_normal((m, d))
+        stack = CovStack(signs=signs, p=p, a=a)
+        dense, inv, det, root = dense_cov(stack), cov_inverse(stack), cov_det(stack), cov_sqrt_apply(stack, z)
+        for k in range(m):
+            k_size = p[k] + q[k]
+            lf = CovStack(signs=signs[k, :k_size], p=p[k], a=a[k])
+            for padded, block in ((dense[k], dense_cov(lf)), (inv[k], cov_inverse(lf))):
+                expected = np.eye(d)
+                expected[:k_size, :k_size] = block
+                assert _hex(padded) == _hex(expected)
+            assert _hex(det[k]) == _hex(cov_det(lf))
+            assert np.max(np.abs(root[k, :k_size] - cov_sqrt_apply(lf, z[k, :k_size]))) <= 1e-14
+            assert _hex(root[k, k_size:]) == _hex(z[k, k_size:])
+
+    # One member and a batch of n vectors: each row gets the bits of its own
+    # one-vector call.
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 30), st.integers(1, 30), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_batch_matches_one_vector_calls(self, p, q, n, seed):
+        rng = np.random.default_rng(seed)
+        lf = CovStack(signs=random_signs(rng, p + q), p=p, a=rng.uniform(0.0, 0.99) / math.sqrt(p * q))
+        z = rng.standard_normal((n, p + q))
+        batch = cov_sqrt_apply(lf, z)
+        assert batch.shape == z.shape
+        for i in range(n):
+            assert _hex(batch[i]) == _hex(cov_sqrt_apply(lf, z[i]))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 8), st.integers(2, 20), st.integers(0, 2**32 - 1))
@@ -275,11 +318,16 @@ class TestCovStack:
         assert _hex(structured_cov._dot(x, y)) == _hex([float(x[k] @ y[k]) for k in range(m)])
 
     def test_padded_blocks(self):
-        stack = CovStack(signs=[[1.0, -1.0, 1.0], [-1.0, 1.0, 1.0]], p=[1, 2], a=[0.1, 0.2])
+        stack = CovStack(signs=[[1.0, -1.0, 1.0, 0.0], [-1.0, 1.0, 1.0, 1.0]], p=[1, 2], a=[0.1, 0.2])
         up, vp = stack.padded
-        assert np.array_equal(up, [[1.0, 0.0, 0.0], [-1.0, 1.0, 0.0]])
-        assert np.array_equal(vp, [[0.0, -1.0, 1.0], [0.0, 0.0, 1.0]])
-        assert stack.q.tolist() == [2, 1]
+        assert np.array_equal(up, [[1.0, 0.0, 0.0, 0.0], [-1.0, 1.0, 0.0, 0.0]])
+        assert np.array_equal(vp, [[0.0, -1.0, 1.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
+        assert stack.q.tolist() == [2, 2]
+
+    def test_sampling_rejects_a_padded_member(self):
+        lf = CovStack(signs=[1.0, -1.0, 0.0], p=1, a=0.1)
+        with pytest.raises(ValueError):
+            sample_dataset(lf, 5, np.random.default_rng(0))
 
     @pytest.mark.parametrize("signs, p, a, error", [
         ([[1.0, 0.5]], [1], [0.1], ValueError),  # not a sign
@@ -290,6 +338,11 @@ class TestCovStack:
         ([1.0, 1.0], [1], [0.1], ValueError),  # one member's p is a scalar
         ([[1.0, 1.0]], 1, 0.1, ValueError),  # a stack's p is one size per member
         ([[[1.0, 1.0]]], [[1]], [[0.1]], ValueError),  # at most one leading axis
+        ([[1.0, 0.0, 1.0, 1.0]], [2], [0.1], ValueError),  # a zero inside u
+        ([[1.0, 1.0, 1.0, 0.0, 1.0, 0.0]], [2], [0.1], ValueError),  # a zero inside v
+        ([[1.0, 1.0, 0.0, 0.0, 0.5]], [1], [0.1], ValueError),  # a nonzero after v
+        ([[1.0, 1.0, 0.0]], [2], [0.1], ValueError),  # u alone: q = 0
+        ([1.0, 0.0], 1, 0.1, ValueError),  # one member, u alone
     ])
     def test_rejects_invalid_members(self, signs, p, a, error):
         with pytest.raises(error):
