@@ -222,7 +222,7 @@ class TestPowerAndPhase:
     @pytest.mark.parametrize("command, regime", [("power", "null"), ("phase", "phase")])
     def test_broken_pool_is_an_error_row(self, capsys, monkeypatch, command, regime):
         class BrokenPool:
-            """A pool whose worker died: map raises as concurrent.futures does."""
+            """A pool whose worker died: submit raises as concurrent.futures does."""
 
             def __init__(self, workers):
                 pass
@@ -233,7 +233,7 @@ class TestPowerAndPhase:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, *iterables, chunksize=1):
+            def submit(self, fn, *args):
                 raise BrokenProcessPool("a child process terminated abruptly")
 
         monkeypatch.setattr(stat_tests, "_process_pool", BrokenPool)

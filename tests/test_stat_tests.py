@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -13,12 +14,14 @@ from indeplab.oracles import permuted_stats_loop
 from indeplab.stat_tests import (
     PERM_BUFFER_BYTES,
     PERM_CHUNK,
+    PERM_MIN_WORK,
     Dataset,
     PowerEstimate,
     cross_cov_stat,
     estimate_avg_power,
     estimate_level,
     perm_chunk_size,
+    perm_work_floor,
     permutation_test,
     phase_curve,
     rejection_limit,
@@ -29,10 +32,18 @@ from indeplab.stat_tests import (
 from indeplab.structured_cov import LeastFavorableCov, sample_dataset
 
 
+def _started_chunks(ds, B, rng):
+    """``_stat_chunks`` started: its first ``next`` returns the product cap."""
+    chunks = stat_tests._stat_chunks(ds, B, rng)
+    assert next(chunks) == perm_chunk_size(ds.n, ds.p, ds.q)
+    return chunks
+
+
 def _permuted_chunks(ds, B, rng):
-    """The kernel's chunks of B permuted statistics: ``_stat_chunks`` with the
-    first chunk's leading identity row (the observed statistic) dropped."""
-    chunks = list(stat_tests._stat_chunks(ds, B, rng))
+    """The kernel's chunks of B permuted statistics, each of the product cap
+    but the last: ``_stat_chunks`` iterated with the first chunk's leading
+    identity row (the observed statistic) dropped."""
+    chunks = list(_started_chunks(ds, B, rng))
     return [chunks[0][1:]] + chunks[1:]
 
 
@@ -162,6 +173,44 @@ class TestSequentialPermutationTest:
             # A rejection is fixed only once too few statistics remain to pass the limit.
             assert seq.permutations >= B - rejection_limit(B, alpha)
 
+    @settings(max_examples=80, deadline=None)
+    @given(perm_cases(), st.sampled_from([1, 2, 5, PERM_CHUNK, 10**6]))
+    def test_schedule_stops_where_the_loop_fixes_the_verdict(self, case, floor):
+        # A work floor of one sizes each product to the stopping point, so the
+        # test stops at the first statistic of the loop that fixes its
+        # verdict; a floor at the cap keeps every product at the cap, so it
+        # stops at the first chunk boundary that does.  Any floor stops where
+        # products of min(cap, max(floor, need)) reach a fixed verdict, fewer
+        # than min(floor, cap) statistics past the first.
+        ds, B, alpha, seed = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stat_tests, "PERM_MIN_WORK", floor * ds.n * ds.q * (ds.p + 1))
+            assert perm_work_floor(ds.n, ds.p, ds.q) == floor
+            dec = permutation_test(ds, B, alpha, np.random.default_rng(seed), stop_early=True)
+        loop = permuted_stats_loop(ds, B, np.random.default_rng(seed))
+        counts = np.concatenate([[0], np.cumsum(loop >= cross_cov_stat(ds))])
+        limit = rejection_limit(B, alpha)
+        cap = perm_chunk_size(ds.n, ds.p, ds.q)
+
+        def first_fixed(ends):
+            return next(m for m in ends if counts[m] > limit or counts[m] + B - m <= limit)
+
+        def product_ends():
+            done = 0
+            while True:
+                yield done
+                need = min(limit + 1 - counts[done], B - done - limit + counts[done])
+                done = min(B, done + min(cap, max(floor, need)))
+
+        fixed = first_fixed(range(B + 1))
+        assert dec.reject == (counts[B] <= limit)
+        assert dec.permutations == first_fixed(product_ends())
+        assert fixed <= dec.permutations <= min(B, fixed + min(floor, cap) - 1)
+        if floor == 1:
+            assert dec.permutations == fixed
+        if floor >= cap:
+            assert dec.permutations == first_fixed([0] + [min(j, B) for j in range(cap, B + cap, cap)])
+
     @settings(max_examples=60, deadline=None)
     @given(perm_cases())
     def test_chunked_statistics_bitwise_equal_loop(self, case):
@@ -220,10 +269,13 @@ class TestSequentialPermutationTest:
             assert -1 <= limit <= B
             assert np.array_equal(counts <= limit, (1 + counts) / (B + 1) <= alpha)
 
+    @pytest.mark.parametrize("min_work", [1, 10**12])
     @pytest.mark.parametrize("alpha", [0.05, 9 / 201, 8 / 201])
-    def test_strong_signal_stops_at_first_fixed_chunk(self, alpha):
+    def test_strong_signal_stops_at_first_fixed_chunk(self, monkeypatch, alpha, min_work):
         # No permuted statistic reaches the observed one, so the rejection is
-        # fixed once B - limit statistics are in: at the next chunk boundary.
+        # fixed once B - limit statistics are in: there with a work floor of
+        # one, at the next chunk boundary with a floor at the cap.
+        monkeypatch.setattr(stat_tests, "PERM_MIN_WORK", min_work)
         rng = np.random.default_rng(4)
         x = rng.standard_normal((60, 3))
         ds = Dataset(values=np.hstack([x, x + 0.1 * rng.standard_normal((60, 3))]), p=3, q=3)
@@ -231,7 +283,10 @@ class TestSequentialPermutationTest:
         dec = permutation_test(ds, B, alpha, rng, stop_early=True)
         needed = B - rejection_limit(B, alpha)
         assert dec.reject
-        assert dec.permutations == min(B, -(-needed // PERM_CHUNK) * PERM_CHUNK)
+        if min_work == 1:
+            assert dec.permutations == needed
+        else:
+            assert dec.permutations == min(B, -(-needed // PERM_CHUNK) * PERM_CHUNK)
 
     def test_alpha_below_grid_never_rejects_and_evaluates_nothing(self):
         rng = np.random.default_rng(5)
@@ -269,7 +324,7 @@ class TestKernel:
     def test_statistic_is_the_identity_row(self, n, p, q, data_seed, perm_seed):
         ds = _kernel_dataset(n, p, q, data_seed)
         dec = permutation_test(ds, 19, 0.05, np.random.default_rng(perm_seed))
-        first = next(stat_tests._stat_chunks(ds, 19, np.random.default_rng(perm_seed)))
+        first = next(_started_chunks(ds, 19, np.random.default_rng(perm_seed)))
         assert len(first) == PERM_CHUNK + 1
         assert dec.statistic == cross_cov_stat(ds) == first[0]
 
@@ -388,6 +443,19 @@ class TestChunkSize:
     def test_never_below_one(self):
         assert perm_chunk_size(10**8, 1, 10) == 1
 
+    def test_work_floor(self):
+        # Shapes whose products are cheap keep whole chunks; BLAS-bound
+        # shapes size their products close to the stopping point.
+        assert perm_work_floor(50, 5, 5) >= perm_chunk_size(50, 5, 5)
+        assert perm_work_floor(200, 10, 10) >= perm_chunk_size(200, 10, 10)
+        assert perm_work_floor(200, 50, 50) == 3
+        assert perm_work_floor(2000, 50, 50) == 1
+        for n, p, q in [(50, 5, 5), (200, 50, 50), (10**4, 500, 500)]:
+            floor = perm_work_floor(n, p, q)
+            assert floor >= 1
+            assert floor * n * q * (p + 1) >= PERM_MIN_WORK
+            assert floor == 1 or (floor - 1) * n * q * (p + 1) < PERM_MIN_WORK
+
     @pytest.mark.parametrize("rows", [2, 3, 10, 16, 17, 18])
     def test_first_product_within_budget(self, rows):
         # The first product holds the chunk's permutations and the identity.
@@ -410,8 +478,10 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, iterable, chunksize=1):
-        return map(fn, iterable)
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
 
 
 class TestWorkerCap:
@@ -453,6 +523,33 @@ class TestTrialMemory:
                 tracemalloc.stop()
             assert (est.trials, est.rejections, est.permutations) == (trials, 0, 19 * trials)
         assert peaks[1] - peaks[0] < 64 * 1024
+
+    def test_pooled_memory_does_not_grow_with_trials(self, monkeypatch):
+        # With every 32-trial batch submitted up front, the process pool's
+        # futures and arguments took about 200 B a trial: 3.9 MB more at
+        # 20,000 trials than at 2,000.
+        monkeypatch.setattr(stat_tests, "_trial", _constant_trial)
+        monkeypatch.setattr(stat_tests.os, "cpu_count", lambda: 2)
+        estimate_level(3, 1, 1, 64, 19, 0, workers=2)  # imports the pool's modules
+        peaks = []
+        for trials in (2_000, 20_000):
+            tracemalloc.start()
+            try:
+                est = estimate_level(3, 1, 1, trials, 19, 0, workers=2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert (est.trials, est.rejections, est.permutations) == (trials, 0, 19 * trials)
+        assert peaks[1] - peaks[0] < 64 * 1024
+
+    def test_pooled_results_are_every_trial_in_order(self):
+        # Windows shorter and longer than the trials, and a ragged last batch.
+        pool = _RecordingPool([], 2)
+        for trials, workers in [(0, 2), (1, 1), (70, 1), (200, 3)]:
+            args = ((stat_tests._null_data, (10, 2, 2), 3, i, 19, 0.1) for i in range(trials))
+            expected = [stat_tests._trial((stat_tests._null_data, (10, 2, 2), 3, i, 19, 0.1))
+                        for i in range(trials)]
+            assert list(stat_tests._pooled(pool, args, workers)) == expected
 
 
 class TestWilson:
