@@ -124,6 +124,9 @@ def _validate(args: argparse.Namespace) -> list[str]:
             errs.append(f"{name} must be positive")
     if hasattr(args, "perms") and args.perms < 19:
         errs.append("perms must be at least 19")
+    for gname in ("grid_n", "grid_p", "grid_q", "grid_s"):
+        if hasattr(args, gname) and not getattr(args, gname):
+            errs.append(f"{gname} must list at least one value")
     for gname in ("grid_n", "grid_p", "grid_q"):
         if hasattr(args, gname):
             for val in getattr(args, gname):
@@ -143,10 +146,20 @@ def _fingerprint(args: argparse.Namespace) -> str:
     return hashlib.sha256(repr(items).encode()).hexdigest()[:16]
 
 
+class _OutputError(Exception):
+    """The ``--out`` file cannot be opened for writing."""
+
+
 class _Emitter:
+    """The CSV writer; made before a command computes anything, so that an
+    unwritable ``--out`` ends the command before its work."""
+
     def __init__(self, args: argparse.Namespace, columns: list[str]):
         self.path = args.out
-        self.fh = open(self.path, "w", newline="") if self.path else sys.stdout
+        try:
+            self.fh = open(self.path, "w", newline="") if self.path else sys.stdout
+        except OSError as exc:
+            raise _OutputError(f"cannot write {self.path}: {exc.strerror or exc}") from exc
         self.fh.write(f"# command={args.command} seed={args.seed} fingerprint={_fingerprint(args)}\n")
         self.writer = csv.DictWriter(self.fh, fieldnames=columns, lineterminator="\n")
         self.writer.writeheader()
@@ -198,9 +211,8 @@ def cmd_verify(args) -> int:
     # would add about 6 ms to the startup of every other command.
     from . import oracles_suite
 
+    em = _Emitter(args, ["name", "closed_form", "brute_force", "abs_err", "rel_err", "pass"])
     rows = oracles_suite.run_suite(seed=args.seed, inject_fault=args.inject_fault)
-    cols = ["name", "closed_form", "brute_force", "abs_err", "rel_err", "pass"]
-    em = _Emitter(args, cols)
     all_pass = True
     for r in rows:
         all_pass &= r["pass"]
@@ -359,7 +371,11 @@ def main(argv: list[str] | None = None) -> int:
         "phase": cmd_phase,
         "divergence": cmd_divergence,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except _OutputError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

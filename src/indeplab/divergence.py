@@ -24,7 +24,9 @@ convex-dominated by a sign, gives E[U^(2k+2)] <= (2k+1) d E[U^2k].  Hence
 t_{k+1}/t_k <= r(k) = a^4 pq (n+2k+1)(n+2k) / ((2k+2)(2k+1))
 min(2k+1, p) min(2k+1, q), and with R_K = max_{k>=K} r(k) < 1 the terms after
 t_K sum to at most t_K R_K / (1 - R_K).  The series is taken at the first K
-where that bound is at most 2^-60 of the partial sum, within _MAX_TERMS terms.
+where that bound is at most 2^-60 of the partial sum, within _MAX_TERMS terms,
+and left for the grid once log-convexity of the moments proves that no such K
+remains (``_cannot_certify``).
 
 Grid.  Where the series cannot be certified (a^2 pq near 1, or b far above
 its caps), the double sum runs over the (p+1) x (q+1) support grid, in tiles
@@ -196,6 +198,41 @@ def _ratio_bound(n: int, p: int, q: int, a4pq: float, K: int, scale: int = 1) ->
     return max(r(k) for k in (K, *ends, *(e + 1 for e in ends)) if k >= K)
 
 
+def _cannot_certify(n: int, a4pq: float, scale: int, k: int, term: float, total_max: float,
+                    growth: float, tail: float) -> bool:
+    """True if provably no term j in (k, _MAX_TERMS] of the series certifies.
+
+    Moments are log-convex: X = U^2/d >= 0 gives E[X^i]^2 <= E[X^(i-1)]
+    E[X^(i+1)] by Cauchy-Schwarz, so m_(i+1)/m_i does not decrease in i, and
+    for i >= k the term ratio t_(i+1)/t_i is at least a^4 pq (n+2i+1)(n+2i) /
+    ((2i+2)(2i+1)) g, with g = m_k(p) m_k(q) / (m_(k-1)(p) m_(k-1)(q)), the
+    ``growth``.  Multiplied out, t_j >= t_k (a^4 pq g)^(j-k) Gamma(n+2j)
+    Gamma(2k+1) / (Gamma(n+2k) Gamma(2j+1)), whose log is concave in j (each
+    step's factor falls with i), so its least value over (k, _MAX_TERMS] sits
+    at an end.  Term j certifies only if t_j R_j / (1 - R_j) <= 2^-60 S_j;
+    R_j >= R_(_MAX_TERMS), the ``tail``, as R_K does not increase with K, and
+    S_j <= S_k + t_k R_k / (1 - R_k), the ``total_max``.  So if the least
+    t_j R_tail / (1 - R_tail) exceeds 2^-60 total_max, no later term
+    certifies.  The logs are compared with a margin of a factor 2 for the
+    float rounding of the series' own terms, sums and ratios, and 2^-30 of
+    the magnitudes of the summed logs for that of lgamma; the tail is taken
+    2^-40 low.  False for n >= 2^53, where n + 2j is not exact and lgamma
+    may overflow.
+    """
+    tail -= 2.0**-40
+    if tail <= 0.0 or n >= 2**53:
+        return False
+    step = math.log(a4pq * growth) - 2.0 * math.log(scale)
+
+    def log_term(j: int) -> float:
+        parts = (math.log(term), (j - k) * step, math.lgamma(n + 2 * j), -math.lgamma(n + 2 * k),
+                 -math.lgamma(2 * j + 1), math.lgamma(2 * k + 1))
+        return sum(parts) - 2.0**-30 * sum(map(abs, parts))
+
+    least = min(log_term(k + 1), log_term(_MAX_TERMS)) + math.log(tail / (1.0 - tail))
+    return least - LOG2 > math.log(total_max) - 60.0 * LOG2
+
+
 def _moment_series(n: int, p: int, q: int, a: float) -> float | None:
     """chi2 from the moment series when its remainder is certified below 2^-60
     of the partial sum within _MAX_TERMS terms, else None.
@@ -203,22 +240,31 @@ def _moment_series(n: int, p: int, q: int, a: float) -> float | None:
     Below the normal range a^4 pq = b^4 / (4 n^2) loses bits, or all of them
     (at b = 0.196 from n = 1.3e152 on, and all by n = 1e160 at p = q = 3), so
     there the recurrence carries n^2 a^4 pq = b^4 / 4 and takes each factor
-    n + j as (n + j) / n.
+    n + j as (n + j) / n.  Every 8 terms the series gives up once
+    ``_cannot_certify`` proves that no later term certifies.
     """
     a4pq, scale = (a * a) ** 2 * p * q, 1
     if a4pq < sys.float_info.min:
         a4pq, scale = (n * (a * a)) ** 2 * p * q, n
     # R_K does not increase with K, so this decides whether any K can pass.
-    if _ratio_bound(n, p, q, a4pq, _MAX_TERMS, scale) >= 1.0:
+    tail = _ratio_bound(n, p, q, a4pq, _MAX_TERMS, scale)
+    if tail >= 1.0:
         return None
     coef, total = 1.0, 0.0  # coef = C(n+2k-1, 2k) (a^4 pq)^k
+    prev_p = prev_q = 1.0  # m_(k-1)(p), m_(k-1)(q)
     for k, (m_p, m_q) in enumerate(zip(_moments(p), _moments(q)), start=1):
         coef *= a4pq * ((n + 2 * k - 1) / scale) * ((n + 2 * k - 2) / scale) / (2 * k * (2 * k - 1))
         term = coef * m_p * m_q
         total += term
         ratio = _ratio_bound(n, p, q, a4pq, k, scale)
-        if ratio < 1.0 and term * ratio / (1.0 - ratio) <= 2.0**-60 * total:
-            return total
+        if ratio < 1.0:
+            rest = term * ratio / (1.0 - ratio)
+            if rest <= 2.0**-60 * total:
+                return total
+            growth = m_p / prev_p * (m_q / prev_q)
+            if k % 8 == 0 and _cannot_certify(n, a4pq, scale, k, term, total + rest, growth, tail):
+                return None
+        prev_p, prev_q = m_p, m_q
     return None
 
 

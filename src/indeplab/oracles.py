@@ -272,10 +272,10 @@ def enumerate_uv_tail(p: int, q: int, threshold):
 def permuted_stats_loop(ds: Dataset, B: int, rng: np.random.Generator) -> np.ndarray:
     """The B permuted cross-covariance statistics, one product per permutation.
 
-    Reference for the chunked kernel ``stat_tests._stat_chunks``: one
-    ``rng.permutation(n)`` per statistic, the stream that the kernel's
+    Reference for the stacked products of ``stat_tests.permutation_test``:
+    one ``rng.permutation(n)`` per statistic, the stream that the test's
     ``rng.permuted`` shuffles reproduce, and the same arithmetic per
-    statistic, so the two agree bit for bit, past the kernel's leading
+    statistic, so the two agree bit for bit, past the first product's leading
     identity row, without sharing the draw call.
     """
     x, y = ds.x, ds.y

@@ -2,12 +2,12 @@
 
 The statistic is the squared Frobenius norm ||X'Y / n||_F^2 of the empirical
 cross-covariance between the mean-zero X and Y blocks, calibrated by
-permuting the Y rows.  One kernel,
-``_stats``, computes it for a stack of row permutations of Y; the observed
-statistic is the identity permutation's row of the test's first product, so
-that a drawn identity permutation ties with it exactly.  Power experiments
-average over freshly drawn sign directions, estimating the power against the
-uniform mixture alternative.
+permuting the Y rows.  One kernel, ``_stats``, computes it for a stack of row
+permutations of Y; ``permutation_test`` runs the one loop of such products,
+and the observed statistic is the identity permutation's row of its first
+product, so that a drawn identity permutation ties with it exactly.  Power
+experiments average over freshly drawn sign directions, estimating the power
+against the uniform mixture alternative.
 """
 
 from __future__ import annotations
@@ -55,10 +55,10 @@ class TestDecision:
     ``permutations`` is the number of permuted statistics evaluated: B for the
     full test.  A sequential test (``stop_early=True``) stops once its verdict
     is fixed, so it reports fewer and its ``p_value`` is NaN; its ``reject``
-    equals the full test's.  Its products are sized to the fewest statistics
-    that could fix the verdict, but no smaller than ``perm_work_floor`` and no
-    larger than ``perm_chunk_size``, so it evaluates fewer than the smaller of
-    the two past the first statistic at which the verdict is fixed.
+    equals the full test's.  It sizes its products by ``permutation_test``'s
+    rule, so it evaluates fewer than min(``perm_work_floor``,
+    ``perm_chunk_size``) past the first statistic at which the verdict is
+    fixed.
     """
 
     statistic: float
@@ -119,10 +119,10 @@ def rejection_limit(B: int, alpha: float) -> int:
 
 
 def perm_chunk_size(n: int, p: int, q: int) -> int:
-    """The most permutations per product: PERM_CHUNK, fewer if the first
-    product, which also holds the identity, would exceed PERM_BUFFER_BYTES,
-    never less than one.  The full test's every product but the last holds
-    this many."""
+    """The most permutations one of ``permutation_test``'s products holds:
+    PERM_CHUNK, fewer if the first product, which also holds the identity,
+    would exceed PERM_BUFFER_BYTES, never less than one.  The full test's
+    every product but the last holds this many."""
     per_perm = 8 * q * (n + p)  # permuted Y rows plus the p x q product
     return max(1, min(PERM_CHUNK, PERM_BUFFER_BYTES // per_perm - 1))
 
@@ -132,42 +132,6 @@ def perm_work_floor(n: int, p: int, q: int) -> int:
     the product makes PERM_MIN_WORK multiply-adds, at n q (p + 1) per permuted
     statistic (the product and its squares), and at least one."""
     return -(-PERM_MIN_WORK // (n * q * (p + 1)))
-
-
-def _stat_chunks(ds: Dataset, B: int, rng: np.random.Generator):
-    """A generator of the observed statistic and the B permuted ones, one
-    array per product, sized by the caller.
-
-    ``next`` starts it and returns ``cap``, the most permutations a product
-    holds (``perm_chunk_size``).  Each ``send(k)`` then returns the next
-    product, of min(k, cap, remaining) permutations; a ``next`` after the
-    start asks for ``cap``.  The first array leads with the identity
-    permutation's row: the observed statistic, from the same kernel call as
-    the product's permuted statistics.  Each product's permutations come from
-    one in-place ``rng.permuted`` shuffle of rows of ``arange(n)``: row by row
-    the same Fisher-Yates stream as one ``rng.permutation(n)`` per statistic,
-    so the permutations and the generator state after them are the same bit
-    for bit whatever the sizes.  A product is drawn only when it is
-    requested, so a caller that stops early leaves the remaining draws
-    unmade.  Each permuted statistic is bitwise equal to the
-    one-product-per-permutation loop (``oracles.permuted_stats_loop``).
-    """
-    xt, y = ds.x.T, ds.y
-    n = ds.n
-    cap = perm_chunk_size(n, ds.p, ds.q)
-    identity = np.arange(n)
-    rows = np.empty((min(cap, B) + 1, n), dtype=identity.dtype)
-    rows[0] = identity
-    k = yield cap
-    head = 0  # the first product starts at the identity row, the rest after it
-    left = B
-    while left:
-        perms = rows[1:1 + min(k or cap, left)]  # the slice stops at cap rows
-        perms[...] = identity
-        rng.permuted(perms, axis=1, out=perms)
-        left -= len(perms)
-        k = yield _stats(xt, y, rows[head:1 + len(perms)])
-        head = 1
 
 
 def permutation_test(
@@ -180,34 +144,48 @@ def permutation_test(
     """Permutation calibration: permute Y rows B times, X fixed.
 
     p = (1 + #{permuted >= observed}) / (B + 1), which is exactly level alpha
-    under row exchangeability.  The observed statistic is the identity's row
-    of the first product, so a drawn identity permutation ties with it.  With
+    under row exchangeability.  One loop evaluates the statistics a stacked
+    product at a time; the first product leads with the identity's row, the
+    observed statistic, so a drawn identity permutation ties with it.  With
     ``stop_early`` the test is sequential (Besag & Clifford 1991): it stops
     after the first product at which the count already exceeds the rejection
-    limit (accept) or can no longer reach it (reject).  Each product holds
-    the fewest further statistics after which that could happen, but at least
-    ``perm_work_floor``; where that floor reaches the product cap, every
-    product holds the cap, as in the full test.  The decision is the full
-    test's; see ``TestDecision``.
+    limit (accept) or can no longer reach it (reject).
+
+    Each product holds k = min(cap, B - done, max(floor, need)) permutations,
+    with cap = ``perm_chunk_size`` and need = min(limit + 1 - count,
+    B - done - limit + count), the fewest further statistics that could fix
+    the verdict; floor is ``perm_work_floor`` when sequential, else cap.  The
+    k permutations are one in-place ``rng.permuted`` shuffle of rows of
+    ``arange(n)``: row by row the Fisher-Yates stream of one
+    ``rng.permutation(n)`` per statistic, so the draws and the generator
+    state after them are the same whatever the sizes, and a test that stops
+    leaves the rest undrawn.  Each permuted statistic is bitwise that of the
+    one-product-per-permutation loop (``oracles.permuted_stats_loop``).  The
+    decision is the full test's; see ``TestDecision``.
     """
     if B < 19:
         raise ValueError("need at least 19 permutations")
     limit = rejection_limit(B, alpha)
-    chunks = _stat_chunks(ds, B, rng)
-    cap = next(chunks)
-    floor = perm_work_floor(ds.n, ds.p, ds.q) if stop_early else cap
+    xt, y, n = ds.x.T, ds.y, ds.n
+    cap = perm_chunk_size(n, ds.p, ds.q)
+    floor = perm_work_floor(n, ds.p, ds.q) if stop_early else cap
+    identity = np.arange(n)
+    rows = np.empty((min(cap, B) + 1, n), dtype=identity.dtype)
+    rows[0] = identity
     observed = None
-    count = 0
-    done = 0
+    count = done = 0
     while done < B and not (stop_early and (count > limit or count + B - done <= limit)):
-        if floor >= cap:
-            stats = next(chunks)
+        k = min(cap, B - done, max(floor, min(limit + 1 - count, B - done - limit + count)))
+        perms = rows[1:1 + k]
+        perms[...] = identity
+        rng.permuted(perms, axis=1, out=perms)
+        if done:
+            stats = _stats(xt, y, perms)
         else:
-            stats = chunks.send(max(floor, min(limit + 1 - count, B - done - limit + count)))
-        if observed is None:
+            stats = _stats(xt, y, rows[:1 + k])
             observed, stats = float(stats[0]), stats[1:]
         count += int(np.count_nonzero(stats >= observed))
-        done += len(stats)
+        done += k
     if observed is None:  # decided before the first product
         observed = cross_cov_stat(ds)
     if stop_early:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import indeplab
-from indeplab import cli, divergence, stat_tests
+from indeplab import cli, divergence, oracles_suite, stat_tests
 from indeplab.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_ORACLE, main
 from indeplab.divergence import chi_square_exact, select_b
 
@@ -91,6 +91,10 @@ class TestBound:
         assert rows[0]["chi2_exact"] == ""
         assert "RuntimeWarning" not in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work ran before the output was opened")
 
 
 def _out_of_memory(*args, **kwargs):
@@ -353,14 +357,39 @@ class TestValidation:
         (["bound", "--b", "nan"], "b must be nonnegative, got nan"),
         (["bound", "--b", "inf"], "b must be nonnegative, got inf"),
         (["phase", "--grid-s", "nan"], "grid_s entries must be nonnegative, got nan"),
-    ], ids=["grid_n_inf", "grid_p_nan", "kappa_nan", "kappa_inf", "b_nan", "b_inf", "grid_s_nan"])
+        # An empty list once ran no point and wrote a CSV of its header alone.
+        (["bound", "--grid-n", "10", "--grid-p", ",", "--grid-q", "2"], "grid_p must list at least one value"),
+        (["power", "--regime", "null", "--grid-n", ",", "--trials", "3", "--perms", "19"],
+         "grid_n must list at least one value"),
+        (["power", "--grid-q", ""], "grid_q must list at least one value"),
+        (["phase", "--grid-n", "20", "--grid-p", "2", "--grid-q", "2", "--grid-s", ",", "--trials", "5",
+          "--perms", "19"], "grid_s must list at least one value"),
+    ], ids=["grid_n_inf", "grid_p_nan", "kappa_nan", "kappa_inf", "b_nan", "b_inf", "grid_s_nan",
+            "grid_p_empty", "grid_n_empty", "grid_q_empty", "grid_s_empty"])
     def test_non_finite_exits_config(self, capsys, argv, message):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_CONFIG
-        assert out == "" and message in err
+        assert out == "" and err == f"invalid config: {message}\n"
         assert not caught
+
+    @pytest.mark.parametrize("argv, target", [
+        (["bound", "--grid-n", "10", "--grid-p", "2", "--grid-q", "2"], (divergence, "minimax_power_upper")),
+        (["power", "--regime", "null", "--grid-n", "10", "--grid-p", "2", "--grid-q", "2", "--trials", "3",
+          "--perms", "19"], (stat_tests, "_trial")),
+        (["verify"], (oracles_suite, "run_suite")),
+    ], ids=["bound", "power", "verify"])
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_unwritable_out_exits_config_before_any_work(self, capsys, monkeypatch, tmp_path, argv, target,
+                                                           where):
+        # Opening the file once raised FileNotFoundError or IsADirectoryError
+        # as a traceback, for verify after its whole suite had run.
+        monkeypatch.setattr(*target, _no_work)
+        path = tmp_path / "missing" / "x.csv" if where == "missing_dir" else tmp_path
+        code, out, err = run_cli(capsys, *argv, "--out", str(path))
+        assert code == EXIT_CONFIG
+        assert out == "" and err.startswith(f"config error: cannot write {path}: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv, message", [
         (["--n", "0", "--p", "3", "--q", "3"], "n must be positive"),

@@ -340,6 +340,40 @@ class TestMomentSeries:
         for p, q, m, b in itertools.product((1, 2, 3, 4), (1, 2, 4), (1, 5), (0.1, 0.3)):
             assert _takes_series(m, p, q, b)
 
+    @pytest.mark.parametrize("n,p,q,b,terms,certified", [
+        (40, 30, 20, 1.3, 24, False), (2000, 300, 300, 1.3, 40, False),
+        (40, 30, 20, 1.0, 32, True), (8000, 2000, 2000, 0.8, 18, True),
+    ])
+    def test_terms_evaluated(self, n, p, q, b, terms, certified):
+        # The series once ran all _MAX_TERMS = 60 terms before it handed a
+        # point to the grid; it now gives up at the first check (every 8
+        # terms) after failure is provable, at terms 21 and 33 of the first
+        # two points.  The give-up never fires where the series certifies.
+        moments, pulled = divergence._moments, []
+
+        def counting(d):
+            for m in moments(d):
+                pulled.append(d)
+                yield m
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(divergence, "_moments", counting)
+            got = _takes_series(n, p, q, b)
+        assert (len(pulled) // 2, got) == (terms, certified)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 10**6), st.integers(1, 2000), st.integers(1, 2000), st.floats(-3.0, 0.0))
+    @example(40, 30, 20, math.log10(1.3 / _b_edge(40, 30, 20)))
+    @example(2000, 300, 300, math.log10(1.3 / _b_edge(2000, 300, 300)))
+    def test_give_up_changes_no_result(self, n, p, q, log_b):
+        b = _b_edge(n, p, q) * 10.0**log_b * (1 - 1e-9)
+        assume(_finite(n, p, q, b))
+        a = float(amplitude(n, p, q, b))
+        got = divergence._moment_series(n, p, q, a)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(divergence, "_cannot_certify", lambda *args: False)
+            assert divergence._moment_series(n, p, q, a) == got
+
     @pytest.mark.parametrize("n,p,q", [(100, 30, 30), (1000, 200, 100), (20, 5, 60)])
     def test_continuous_across_the_switch_to_the_grid(self, n, p, q):
         lo, hi = 1e-3, _b_edge(n, p, q) * (1 - 1e-3)

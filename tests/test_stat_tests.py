@@ -32,19 +32,30 @@ from indeplab.stat_tests import (
 from indeplab.structured_cov import LeastFavorableCov, sample_dataset
 
 
-def _started_chunks(ds, B, rng):
-    """``_stat_chunks`` started: its first ``next`` returns the product cap."""
-    chunks = stat_tests._stat_chunks(ds, B, rng)
-    assert next(chunks) == perm_chunk_size(ds.n, ds.p, ds.q)
-    return chunks
+def _products(ds, B, rng, alpha=0.05, stop_early=False):
+    """The decision of ``permutation_test`` and the products its loop computed,
+    in order, read off a recorder on its kernel ``stat_tests._stats``.  The
+    first product leads with the identity permutation's row."""
+    kernel, products = stat_tests._stats, []
+
+    def record(xt, y, rows):
+        products.append(kernel(xt, y, rows))
+        return products[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stat_tests, "_stats", record)
+        dec = permutation_test(ds, B, alpha, rng, stop_early=stop_early)
+    return dec, products
 
 
 def _permuted_chunks(ds, B, rng):
-    """The kernel's chunks of B permuted statistics, each of the product cap
-    but the last: ``_stat_chunks`` iterated with the first chunk's leading
-    identity row (the observed statistic) dropped."""
-    chunks = list(_started_chunks(ds, B, rng))
-    return [chunks[0][1:]] + chunks[1:]
+    """The full test's products of B permuted statistics, each of the product
+    cap but the last, with the first one's leading identity row (the observed
+    statistic) dropped."""
+    products = _products(ds, B, rng)[1]
+    chunks = [products[0][1:]] + products[1:]
+    assert max(map(len, chunks)) == min(B, perm_chunk_size(ds.n, ds.p, ds.q))
+    return chunks
 
 
 def make_ds(x, y):
@@ -186,7 +197,7 @@ class TestSequentialPermutationTest:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(stat_tests, "PERM_MIN_WORK", floor * ds.n * ds.q * (ds.p + 1))
             assert perm_work_floor(ds.n, ds.p, ds.q) == floor
-            dec = permutation_test(ds, B, alpha, np.random.default_rng(seed), stop_early=True)
+            dec, products = _products(ds, B, np.random.default_rng(seed), alpha, stop_early=True)
         loop = permuted_stats_loop(ds, B, np.random.default_rng(seed))
         counts = np.concatenate([[0], np.cumsum(loop >= cross_cov_stat(ds))])
         limit = rejection_limit(B, alpha)
@@ -205,6 +216,12 @@ class TestSequentialPermutationTest:
         fixed = first_fixed(range(B + 1))
         assert dec.reject == (counts[B] <= limit)
         assert dec.permutations == first_fixed(product_ends())
+        if dec.permutations:
+            # The recorded products have those sizes, and the loop's statistics.
+            starts = list(itertools.takewhile(lambda m: m < dec.permutations, product_ends()))
+            ends = starts[1:] + [dec.permutations]
+            assert [len(c) for c in products] == [e - s + (s == 0) for s, e in zip(starts, ends)]
+            assert np.array_equal(np.concatenate(products)[1:], loop[:dec.permutations])
         assert fixed <= dec.permutations <= min(B, fixed + min(floor, cap) - 1)
         if floor == 1:
             assert dec.permutations == fixed
@@ -324,7 +341,7 @@ class TestKernel:
     def test_statistic_is_the_identity_row(self, n, p, q, data_seed, perm_seed):
         ds = _kernel_dataset(n, p, q, data_seed)
         dec = permutation_test(ds, 19, 0.05, np.random.default_rng(perm_seed))
-        first = next(_started_chunks(ds, 19, np.random.default_rng(perm_seed)))
+        first = _products(ds, 19, np.random.default_rng(perm_seed))[1][0]
         assert len(first) == PERM_CHUNK + 1
         assert dec.statistic == cross_cov_stat(ds) == first[0]
 

@@ -38,6 +38,7 @@ MC = "--trials 40 --perms 39"
 COMMANDS = (
     "power --regime null --grid-n 50 --grid-p 5 --grid-q 5 --trials 100 --perms 200",
     "power --regime null --grid-n 200 --grid-p 50 --grid-q 50 --trials 30 --perms 200",
+    "power --regime null --grid-n 2000 --grid-p 50 --grid-q 50 --trials 5 --perms 200",
     "power --regime lf --grid-n 200 --grid-p 50 --grid-q 50 --trials 30 --perms 200",
     "power --regime lf --b 0 --grid-n 200 --grid-p 50 --grid-q 50 --trials 30 --perms 200",
     f"power --regime lf --b 0.7 --grid-n 40 --grid-p 3,7 --grid-q 2,5 {MC}",
