@@ -132,6 +132,8 @@ def _validate(args: argparse.Namespace) -> list[str]:
             for val in getattr(args, gname):
                 if not (val >= 1 and val.is_integer()):
                     errs.append(f"{gname} entries must be positive integers, got {val}")
+                elif not val < 2**53:  # below it, an integer-valued double is the integer typed
+                    errs.append(f"{gname} entries must be below 2^53, got {val}")
     if hasattr(args, "grid_s"):
         for val in args.grid_s:
             if not (0.0 <= val < math.inf):
@@ -150,16 +152,21 @@ class _OutputError(Exception):
     """The ``--out`` file cannot be opened for writing."""
 
 
+def _open_out(path: str | None):
+    """The ``--out`` file, or stdout without one; opened before a command
+    computes anything, so that an unwritable path ends it before its work."""
+    try:
+        return open(path, "w", newline="") if path else sys.stdout
+    except OSError as exc:
+        raise _OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 class _Emitter:
-    """The CSV writer; made before a command computes anything, so that an
-    unwritable ``--out`` ends the command before its work."""
+    """The CSV writer, on ``_open_out``'s file."""
 
     def __init__(self, args: argparse.Namespace, columns: list[str]):
         self.path = args.out
-        try:
-            self.fh = open(self.path, "w", newline="") if self.path else sys.stdout
-        except OSError as exc:
-            raise _OutputError(f"cannot write {self.path}: {exc.strerror or exc}") from exc
+        self.fh = _open_out(self.path)
         self.fh.write(f"# command={args.command} seed={args.seed} fingerprint={_fingerprint(args)}\n")
         self.writer = csv.DictWriter(self.fh, fieldnames=columns, lineterminator="\n")
         self.writer.writeheader()
@@ -288,17 +295,21 @@ def cmd_phase(args) -> int:
 
 def cmd_divergence(args) -> int:
     b = _resolve_b(args)
+    fh = _open_out(args.out)
     try:
         rep = dv.minimax_power_upper(args.n, args.p, args.q, b, args.alpha)
+        print(f"n={args.n} p={args.p} q={args.q} b={b:.12g}",
+              f"chi2_exact={rep.chi2_exact:.12g}",
+              f"chi2_closed_bound={rep.chi2_closed_bound:.12g}",
+              f"tv_upper={rep.tv_upper:.12g}",
+              f"power_upper={rep.power_upper:.12g}",
+              f"pd_ok={rep.pd_ok} mgf_ok={rep.pd_ok} b_caps_ok={rep.b_caps_ok}", sep="\n", file=fh)
     except (ValueError, ArithmeticError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_NUMERIC
-    print(f"n={args.n} p={args.p} q={args.q} b={b:.12g}")
-    print(f"chi2_exact={rep.chi2_exact:.12g}")
-    print(f"chi2_closed_bound={rep.chi2_closed_bound:.12g}")
-    print(f"tv_upper={rep.tv_upper:.12g}")
-    print(f"power_upper={rep.power_upper:.12g}")
-    print(f"pd_ok={rep.pd_ok} mgf_ok={rep.pd_ok} b_caps_ok={rep.b_caps_ok}")
+    finally:
+        if args.out:
+            fh.close()
     return EXIT_OK
 
 

@@ -46,9 +46,10 @@ every other pair (U, V), (U, -V) adds f(x) + f(-x) - 2 >= 0 by convexity).
 So the skipped cells weigh at most 2^-71 chi2.  A total beyond the largest
 double raises OverflowError.
 
-MGF validity is the closed form c = |a| sqrt(pq) < 1, the same test as
-``pd_ok``, since t * gamma peaks at 2c / (1 + c).  The full-grid form of the
-gamma maximum is kept as an oracle, ``oracles.gamma_grid``.
+Admission.  chi2 is finite, the MGF valid (t * gamma peaks at 2c / (1 + c),
+c = |a| sqrt(pq)) and Sigma_uv positive definite all exactly when c < 1;
+``structured_cov.positive_definite`` decides it for every command, and its
+clause a^2 pq < 1 keeps the grid corner's log1p(-a^2 p q) finite.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .structured_cov import amplitude
+from .structured_cov import amplitude, positive_definite
 
 LOG2 = math.log(2.0)
 LOG4 = math.log(4.0)
@@ -78,13 +79,15 @@ _MAX_TERMS = 60
 
 
 class DivergenceInfiniteError(ValueError):
-    """The defining Gaussian integral diverges (some 1 - a^2 U V <= 0)."""
+    """The defining Gaussian integral diverges: a^2 pq < 1 fails ``positive_definite``."""
 
 
 @dataclass(frozen=True)
 class DivergenceReport:
     """Chi-square divergence with the full chain of derived bounds.  ``pd_ok``
-    is ``mgf_validity``'s a^2 pq < 1, which decides MGF validity too."""
+    is ``positive_definite``, which decides MGF validity too.  ``tv_upper`` =
+    sqrt(chi2) / 2 and ``power_upper`` are not clipped: above 1 they hold
+    vacuously."""
 
     chi2_exact: float
     chi2_closed_bound: float
@@ -144,16 +147,12 @@ def gamma_eigs(a, p, q, ug, vh) -> GammaQuad:
 
 
 def mgf_validity(a: float, p: int, q: int) -> bool:
-    """True iff t * gamma_ij < 1 for every achievable (ug, vh) configuration.
-
-    The largest t * gamma_ij over the (ug, vh) grid is 2c / (1 + c), with
-    c = |a| sqrt(pq), at the corners (p, q) and (-p, -q).  It is below 1
-    exactly when c < 1, the condition for Sigma_uv to be positive definite, so
-    the test is a^2 pq < 1, the same as ``pd_ok``; evaluating t * gamma at a
-    corner would lose the answer to rounding for 1 - c < 2.4e-8.
+    """True iff t * gamma_ij < 1 for every achievable (ug, vh) configuration:
+    the largest, 2c / (1 + c) with c = |a| sqrt(pq), is below 1 exactly when
+    Sigma_uv is positive definite, so ``positive_definite`` decides it.
     ``oracles.gamma_grid`` is the reference for the 2c / (1 + c) maximum.
     """
-    return a * a * p * q < 1.0
+    return bool(positive_definite(p, q, a))
 
 
 @functools.cache
@@ -347,8 +346,8 @@ def chi_square_exact(n: int, p: int, q: int, b: float) -> float:
 
     chi2 = sum_{k,l} C(p,k) C(q,l) 2^-(p+q) (1 - a^2 (p-2k)(q-2l))^-n  -  1.
 
-    The largest a^2 U V sits at the corner U = p, V = q, so the divergence
-    check reads that corner alone.  The moment series
+    The largest a^2 U V sits at the corner U = p, V = q, which
+    ``positive_definite`` keeps below 1.  The moment series
     sum_k C(n+2k-1, 2k) (a^4 pq)^k m_k(p) m_k(q), m_k(d) = E[(U^2/d)^k] from
     exact integers, is taken when its remainder, bounded through
     m_{k+1}/m_k <= min(2k+1, d), is certified below 2^-60 of the partial sum
@@ -359,15 +358,15 @@ def chi_square_exact(n: int, p: int, q: int, b: float) -> float:
     the skipped cells weigh at most 2^-71 chi2 (``_grid_sum``); near
     a^2 pq -> 1 its error comes from the rounding of -n log1p(-a^2 U V), which
     is ill-conditioned there.  The module docstring gives both proofs.  Raises
-    ValueError for a NaN b, DivergenceInfiniteError when 1 - a^2 pq <= 0 and
-    OverflowError if chi2 exceeds a double.
+    ValueError for a NaN b, DivergenceInfiniteError when ``positive_definite``
+    fails and OverflowError if chi2 exceeds a double.
     """
     if math.isnan(b):
         raise ValueError("b must not be NaN")
     if b == 0.0:
         return 0.0
     a = amplitude(n, p, q, b)
-    if 1.0 - a * a * p * q <= 0.0:
+    if not positive_definite(p, q, a):
         raise DivergenceInfiniteError(
             "1 - a^2 U V <= 0 at some support point: the integral diverges"
         )

@@ -8,10 +8,10 @@ where u is a length-p sign vector (padded with zeros on the Y block), v a
 length-q sign vector (padded with zeros on the X block), and a > 0 a small
 amplitude.  Every entry of the implied cross-covariance block is +-a, so its
 Frobenius norm is a * sqrt(p*q).  The matrix is positive definite exactly
-when a^2 * p * q < 1.  In floating point ``positive_definite`` decides it,
-from the smallest eigenvalue and the determinant as ``cov_sqrt_apply`` and
-``cov_inverse`` compute them, so every member ``CovStack`` accepts has a
-finite square root and inverse.
+when a^2 * p * q < 1.  In floating point ``positive_definite`` decides it for
+the whole package: ``CovStack``, ``power --regime lf``, and the chi-square of
+``divergence``, so every admitted member has a finite square root, inverse
+and chi-square grid corner.
 
 ``CovStack`` is the one type for members of the family: with no leading axis
 it is one member, with a leading axis of length m a stack of m members of any
@@ -82,11 +82,13 @@ class CovStack:
 
 
 def positive_definite(p, q, a) -> bool | np.ndarray:
-    """Whether members of sizes p, q and amplitude a are positive definite: the
-    smallest eigenvalue 1 - a sqrt(pq) and the determinant 1 - pq a^2, each in
-    the expression ``_sqrt_factors`` and ``cov_det`` evaluate, are positive.
-    NaN fails."""
-    return (1.0 - a * np.sqrt(p * q) > 0.0) & (1.0 - p * q * a * a > 0.0)
+    """The one admission rule for a^2 pq < 1, elementwise: the smallest
+    eigenvalue 1 - a sqrt(pq) (``_sqrt_factors``) and the determinant
+    1 - pq a^2 (``cov_det``) are positive, and the grid corner a^2 pq of
+    ``divergence`` is below 1, each rounded as its consumer rounds it.  NaN
+    fails.  Scalars take ``math.sqrt``, which has ``np.sqrt``'s bits."""
+    root = np.sqrt(p * q) if isinstance(p * q, np.ndarray) else math.sqrt(p * q)
+    return (1.0 - a * root > 0.0) & (1.0 - p * q * a * a > 0.0) & (a * a * p * q < 1.0)
 
 
 def LeastFavorableCov(u: np.ndarray, v: np.ndarray, a: float) -> CovStack:

@@ -1,6 +1,9 @@
+import contextlib
 import csv
+import ctypes
 import hashlib
 import io
+import json
 import math
 import os
 import subprocess
@@ -10,6 +13,7 @@ from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
+from numpy._core import _multiarray_umath
 
 import indeplab
 from indeplab import cli, divergence, oracles_suite, stat_tests
@@ -101,6 +105,54 @@ def _out_of_memory(*args, **kwargs):
     raise MemoryError
 
 
+VERIFY_ARGV = {
+    "seed0": ["--seed", "0"],
+    "seed1": ["--seed", "1"],
+    "seed2758": ["--seed", "2758"],
+    "seed_large": ["--seed", "770799637690793716"],
+    "inject_fault": ["--inject-fault"],
+}
+# sha256 of verify's stdout, by the OpenBLAS core type numpy's library runs.
+VERIFY_GOLDENS = {
+    "SkylakeX": {
+        "seed0": "c429939b7e4632592891404ee7667d9d2b4abab693e0e818a9c619965e368ead",
+        "seed1": "af33ec93d3fe5283f44ee7cd254b720a9fd76e90b147da4cd7b79683c8f8c986",
+        "seed2758": "c4665462a17fe1f67b5a023b11a751a602248fa21043faad1cba11cdb89e6b95",
+        "seed_large": "c553dca8b0cb74ef8d65f2e589e1021c89497b91a65ad71c1b2420189382fd2a",
+        "inject_fault": "658b56d04b5823726667500eb91f9efebdc8d4d8eb7fad53d65d3ac8a23429c4",
+    },
+    "Haswell": {
+        "seed0": "d605f70fd23de8c7355624e829e11873f0463cb40baae0bfe4322aa829eea082",
+        "seed1": "9e53d2dca45cace996684938a909dbf9cd0342a49aa77ce7c0695552570dc16a",
+        "seed2758": "17ea65bce0b2706ffa6b01e5ed31da7c4bb4806b04d1aab4a7757f08568cd25c",
+        "seed_large": "49706cc7c75aa6152773d525dd418fc6d8f709fcb7d00ca8de43c545f4b647fe",
+        "inject_fault": "c45713d224119d0476e2ab18379c5ce0be12508ec9d407dfef852e6fe5e2a541",
+    },
+}
+
+
+def _openblas_core() -> str:
+    """The core type numpy's bundled OpenBLAS picked at load, read through the
+    numpy extension that links it; "unknown" for a numpy on another BLAS."""
+    try:
+        corename = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_corename64_
+    except AttributeError:
+        return "unknown"
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
+def _verify_digests() -> dict[str, str]:
+    """sha256 of verify's stdout for each case of VERIFY_ARGV, in-process."""
+    digests = {}
+    for case, argv in VERIFY_ARGV.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            main(["verify", *argv])
+        digests[case] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return digests
+
+
 class TestVerify:
     def test_default_all_pass(self, capsys):
         code, out, _ = run_cli(capsys, "verify")
@@ -124,18 +176,25 @@ class TestVerify:
         _, rows = parse_csv(out)
         assert any(r["pass"] == "False" for r in rows)
 
-    @pytest.mark.parametrize("argv, digest", [
-        (["--seed", "0"], "c429939b7e4632592891404ee7667d9d2b4abab693e0e818a9c619965e368ead"),
-        (["--seed", "1"], "af33ec93d3fe5283f44ee7cd254b720a9fd76e90b147da4cd7b79683c8f8c986"),
-        (["--seed", "2758"], "c4665462a17fe1f67b5a023b11a751a602248fa21043faad1cba11cdb89e6b95"),
-        (["--seed", "770799637690793716"], "c553dca8b0cb74ef8d65f2e589e1021c89497b91a65ad71c1b2420189382fd2a"),
-        (["--inject-fault"], "658b56d04b5823726667500eb91f9efebdc8d4d8eb7fad53d65d3ac8a23429c4"),
-    ], ids=["seed0", "seed1", "seed2758", "seed_large", "inject_fault"])
-    def test_golden_bytes(self, capsys, argv, digest):
+    @pytest.mark.parametrize("case", list(VERIFY_ARGV))
+    def test_golden_bytes(self, capsys, case):
         # A change to the oracle draws or to the enumeration's summation
-        # changes these bytes.
-        _, out, _ = run_cli(capsys, "verify", *argv)
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        # changes these bytes.  So does the BLAS kernel: the dense oracles'
+        # brute-force and error columns move by a few ulps between core types.
+        core = _openblas_core()
+        assert core in VERIFY_GOLDENS, f"no verify golden recorded for OpenBLAS core {core}"
+        _, out, _ = run_cli(capsys, "verify", *VERIFY_ARGV[case])
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_GOLDENS[core][case]
+
+    def test_golden_bytes_under_haswell_kernels(self):
+        # numpy's OpenBLAS is built for many CPUs and picks its kernels at
+        # load; these are the ones an AVX2-only host gets.
+        code = (f"import json, sys; sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+                "import test_cli\n"
+                "print(json.dumps([test_cli._openblas_core(), test_cli._verify_digests()]))")
+        result = _python("-c", code, env={"OPENBLAS_CORETYPE": "Haswell"})
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == ["Haswell", VERIFY_GOLDENS["Haswell"]]
 
     @pytest.mark.parametrize("argv, digest", [
         ("power --regime lf --grid-n 40 --grid-p 3,7 --grid-q 2",
@@ -290,6 +349,22 @@ class TestDivergenceCommand:
         assert code == EXIT_NUMERIC
         assert out == "" and "MemoryError" in err
 
+    def test_report_to_out(self, capsys, tmp_path):
+        # --out was once accepted and ignored.
+        argv = ["divergence", "--n", "20", "--p", "2", "--q", "2"]
+        _, stdout_report, _ = run_cli(capsys, *argv)
+        path = tmp_path / "report.txt"
+        code, out, err = run_cli(capsys, *argv, "--out", str(path))
+        assert (code, out, err) == (EXIT_OK, "", "")
+        assert path.read_bytes() == stdout_report.encode()
+
+    def test_unwritable_out_exits_config_before_any_work(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(divergence, "minimax_power_upper", _no_work)
+        path = tmp_path / "missing" / "report.txt"
+        code, out, err = run_cli(capsys, "divergence", "--n", "20", "--p", "2", "--q", "2", "--out", str(path))
+        assert code == EXIT_CONFIG
+        assert out == "" and err.startswith(f"config error: cannot write {path}: ") and err.count("\n") == 1
+
     def test_overflow_exits_numeric(self, capsys):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -352,6 +427,10 @@ class TestValidation:
     @pytest.mark.parametrize("argv, message", [
         (["bound", "--grid-n", "inf"], "grid_n entries must be positive integers, got inf"),
         (["bound", "--grid-p", "nan"], "grid_p entries must be positive integers, got nan"),
+        # Parsed as doubles: 2^53 + 1 once ran as n = 2^53, and 1e300 as its
+        # 301-digit integer.
+        (["bound", "--grid-n", "9007199254740993"], "grid_n entries must be below 2^53, got 9007199254740992.0"),
+        (["power", "--grid-q", "1e300"], "grid_q entries must be below 2^53, got 1e+300"),
         (["bound", "--kappa", "nan"], "kappa must be positive, got nan"),
         (["bound", "--kappa", "inf"], "kappa must be positive, got inf"),
         (["bound", "--b", "nan"], "b must be nonnegative, got nan"),
@@ -364,8 +443,8 @@ class TestValidation:
         (["power", "--grid-q", ""], "grid_q must list at least one value"),
         (["phase", "--grid-n", "20", "--grid-p", "2", "--grid-q", "2", "--grid-s", ",", "--trials", "5",
           "--perms", "19"], "grid_s must list at least one value"),
-    ], ids=["grid_n_inf", "grid_p_nan", "kappa_nan", "kappa_inf", "b_nan", "b_inf", "grid_s_nan",
-            "grid_p_empty", "grid_n_empty", "grid_q_empty", "grid_s_empty"])
+    ], ids=["grid_n_inf", "grid_p_nan", "grid_n_2_53_plus_1", "grid_q_1e300", "kappa_nan", "kappa_inf", "b_nan",
+            "b_inf", "grid_s_nan", "grid_p_empty", "grid_n_empty", "grid_q_empty", "grid_s_empty"])
     def test_non_finite_exits_config(self, capsys, argv, message):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -473,10 +552,12 @@ class TestConfigFile:
         assert out == flag_out  # header fingerprint included
 
 
-def _python(*args):
-    """A new interpreter that imports this checkout's indeplab."""
+def _python(*args, env=None):
+    """A new interpreter that imports this checkout's indeplab, with ``env``
+    added to this process's environment."""
     src = str(Path(indeplab.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {**os.environ, **(env or {}),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from indeplab import divergence, oracles
+from indeplab import divergence, oracles, stat_tests
 from indeplab.divergence import (
     TILE,
     DivergenceInfiniteError,
@@ -22,7 +22,7 @@ from indeplab.divergence import (
     minimax_power_upper,
     select_b,
 )
-from indeplab.structured_cov import amplitude
+from indeplab.structured_cov import CovStack, SingularCovarianceError, amplitude, positive_definite
 
 # 40-digit evaluation of 0.3 / (sqrt(log 4) * 1.3)
 SELECT_B_K1 = 0.19599733852800439447419296171605145
@@ -112,10 +112,9 @@ def _b_edge(n, p, q):
 
 
 def _finite(n, p, q, b):
-    """The package's own condition for a finite chi2: 1 - a^2 pq > 0 at the
-    double a.  ``b < _b_edge`` in floats does not imply it."""
-    a = float(amplitude(n, p, q, b))
-    return 1.0 - a * a * p * q > 0.0
+    """The package's own condition for a finite chi2, ``positive_definite`` at
+    the double a.  ``b < _b_edge`` in floats does not imply it."""
+    return bool(positive_definite(p, q, float(amplitude(n, p, q, b))))
 
 
 def _takes_series(n, p, q, b):
@@ -838,6 +837,53 @@ class TestGammaEigs:
             gamma_eigs(0.1, 2, 2, 4, 0)
 
 
+@st.composite
+def _near_edge(draw):
+    """(n, p, q, b) with b within 8 ulps of the b where a^2 pq = 1."""
+    n, p, q = draw(st.integers(1, 4999)), draw(st.integers(1, 39)), draw(st.integers(1, 39))
+    b, steps = _b_edge(n, p, q), draw(st.integers(-8, 8))
+    for _ in range(abs(steps)):
+        b = math.nextafter(b, math.copysign(math.inf, steps))
+    return n, p, q, b
+
+
+class TestAdmission:
+    @settings(max_examples=400, deadline=None)
+    @given(_near_edge())
+    # bound once wrote "diverges" here while power --regime lf ran its trials,
+    @example((1475, 32, 6, 14.591021614803894))
+    # and computed chi2 here while power --regime lf refused the point.
+    @example((2702, 8, 11, 24.00142361596202))
+    def test_every_consumer_decides_through_positive_definite(self, point):
+        n, p, q, b = point
+        a = amplitude(n, p, q, b)
+        admitted = positive_definite(p, q, a)
+        assert mgf_validity(a, p, q) is admitted
+        members = [dict(signs=np.ones(p + q), p=p, a=a), dict(signs=np.ones((1, p + q)), p=[p], a=[a])]
+        for member in members:
+            try:
+                CovStack(**member)
+                assert admitted
+            except SingularCovarianceError:
+                assert not admitted
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stat_tests, "_estimate", lambda *args: "trials ran")
+            try:
+                assert stat_tests.estimate_avg_power(n, p, q, b, 3, 19, 0) == "trials ran"
+                assert admitted
+            except ValueError as exc:
+                assert not admitted and "not positive definite" in str(exc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                chi2 = chi_square_exact(n, p, q, b)
+                assert admitted and math.isfinite(chi2) and chi2 > 0.0
+            except DivergenceInfiniteError:
+                assert not admitted
+            except OverflowError:
+                assert admitted
+
+
 class TestMgfValidity:
     def test_zero_amplitude(self):
         assert mgf_validity(0.0, 5, 5)
@@ -847,7 +893,7 @@ class TestMgfValidity:
         for (n, p, q) in [(40, 20, 20), (100, 30, 70), (10, 5, 5)]:
             kappa = (p + q) / n
             b = 0.99 * 0.5 / math.sqrt(kappa)
-            assert mgf_validity(amplitude(n, p, q, b), p, q)
+            assert positive_definite(p, q, amplitude(n, p, q, b))
 
     def test_non_pd_fails(self):
         assert not mgf_validity(0.5, 4, 4)
@@ -872,20 +918,20 @@ class TestMgfValidity:
         assert grid_max == pytest.approx(corner_max, rel=1e-12)
         c = abs(a) * math.sqrt(p * q)
         assert corner_max == pytest.approx(2.0 * c / (1.0 + c), rel=1e-12)
-        assert mgf_validity(a, p, q) == (grid_max < 1.0)
+        assert positive_definite(p, q, a) == (grid_max < 1.0)
 
     @pytest.mark.parametrize("gap", [1e-3, 1e-6, 1e-8, 2e-8, 1e-9])
     def test_near_boundary_matches_full_stable_grid(self, gap):
         # c = 1 - gap < 1 is valid however small the gap.  The stable kernel's
         # largest t * gamma over every (ug, vh) is 2c / (1 + c) up to the
         # rounding of t = a / (1 - pq a^2), about 1.1e-16 / gap, which is why
-        # mgf_validity tests c < 1 instead of evaluating t * gamma < 1.
+        # the admission rule tests c < 1 instead of evaluating t * gamma < 1.
         c = 1.0 - gap
         for p in range(1, 9):
             for q in range(1, 9):
                 for sign in (1.0, -1.0):
                     a = sign * c / math.sqrt(p * q)
-                    assert mgf_validity(a, p, q)
+                    assert positive_definite(p, q, a)
                     t = a / (1.0 - p * q * a * a)
                     grid_max = max(
                         t * g

@@ -179,6 +179,12 @@ class TestInverseAndDet:
                 assert np.isfinite(cov_sqrt_apply(lf, rng.standard_normal(p + q))).all()
             a = math.nextafter(a, 0.0)
 
+    def test_int_sizes_past_int64(self):
+        # np.sqrt of an int p*q at or past 2^64 raised TypeError, which ended
+        # `power --regime lf --grid-p 1e10 --grid-q 1e10` in a traceback.
+        assert structured_cov.positive_definite(10**10, 10**10, 1e-11) is True
+        assert structured_cov.positive_definite(10**10, 10**10, 1e-9) is False
+
 
 class TestSqrtAndSampling:
     def test_identity_sqrt(self):

@@ -47,6 +47,11 @@ COMMANDS = (
     f"bound --grid-n 8000 --grid-p {workloads.EXACT_DIMS} --grid-q {workloads.EXACT_DIMS}",
     f"bound --grid-n 8000 --grid-p {workloads.EXACT_DIMS} --grid-q {workloads.EXACT_DIMS} "
     f"--b {workloads.EXACT_HIGH_B}",
+    # Near the edge a^2 pq = 1, where every command admits a point by one rule.
+    "bound --grid-n 1475 --grid-p 32 --grid-q 6 --b 14.591021614803894",
+    f"power --regime lf --grid-n 1475 --grid-p 32 --grid-q 6 --b 14.591021614803894 {MC}",
+    "bound --grid-n 2702 --grid-p 8 --grid-q 11 --b 24.00142361596202",
+    f"power --regime lf --grid-n 2702 --grid-p 8 --grid-q 11 --b 24.00142361596202 {MC}",
     "divergence --n 200 --p 10 --q 10",
     "divergence --n 8000 --p 2000 --q 250 --b 0.8",
     "verify",
