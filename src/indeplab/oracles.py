@@ -1,11 +1,14 @@
 """Brute-force validators for the closed-form divergence machinery.
 
 Everything here is deliberately independent of the closed forms it checks:
-enumeration over sign vectors, dense eigendecompositions, and Monte-Carlo
-and Gauss-Hermite integration of the exact density ratio.  Feasible only at
-tiny dimensions; that is the point.  The full-grid kernels (``gamma_grid``,
-``permuted_stats_loop``) are the straightforward forms that the package's
-fast paths replaced, kept as their references.
+enumeration over sign vectors, dense eigendecompositions, Monte-Carlo and
+Gauss-Hermite integration of the exact density ratio over one table of dense
+mixture components (``_components``), and exact binomial tail weights.  From
+``structured_cov`` it takes only the definitions of the model, and nothing
+from ``divergence``.  Feasible only at tiny dimensions; that is the point.
+The full-grid kernels (``gamma_grid``, ``permuted_stats_loop``) are the
+straightforward forms that the package's fast paths replaced, kept as their
+references.
 """
 
 from __future__ import annotations
@@ -16,8 +19,7 @@ from itertools import product
 
 import numpy as np
 
-from .divergence import _log_weights
-from .structured_cov import Dataset, LeastFavorableCov, amplitude, cov_det, cov_inverse, dense_cov
+from .structured_cov import Dataset, LeastFavorableCov, amplitude, dense_cov
 
 MAX_ENUM_DIM = 8  # 4^(p+q) quadruple enumeration cap
 MAX_MC_DIM = 5
@@ -76,48 +78,39 @@ def enumerate_chi_square(n: int, p: int, q: int, b: float) -> float:
     return sum(c * m * (den // d) for c, (m, d) in zip(counts, ratios)) / den / size
 
 
+def _components(a: float, p: int, q: int) -> tuple[np.ndarray, list[float]]:
+    """I - Sigma_c^-1 and log det Sigma_c for the 2^(p+q) sign components
+    Sigma_c = dense_cov(u, v, a), one LAPACK ``inv`` and ``det`` on the stack."""
+    sigma = np.array([dense_cov(LeastFavorableCov(u=u, v=v, a=a)) for u in _sign_vectors(p) for v in _sign_vectors(q)])
+    return np.eye(p + q) - np.linalg.inv(sigma), [math.log(det) for det in np.linalg.det(sigma).tolist()]
+
+
 def mc_chi_square(
     n: int, p: int, q: int, b: float, trials: int, rng: np.random.Generator, chunk: int = 50_000
 ) -> tuple[float, float]:
     """Monte-Carlo estimate of E_0[(f1/f0)^2] - 1 with the exact mixture ratio.
 
     Draws z_1..z_n ~ N(0, I) and evaluates the 2^(p+q)-component Gaussian
-    mixture density ratio exactly through the dense inverse and determinant.
+    mixture density ratio exactly from ``_components``.  The data enter each
+    component's log-ratio only through the scatter S = sum_i z_i z_i':
+    (1/2) <I - Sigma_c^-1, S> - (n/2) log det Sigma_c, so a chunk of draws
+    takes one batched product for its scatters and one for their log-ratios.
     Returns (estimate, standard error).
     """
     if p + q > MAX_MC_DIM or n > MAX_MC_N:
         raise InfeasibleSizeError(f"(p+q, n) = ({p + q}, {n}) exceeds MC caps ({MAX_MC_DIM}, {MAX_MC_N})")
-    a = amplitude(n, p, q, b)
-    su = _sign_vectors(p)
-    sv = _sign_vectors(q)
-    components = []
-    for u in su:
-        for v in sv:
-            lf = LeastFavorableCov(u=u, v=v, a=a)
-            # log-ratio of N(0, Sigma) to N(0, I) at z: -(n/2) log det
-            # + (1/2) sum_i z_i'(I - Sigma^-1) z_i
-            components.append((np.eye(p + q) - cov_inverse(lf), cov_det(lf)))
-    m = len(components)
+    d = p + q
+    delta, log_det = _components(amplitude(n, p, q, b), p, q)
+    delta = delta.reshape(-1, d * d).T
+    offset = 0.5 * n * np.array(log_det)
     total = 0.0
     total_sq = 0.0
     done = 0
     while done < trials:
         batch = min(chunk, trials - done)
-        # z is drawn as (batch, n, p + q) and held as (n, p + q, batch), so each
-        # quadratic form sum_i z_i' delta z_i is accumulated term by term, in the
-        # (i, j, k) order of np.einsum("bij,jk,bik->b", z, delta, z), across the
-        # batch at once.  That keeps einsum's bits at every batch size but 1 and
-        # 2, where einsum changes its loop order (seen at n = 1, p + q = 2).
-        zt = np.ascontiguousarray(rng.standard_normal((batch, n, p + q)).transpose(1, 2, 0))
-        quad, term = np.empty(batch), np.empty(batch)
-        log_ratios = np.empty((batch, m))
-        for c, (delta, det) in enumerate(components):
-            quad[:] = 0.0
-            for i, j, k in product(range(n), range(p + q), range(p + q)):
-                np.multiply(zt[i, j], delta[j, k], out=term)
-                term *= zt[i, k]
-                quad += term
-            log_ratios[:, c] = 0.5 * quad - 0.5 * n * math.log(det)
+        z = rng.standard_normal((batch, n, d))
+        scatter = (z.transpose(0, 2, 1) @ z).reshape(batch, d * d)
+        log_ratios = 0.5 * (scatter @ delta) - offset
         peak = log_ratios.max(axis=1, keepdims=True)
         ratio = np.exp(peak[:, 0]) * np.exp(log_ratios - peak).mean(axis=1)
         sq = ratio * ratio
@@ -143,8 +136,8 @@ def quad_chi_square(n: int, p: int, q: int, b: float) -> float:
     """E_0[(f1/f0)^2] - 1 by Gauss-Hermite quadrature of the exact mixture ratio.
 
     f1/f0 = mean_c prod_i g_c(z_i) over the 2^(p+q) sign components, with
-    g_c = N(0, Sigma_c) / N(0, I) from the dense inverse and determinant of
-    Sigma_c, so E_0[(f1/f0)^2] = mean_{c,c'} E_0[g_c g_c']^n.  Since
+    g_c = N(0, Sigma_c) / N(0, I) from ``_components``, so
+    E_0[(f1/f0)^2] = mean_{c,c'} E_0[g_c g_c']^n.  Since
     E_0[g_c] = 1, E_0[g_c g_c'] - 1 = E_0[h_c h_c'] with h_c = g_c - 1, which
     a QUAD_NODES^(p+q) tensor grid of ``hermegauss`` nodes integrates.  It
     converges fast while c = |a| sqrt(pq) is well below 1 (within 1e-14 at
@@ -156,13 +149,8 @@ def quad_chi_square(n: int, p: int, q: int, b: float) -> float:
     nodes, w = _hermite_nodes()
     z = np.stack(np.meshgrid(*[nodes] * d, indexing="ij"), axis=-1).reshape(-1, d)
     weight = np.prod(np.meshgrid(*[w / math.sqrt(math.tau)] * d, indexing="ij"), axis=0).ravel()
-    log_g = []
-    for u in _sign_vectors(p):
-        for v in _sign_vectors(q):
-            sigma = dense_cov(LeastFavorableCov(u=u, v=v, a=a))
-            delta = np.eye(d) - np.linalg.inv(sigma)
-            log_g.append(0.5 * np.einsum("ij,jk,ik->i", z, delta, z) - 0.5 * math.log(np.linalg.det(sigma)))
-    h = np.expm1(np.array(log_g))
+    delta, log_det = _components(a, p, q)
+    h = np.expm1(np.array([0.5 * np.einsum("ij,jk,ik->i", z, dc, z) - 0.5 * ld for dc, ld in zip(delta, log_det)]))
     return float(np.mean(np.expm1(n * np.log1p((h * weight) @ h.T))))
 
 
@@ -252,8 +240,9 @@ def quad_form_pair(chi, p, q, a) -> tuple:
 
 
 def _binomial_pmf(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Support and pmf of the sum of d independent +-1 signs."""
-    return d - 2.0 * np.arange(d + 1), np.exp(_log_weights(d))
+    """Support and pmf of the sum of d independent +-1 signs; each weight
+    C(d, k) / 2^d is an int / int, rounded once."""
+    return d - 2.0 * np.arange(d + 1), np.array([math.comb(d, k) / 2**d for k in range(d + 1)])
 
 
 def enumerate_uv_tail(p: int, q: int, threshold):

@@ -1,7 +1,7 @@
 import contextlib
 import csv
-import ctypes
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -13,7 +13,6 @@ from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
-from numpy._core import _multiarray_umath
 
 import indeplab
 from indeplab import cli, divergence, oracles_suite, stat_tests
@@ -112,6 +111,10 @@ VERIFY_ARGV = {
     "seed_large": ["--seed", "770799637690793716"],
     "inject_fault": ["--inject-fault"],
 }
+# The digest tool reads the OpenBLAS core type numpy's library runs.
+_spec = importlib.util.spec_from_file_location("csv_digests", Path(__file__).parents[1] / "tools" / "csv_digests.py")
+csv_digests = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(csv_digests)
 # sha256 of verify's stdout, by the OpenBLAS core type numpy's library runs.
 VERIFY_GOLDENS = {
     "SkylakeX": {
@@ -128,18 +131,38 @@ VERIFY_GOLDENS = {
         "seed_large": "49706cc7c75aa6152773d525dd418fc6d8f709fcb7d00ca8de43c545f4b647fe",
         "inject_fault": "c45713d224119d0476e2ab18379c5ce0be12508ec9d407dfef852e6fe5e2a541",
     },
+    "Sandybridge": {
+        "seed0": "9967c9f09d77e76024939836fddf4540f7886a8d4016f0833291ac37833e34f6",
+        "seed1": "1da633b84a576a25f165ac1820b7a1081f0c25f438b1d60f9553b096bf4781d4",
+        "seed2758": "58a42e49c61a603481ace9eece08291ca932b722ca51c8986f3aac042c5140e2",
+        "seed_large": "b5db760bfc6ed5ad73ceba502775e11aff57ff40002b384918b23546cc34c7e3",
+        "inject_fault": "6bc1dd75f5a2b76ce11dc108c2ac13c057a0cd57fc84a26c566e971c29ebc25a",
+    },
+    "Nehalem": {
+        "seed0": "4613d70e910f7ef6ba7e681680ca4edd92c4a52ede278abf1010c036b2e1bd6e",
+        "seed1": "d8631cc01888f9b8e58d834151e5f3224fa70072639b1450798df269df10dabd",
+        "seed2758": "5844bc61ed7f766e806d110d725bc9d5a9080a2e9311bc22bf5c5e18bf56f43b",
+        "seed_large": "3827c262de22e35a3919c7d9a49f4a8f3c5d227f42bdbfc09220e68341d593a9",
+        "inject_fault": "0739b270824e704b78fe7e371574e3f84f9ebe52d6ee24272de899a840c32db3",
+    },
+    "Katmai": {
+        "seed0": "88fdbc78fdd4bb5f7028da6b1c076bf8edfbb6bb1f38666a1dc78f4b97fbd934",
+        "seed1": "6fe7c10fc6e713a991f7113fe86d778a366451c5c7d8723ca5c10398a921a238",
+        "seed2758": "d12afc27d4669fe25701785a3ed5c3b6cf961b250fca2b47cc8abde043971032",
+        "seed_large": "11a6c855ed0da795b4b994b8b5eaf9b163edd7afa5d9dfe86919babe2afadaa9",
+        "inject_fault": "e92a578707588838078d5433bdfac4c26688357599ee4a0320f392826da8bb1a",
+    },
 }
-
-
-def _openblas_core() -> str:
-    """The core type numpy's bundled OpenBLAS picked at load, read through the
-    numpy extension that links it; "unknown" for a numpy on another BLAS."""
-    try:
-        corename = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_corename64_
-    except AttributeError:
-        return "unknown"
-    corename.argtypes, corename.restype = [], ctypes.c_char_p
-    return corename().decode()
+# The OPENBLAS_CORETYPE value that selects each core's kernels, newest first.
+# Zen, Cooperlake and SapphireRapids run the same kernels as Haswell or
+# SkylakeX; the older AMD and Intel names map onto the last three.
+CORE_OVERRIDES = {
+    "SkylakeX": "SkylakeX", "Haswell": "Haswell", "Sandybridge": "SandyBridge", "Nehalem": "Nehalem",
+    "Katmai": "Prescott",
+}
+# The recorded cores this host can run other than its own: those older than it.
+_CORES, _HOST = list(CORE_OVERRIDES), csv_digests.openblas_core()
+OTHER_CORES = _CORES[_CORES.index(_HOST) + 1:] if _HOST in _CORES else _CORES
 
 
 def _verify_digests() -> dict[str, str]:
@@ -181,20 +204,21 @@ class TestVerify:
         # A change to the oracle draws or to the enumeration's summation
         # changes these bytes.  So does the BLAS kernel: the dense oracles'
         # brute-force and error columns move by a few ulps between core types.
-        core = _openblas_core()
+        core = csv_digests.openblas_core()
         assert core in VERIFY_GOLDENS, f"no verify golden recorded for OpenBLAS core {core}"
         _, out, _ = run_cli(capsys, "verify", *VERIFY_ARGV[case])
         assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_GOLDENS[core][case]
 
-    def test_golden_bytes_under_haswell_kernels(self):
+    @pytest.mark.parametrize("core", OTHER_CORES)
+    def test_golden_bytes_under_other_kernels(self, core):
         # numpy's OpenBLAS is built for many CPUs and picks its kernels at
-        # load; these are the ones an AVX2-only host gets.
+        # load; these are the ones an older host gets.
         code = (f"import json, sys; sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
                 "import test_cli\n"
-                "print(json.dumps([test_cli._openblas_core(), test_cli._verify_digests()]))")
-        result = _python("-c", code, env={"OPENBLAS_CORETYPE": "Haswell"})
+                "print(json.dumps([test_cli.csv_digests.openblas_core(), test_cli._verify_digests()]))")
+        result = _python("-c", code, env={"OPENBLAS_CORETYPE": CORE_OVERRIDES[core]})
         assert result.returncode == 0, result.stderr
-        assert json.loads(result.stdout) == ["Haswell", VERIFY_GOLDENS["Haswell"]]
+        assert json.loads(result.stdout) == [core, VERIFY_GOLDENS[core]]
 
     @pytest.mark.parametrize("argv, digest", [
         ("power --regime lf --grid-n 40 --grid-p 3,7 --grid-q 2",

@@ -22,9 +22,10 @@ def _record():
 def test_two_runs_agree_and_an_edited_digest_is_reported(tmp_path, capsys):
     first, second = _record(), _record()
     assert json.dumps(first) == json.dumps(second)
-    assert list(first) == [
+    assert list(first) == ["openblas core"] + [
         f"{command} --seed {seed}" for command in COMMANDS for seed in (0, 1)
     ] + ["request mc_level seed=0 index=0"]
+    assert first["openblas core"] == csv_digests.openblas_core()
     same, edited = tmp_path / "same.json", tmp_path / "edited.json"
     same.write_text(json.dumps(first))
     name = f"{COMMANDS[1]} --seed 1"
@@ -33,3 +34,8 @@ def test_two_runs_agree_and_an_edited_digest_is_reported(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     assert csv_digests.main(["--compare", str(same), str(edited)]) == 1
     assert capsys.readouterr().out == name + "\n"
+    # Across hosts the core type, the likely cause, is named first.
+    other_host = tmp_path / "other_host.json"
+    other_host.write_text(json.dumps({**second, name: "0" * 64, "openblas core": "Other"}))
+    assert csv_digests.main(["--compare", str(same), str(other_host)]) == 1
+    assert capsys.readouterr().out == f"openblas core\n{name}\n"

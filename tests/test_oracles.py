@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,8 +233,9 @@ def test_suite_negative_control():
 
 
 def _einsum_mc_chi_square(n, p, q, b, trials, rng, chunk):
-    """``mc_chi_square`` as it was before it replayed einsum's order: one
-    np.einsum per mixture component."""
+    """``mc_chi_square`` with one np.einsum per mixture component, built from
+    the Sherman-Morrison closed forms: the frozen reference for its
+    sufficient-statistics form."""
     from indeplab.structured_cov import LeastFavorableCov, amplitude, cov_det, cov_inverse
 
     a = amplitude(n, p, q, b)
@@ -261,14 +264,26 @@ def _einsum_mc_chi_square(n, p, q, b, trials, rng, chunk):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1), (1, 4), (2, 3), (3, 2), (4, 1)])
-def test_mc_chi_square_replays_einsum_bits(n, p, q):
-    # Chunks of 97 leave a remainder of 3.  At a batch of 1 or 2 einsum
-    # changes its loop order (seen at n = 1, p + q = 2), so the two may
-    # round differently there; mc_chi_square's callers never draw such a batch.
-    for trials, chunk in ((400, 97), (3, 3), (50, 50)):
+def test_mc_chi_square_matches_einsum_reference(n, p, q):
+    # The scatter form sums each quadratic form in another order than einsum,
+    # so the two agree to rounding, not bit for bit.  Chunks of 97 leave a
+    # remainder of 3; batches of 1 and 2 are where einsum changes its loop order.
+    for trials, chunk in ((400, 97), (3, 3), (50, 50), (1, 1), (4, 2)):
         got = mc_chi_square(n, p, q, 0.3, trials=trials, rng=np.random.default_rng([n, p, q]), chunk=chunk)
         want = _einsum_mc_chi_square(n, p, q, 0.3, trials, np.random.default_rng([n, p, q]), chunk)
-        assert [x.hex() for x in got] == [x.hex() for x in want]
+        assert got == pytest.approx(want, rel=0.0, abs=1e-12), (trials, chunk)
+
+
+def test_oracles_import_no_closed_form():
+    # An oracle that borrows the formula it checks cannot catch that formula's
+    # error: oracles takes nothing from divergence, nor structured_cov's
+    # closed-form inverse, determinant or square root.
+    imported = set()
+    for node in ast.walk(ast.parse(Path(oracles.__file__).read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {alias.name for alias in node.names} | {getattr(node, "module", None) or ""}
+    parts = {part for name in imported for part in name.split(".")}
+    assert not parts & {"divergence", "cov_inverse", "cov_det", "cov_sqrt_apply"}, imported
 
 
 def test_signs_draw_like_choice():

@@ -12,15 +12,18 @@ each seed of ``SEEDS``, and its stdout is hashed.  The request digests of the
 benchmark workloads (``perfbench/workloads.request``, requests
 ``range(REQUESTS)`` at each seed of ``REQUEST_SEEDS``) are hashed as the
 benchmark worker hashes them: the concatenated ``--out`` files of the
-request's calls.  The record is ``{name: sha256}`` as JSON.  ``--compare``
-prints the names whose digests differ, or that only one record has, and exits
-1 if there are any.
+request's calls.  The record is ``{name: sha256}`` as JSON, led by the entry
+``"openblas core"``: the core type of numpy's OpenBLAS, whose kernels move
+``verify``'s digests.  ``--compare`` prints the names whose values differ, or
+that only one record has, and exits 1 if there are any; across two hosts a
+differing core comes first.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -30,6 +33,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+from numpy._core import _multiarray_umath  # noqa: E402
 
 from indeplab import cli  # noqa: E402
 from perfbench import workloads  # noqa: E402
@@ -61,6 +66,17 @@ REQUEST_SEEDS = (0, 7)
 REQUESTS = 3
 
 
+def openblas_core() -> str:
+    """The core type numpy's bundled OpenBLAS picked at load, read through the
+    numpy extension that links it; "unknown" for a numpy on another BLAS."""
+    try:
+        corename = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_corename64_
+    except AttributeError:
+        return "unknown"
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
 def command_digest(argv: list[str]) -> str:
     """sha256 of the command's stdout, with its exit code appended when nonzero."""
     out = io.StringIO()
@@ -84,8 +100,9 @@ def request_digest(argvs: list[list[str]], scratch: Path) -> str:
 
 def digests(commands=COMMANDS, seeds=SEEDS, names=workloads.WORKLOADS,
             request_seeds=REQUEST_SEEDS, requests=REQUESTS) -> dict[str, str]:
-    """{name: sha256} for each command at each seed, then each request."""
-    record = {}
+    """The OpenBLAS core, then {name: sha256} for each command at each seed,
+    then each request."""
+    record = {"openblas core": openblas_core()}
     for command in commands:
         for seed in seeds:
             argv = command.split() + ["--seed", str(seed)]
