@@ -12,11 +12,12 @@ against the uniform mixture alternative.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -166,7 +167,7 @@ def permutation_test(
     if B < 19:
         raise ValueError("need at least 19 permutations")
     limit = rejection_limit(B, alpha)
-    xt, y, n = ds.x.T, ds.y, ds.n
+    xt, y, n = ds.x.T, np.ascontiguousarray(ds.y), ds.n  # take gathers faster from contiguous rows
     cap = perm_chunk_size(n, ds.p, ds.q)
     floor = perm_work_floor(n, ds.p, ds.q) if stop_early else cap
     identity = np.arange(n)
@@ -207,10 +208,72 @@ def wilson_interval(rejections: int, trials: int, z: float = 1.959963984540054) 
     return lo, hi
 
 
-def _trial_rng(seed: int, index: int) -> np.random.Generator:
-    # Independent stream per trial: deterministic in (seed, index) only, so
-    # results do not depend on execution order or parallelism.
-    return np.random.default_rng([seed, index])
+# numpy's SeedSequence hash (a pool of four 32-bit words) as PCG64 runs it to
+# seed ``default_rng([seed, i])``, vectorized over a batch of trials i.  The
+# hash constants do not depend on the entropy: ``_HASH_A`` chains them through
+# the 16 hashmix calls that fill and mix the pool, ``_HASH_B`` through the 8
+# words ``generate_state(4, np.uint64)`` makes of it.
+def _constant_chain(init: int, mult: int, calls: int) -> np.ndarray:
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    return np.array(consts, np.uint32)[:, None]
+
+
+_HASH_A = _constant_chain(0x43B0D7E5, 0x931E8875, 16)
+_HASH_B = _constant_chain(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_OTHER_WORDS = [[dst for dst in range(4) if dst != src] for src in range(4)]
+
+
+def _hashmix(words: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hash of ``words`` at each call whose constant goes from
+    ``consts[k]`` to ``consts[k + 1]``, one row per call."""
+    words = (words ^ consts[:-1]) * consts[1:]
+    words ^= words >> 16
+    return words
+
+
+@functools.cache
+def _state_words() -> type:
+    """A seed sequence type that hands PCG64 the words a SeedSequence would,
+    computed beforehand.  Made at first use, so that importing the package
+    does not import ``numpy.random`` (about 13 ms)."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return StateWords
+
+
+def _trial_rngs(seed: int, start: int, count: int) -> list[np.random.Generator]:
+    """The generators of trials start..start + count - 1, each bitwise
+    ``np.random.default_rng([seed, i])``: an independent stream per trial,
+    deterministic in (seed, i) only, so results do not depend on execution
+    order or parallelism.  The batch is hashed at once; a seed of four or
+    more 32-bit words, or an i of two, overflows the pool of four and takes
+    ``default_rng`` itself."""
+    seed = int(seed)
+    if seed >= 1 << 96 or start + count > 1 << 32:
+        return [np.random.default_rng([seed, i]) for i in range(start, start + count)]
+    words = [seed >> k & 0xFFFFFFFF for k in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = np.zeros((4, count), np.uint32)  # [seed words, i], zero-padded
+    entropy[:len(words)] = np.array(words, np.uint32)[:, None]
+    entropy[len(words)] = np.arange(start, start + count, dtype=np.uint64)
+    pool = _hashmix(entropy, _HASH_A[:5])
+    for src, dst in enumerate(_OTHER_WORDS):
+        mixed = pool[dst] * _MIX_L - _hashmix(pool[src], _HASH_A[4 + 3 * src:8 + 3 * src]) * _MIX_R
+        mixed ^= mixed >> 16
+        pool[dst] = mixed
+    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _HASH_B)
+    state_words = _state_words()
+    return [np.random.Generator(np.random.PCG64(state_words(words)))
+            for words in np.ascontiguousarray(state.T, "<u4").view("<u8").astype(np.uint64)]
 
 
 # Data generators for the trial runner: module-level so that they pickle by
@@ -240,8 +303,7 @@ def _phase_data(rng: np.random.Generator, n: int, p: int, q: int, sigma: float) 
 
 def _trial(args) -> tuple[bool, int]:
     """One Monte-Carlo trial: (reject, permuted statistics evaluated)."""
-    generate, params, seed, index, B, alpha = args
-    rng = _trial_rng(seed, index)
+    generate, params, rng, B, alpha = args
     dec = permutation_test(generate(rng, *params), B, alpha, rng, stop_early=True)
     return dec.reject, dec.permutations
 
@@ -254,16 +316,18 @@ def _process_pool(workers: int):
     return ProcessPoolExecutor(max_workers=workers)
 
 
-def _trials(batch: list) -> list[tuple[bool, int]]:
-    """The results of a batch of trials: one pool process's unit of work."""
-    return [_trial(args) for args in batch]
+def _trials(batch: tuple) -> list[tuple[bool, int]]:
+    """The results of trials start..start + count - 1 of a batch descriptor
+    (generate, params, seed, start, count, B, alpha), in order: the one unit
+    of work of the serial loop and of a pool process."""
+    generate, params, seed, start, count, B, alpha = batch
+    return [_trial((generate, params, rng, B, alpha)) for rng in _trial_rngs(seed, start, count)]
 
 
-def _pooled(pool, args, workers: int):
+def _pooled(pool, batches, workers: int):
     """Trial results from ``pool``, in order, with at most 2 x ``workers``
-    batches of 32 trials submitted and not yet read, so that the arguments
-    and results held do not grow with the number of trials."""
-    batches = iter(lambda: list(islice(args, 32)), [])
+    batches submitted and not yet read, so that the arguments and results
+    held do not grow with the number of trials."""
     pending = deque(pool.submit(_trials, batch) for batch in islice(batches, 2 * workers))
     while pending:
         results = pending.popleft().result()
@@ -281,35 +345,42 @@ def _tally(results) -> tuple[int, int]:
 
 def _estimate(generate, params: tuple, trials: int, B: int, alpha: float, seed: int,
               workers: int, regime: str) -> PowerEstimate:
-    """Rejection rate over ``trials`` trials on data from ``generate(rng, *params)``;
-    each trial's arguments are made, and its result summed, as the trial runs."""
-    args = ((generate, params, seed, i, B, alpha) for i in range(trials))
+    """Rejection rate over ``trials`` trials on data from ``generate(rng, *params)``,
+    run in batches of 32; each batch's descriptor is made, and its results
+    summed, as the batch runs."""
+    batches = ((generate, params, seed, start, min(32, trials - start), B, alpha)
+               for start in range(0, trials, 32))
     workers = min(workers, os.cpu_count() or 1, trials)
     if workers <= 1:
-        rej, perms = _tally(map(_trial, args))
+        rej, perms = _tally(chain.from_iterable(map(_trials, batches)))
     else:
         with _process_pool(workers) as pool:
-            rej, perms = _tally(_pooled(pool, args, workers))
+            rej, perms = _tally(_pooled(pool, batches, workers))
     lo, hi = wilson_interval(rej, trials)
     return PowerEstimate(trials, rej, rej / trials, lo, hi, regime, perms)
 
 
-def _check_problem(n: int, p: int, q: int, B: int, alpha: float) -> None:
+def _check_problem(n: int, p: int, q: int, B: int, alpha: float, seed: int) -> None:
     """The estimators' shared check, made before any dataset or process pool;
-    NaN fails it."""
+    NaN fails it.  The seed must be an integer that SeedSequence takes; its
+    errors carry SeedSequence's messages."""
     if not (n >= 1 and p >= 1 and q >= 1):
         raise ValueError(f"n, p, q must be positive integers, got {n}, {p}, {q}")
     if not B >= 19:
         raise ValueError("need at least 19 permutations")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0,1), got {alpha}")
+    if not isinstance(seed, (int, np.integer)):
+        raise TypeError("seed must be integer")
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
 
 
 def estimate_level(
     n: int, p: int, q: int, trials: int, B: int, seed: int, alpha: float = 0.05, workers: int = 1
 ) -> PowerEstimate:
     """Empirical type-I error over fresh null datasets."""
-    _check_problem(n, p, q, B, alpha)
+    _check_problem(n, p, q, B, alpha, seed)
     return _estimate(_null_data, (n, p, q), trials, B, alpha, seed, workers, "null")
 
 
@@ -319,7 +390,7 @@ def estimate_avg_power(
 ) -> PowerEstimate:
     """Power against the sign-mixture alternative at signal constant b, fresh
     (u, v) per trial; b = 0 is the null."""
-    _check_problem(n, p, q, B, alpha)
+    _check_problem(n, p, q, B, alpha, seed)
     if not b >= 0:
         raise ValueError(f"b must be nonnegative, got {b}")
     if b == 0.0:
@@ -345,7 +416,7 @@ def phase_curve(
     large s at all, which is why this generator differs from the one used for
     the lower-bound experiments.
     """
-    _check_problem(n, p, q, B, alpha)
+    _check_problem(n, p, q, B, alpha, seed)
     m = min(p, q)
     points = []  # (generator, parameters) per s, all checked before any trial runs
     for s in signal_grid:

@@ -636,6 +636,21 @@ def test_verify_loads_no_numpy_ma():
     assert result.stdout.splitlines()[-1] == "False"
 
 
+def test_import_and_bound_load_no_numpy_random():
+    # numpy imports numpy.random at first use (about 13 ms); importing every
+    # module and the commands that draw nothing leave it unloaded, so set-up
+    # does not pay for it.
+    code = ("import pkgutil, sys, indeplab\n"
+            "for m in pkgutil.iter_modules(indeplab.__path__): __import__('indeplab.' + m.name)\n"
+            "from indeplab import cli\n"
+            "assert cli.main(['bound', '--grid-n', '8000', '--grid-p', '250', '--grid-q', '250']) == 0\n"
+            "assert cli.main(['divergence', '--n', '200', '--p', '10', '--q', '10']) == 0\n"
+            "print('numpy.random' in sys.modules)")
+    result = _python("-c", code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"
+
+
 def test_package_loads_no_scipy():
     # numpy is the one runtime dependency: importing every module, verify, a
     # bound on the moment series and a chi2 on the grid load no scipy module.

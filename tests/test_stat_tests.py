@@ -560,13 +560,48 @@ class TestTrialMemory:
         assert peaks[1] - peaks[0] < 64 * 1024
 
     def test_pooled_results_are_every_trial_in_order(self):
-        # Windows shorter and longer than the trials, and a ragged last batch.
+        # Windows shorter and longer than the batches, and a ragged last batch.
         pool = _RecordingPool([], 2)
         for trials, workers in [(0, 2), (1, 1), (70, 1), (200, 3)]:
-            args = ((stat_tests._null_data, (10, 2, 2), 3, i, 19, 0.1) for i in range(trials))
-            expected = [stat_tests._trial((stat_tests._null_data, (10, 2, 2), 3, i, 19, 0.1))
+            batches = ((stat_tests._null_data, (10, 2, 2), 3, start, min(32, trials - start), 19, 0.1)
+                       for start in range(0, trials, 32))
+            expected = [stat_tests._trial((stat_tests._null_data, (10, 2, 2), np.random.default_rng([3, i]),
+                                           19, 0.1))
                         for i in range(trials)]
-            assert list(stat_tests._pooled(pool, args, workers)) == expected
+            assert list(stat_tests._pooled(pool, batches, workers)) == expected
+
+
+# Seeds at each 32-bit word count SeedSequence splits them into, phase_curve's
+# per-point seeds past 2^64, and one past the pool of four words (2^96 + 5).
+_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64 + 3 * 1000003, 2**96 + 5]
+
+
+class TestTrialStreams:
+    @pytest.mark.parametrize("seed", _SEEDS)
+    @pytest.mark.parametrize("start, count", [(0, 1), (0, 7), (64, 32), (2**32 - 33, 32), (2**32 - 1, 2)])
+    def test_batch_generators_are_default_rng(self, seed, start, count):
+        # The batch hash reproduces SeedSequence; a numpy that changed it
+        # fails here rather than in every Monte-Carlo digest.  An index of
+        # 2^32 and the seed 2^96 + 5 take default_rng itself.
+        rngs = stat_tests._trial_rngs(seed, start, count)
+        assert len(rngs) == count
+        for i, rng in zip(range(start, start + count), rngs):
+            want = np.random.default_rng([seed, i])
+            assert rng.bit_generator.state == want.bit_generator.state
+            assert np.array_equal(rng.standard_normal(3), want.standard_normal(3))
+            assert np.array_equal(rng.permutation(20), want.permutation(20))
+
+    @pytest.mark.parametrize("estimator", ["level", "avg_power", "phase"])
+    def test_serial_equals_pooled(self, monkeypatch, estimator):
+        # 70 trials: two full batches of 32 and a ragged one of 6.
+        monkeypatch.setattr(stat_tests.os, "cpu_count", lambda: 2)
+        run = {
+            "level": lambda workers: estimate_level(20, 2, 2, 70, 39, 41, alpha=0.1, workers=workers),
+            "avg_power": lambda workers: estimate_avg_power(20, 2, 2, 0.3, 70, 39, 41, alpha=0.1,
+                                                            workers=workers),
+            "phase": lambda workers: phase_curve(20, 2, 2, [0.0, 2.0], 70, 39, 41, alpha=0.1, workers=workers),
+        }[estimator]
+        assert run(1) == run(2)
 
 
 class TestWilson:
@@ -609,6 +644,30 @@ class TestArgumentCheck:
         monkeypatch.setattr(stat_tests, "_trial", _no_trial)
         with pytest.raises(ValueError):
             _ESTIMATORS[estimator](n, p, q, B, alpha)
+
+
+def _no_pool(workers):
+    raise AssertionError("a process pool started before the arguments were checked")
+
+
+class TestSeedCheck:
+    @pytest.mark.parametrize("estimator", ["level", "avg_power", "phase"])
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_seed_raises_before_any_pool_or_trial(self, monkeypatch, estimator, seed):
+        # A negative seed once raised only inside the first trial, after
+        # --workers 2 had started its pool.  The messages are SeedSequence's.
+        monkeypatch.setattr(stat_tests, "_trial", _no_trial)
+        monkeypatch.setattr(stat_tests, "_process_pool", _no_pool)
+        monkeypatch.setattr(stat_tests.os, "cpu_count", lambda: 2)
+        with pytest.raises((TypeError, ValueError)) as want:
+            np.random.default_rng([seed, 0])
+        run = {
+            "level": lambda: estimate_level(10, 2, 2, 5, 19, seed, workers=2),
+            "avg_power": lambda: estimate_avg_power(10, 2, 2, 0.5, 5, 19, seed, workers=2),
+            "phase": lambda: phase_curve(10, 2, 2, [0.0, 1.0], 5, 19, seed, workers=2),
+        }[estimator]
+        with pytest.raises(want.type, match=f"^{want.value}$"):
+            run()
 
 
 class TestPowerEstimation:

@@ -49,6 +49,9 @@ COMMANDS = (
     f"power --regime lf --b 0.7 --grid-n 40 --grid-p 3,7 --grid-q 2,5 {MC}",
     f"phase --grid-n 40 --grid-p 3 --grid-q 2 --grid-s 0,1,2 {MC}",
     "phase --grid-n 200 --grid-p 10 --grid-q 10 --grid-s 0,25,50 --trials 20 --perms 200",
+    # The pooled trial path, whose bytes must equal the serial path's.
+    "power --regime null --grid-n 50 --grid-p 5 --grid-q 5 --trials 100 --perms 200 --workers 2",
+    "phase --grid-n 200 --grid-p 10 --grid-q 10 --grid-s 0,25,50 --trials 20 --perms 200 --workers 2",
     f"bound --grid-n 8000 --grid-p {workloads.EXACT_DIMS} --grid-q {workloads.EXACT_DIMS}",
     f"bound --grid-n 8000 --grid-p {workloads.EXACT_DIMS} --grid-q {workloads.EXACT_DIMS} "
     f"--b {workloads.EXACT_HIGH_B}",
