@@ -1,16 +1,22 @@
 """Batch experiment runner: bounds, oracle verification, power and phase runs.
 
-All output is CSV on stdout (or --out); progress goes to stderr.  Every run is
-fully determined by the master seed plus the configuration, which are embedded
-in a comment line at the top of the CSV.
+Output is CSV on stdout (or --out), except divergence's key=value report;
+progress goes to stderr.  Every run is fully determined by the master seed
+plus the configuration, which are embedded in a comment line at the top of
+the CSV.  The output is opened before any work, so an --out that cannot be
+written ends a command before it computes.  bound, power and phase run one
+loop over the grid points, n outermost.  A point that fails with a numerical
+error (ValueError, ArithmeticError), runs out of memory or loses its process
+pool writes one error row; divergence writes that error to stderr.
 
 Exit codes: 0 success, 1 config validation failure, 2 oracle failure,
-3 runtime numerical error.
+3 runtime numerical error (for a grid command: some row is an error row).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import hashlib
@@ -153,30 +159,51 @@ class _OutputError(Exception):
 
 
 def _open_out(path: str | None):
-    """The ``--out`` file, or stdout without one; opened before a command
-    computes anything, so that an unwritable path ends it before its work."""
+    """A context manager holding the ``--out`` file, or stdout without one.
+    The file is opened at the call, before a command computes anything, so
+    that an unwritable path ends the command before its work."""
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
     try:
-        return open(path, "w", newline="") if path else sys.stdout
+        return open(path, "w", newline="")
     except OSError as exc:
         raise _OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-class _Emitter:
-    """The CSV writer, on ``_open_out``'s file."""
+def _csv_writer(fh, args: argparse.Namespace, columns: list[str]) -> csv.DictWriter:
+    """A CSV writer on ``fh``, after the comment line and the header row."""
+    fh.write(f"# command={args.command} seed={args.seed} fingerprint={_fingerprint(args)}\n")
+    writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
+    writer.writeheader()
+    return writer
 
-    def __init__(self, args: argparse.Namespace, columns: list[str]):
-        self.path = args.out
-        self.fh = _open_out(self.path)
-        self.fh.write(f"# command={args.command} seed={args.seed} fingerprint={_fingerprint(args)}\n")
-        self.writer = csv.DictWriter(self.fh, fieldnames=columns, lineterminator="\n")
-        self.writer.writeheader()
 
-    def row(self, **kwargs):
-        self.writer.writerow(kwargs)
+def _point_errors() -> tuple[type[Exception], ...]:
+    """The errors that end a grid point in an error row, and ``divergence``
+    in one stderr line.  The pool's error class is imported only once a point
+    has failed, so that a serial run never loads the process-pool modules."""
+    from concurrent.futures.process import BrokenProcessPool
 
-    def close(self):
-        if self.path:
-            self.fh.close()
+    return ValueError, ArithmeticError, MemoryError, BrokenProcessPool
+
+
+def _write_grid(args: argparse.Namespace, columns: list[str], point, error_row: dict) -> int:
+    """The CSV of a grid command: the rows that ``point(n, p, q)`` returns at
+    each point of the grid flags, n outermost.  A point that raises one of
+    ``_point_errors()`` writes one row instead, holding ``error_row``, the
+    point and the error; the command then exits 3."""
+    had_error = False
+    with _open_out(args.out) as fh:
+        writer = _csv_writer(fh, args, columns)
+        for n, p, q in itertools.product(args.grid_n, args.grid_p, args.grid_q):
+            n, p, q = int(n), int(p), int(q)
+            try:
+                rows = point(n, p, q)
+            except _point_errors() as exc:
+                had_error = True
+                rows = [{**error_row, "n": n, "p": p, "q": q, "error": str(exc) or type(exc).__name__}]
+            writer.writerows(rows)
+    return EXIT_NUMERIC if had_error else EXIT_OK
 
 
 def _resolve_b(args: argparse.Namespace) -> float:
@@ -185,32 +212,30 @@ def _resolve_b(args: argparse.Namespace) -> float:
     return dv.select_b(args.kappa, args.alpha, args.beta)
 
 
-def _grid(args: argparse.Namespace) -> list[tuple[int, int, int]]:
-    """The (n, p, q) points of the grid flags, n outermost."""
-    grid = itertools.product(args.grid_n, args.grid_p, args.grid_q)
-    return [(int(n), int(p), int(q)) for n, p, q in grid]
+# The fields of a point's bound report, one tuple per line of the report that
+# divergence prints; bound writes them as its columns.
+_REPORT_LINES = (("n", "p", "q", "b"), ("chi2_exact",), ("chi2_closed_bound",), ("tv_upper",),
+                 ("power_upper",), ("pd_ok", "mgf_ok", "b_caps_ok"))
+
+
+def _report_fields(n: int, p: int, q: int, b: float, rep: dv.DivergenceReport) -> dict:
+    """The ``_REPORT_LINES`` fields of ``rep`` at the point (n, p, q) and b."""
+    return {"n": n, "p": p, "q": q, "b": f"{b:.12g}",
+            "chi2_exact": f"{rep.chi2_exact:.12g}",
+            "chi2_closed_bound": f"{rep.chi2_closed_bound:.12g}",
+            "tv_upper": f"{rep.tv_upper:.12g}",
+            "power_upper": f"{rep.power_upper:.12g}",
+            "pd_ok": rep.pd_ok, "mgf_ok": rep.pd_ok, "b_caps_ok": rep.b_caps_ok}
 
 
 def cmd_bound(args) -> int:
     b = _resolve_b(args)
-    cols = ["n", "p", "q", "b", "chi2_exact", "chi2_closed_bound", "tv_upper", "power_upper",
-            "pd_ok", "mgf_ok", "b_caps_ok", "error"]
-    em = _Emitter(args, cols)
-    had_error = False
-    for n, p, q in _grid(args):
-        try:
-            rep = dv.minimax_power_upper(n, p, q, b, args.alpha)
-            em.row(n=n, p=p, q=q, b=f"{b:.12g}",
-                   chi2_exact=f"{rep.chi2_exact:.12g}",
-                   chi2_closed_bound=f"{rep.chi2_closed_bound:.12g}",
-                   tv_upper=f"{rep.tv_upper:.12g}",
-                   power_upper=f"{rep.power_upper:.12g}",
-                   pd_ok=rep.pd_ok, mgf_ok=rep.pd_ok, b_caps_ok=rep.b_caps_ok, error="")
-        except (ValueError, ArithmeticError, MemoryError) as exc:
-            had_error = True
-            em.row(n=n, p=p, q=q, b=f"{b:.12g}", error=str(exc) or type(exc).__name__)
-    em.close()
-    return EXIT_NUMERIC if had_error else EXIT_OK
+
+    def point(n, p, q):
+        return [_report_fields(n, p, q, b, dv.minimax_power_upper(n, p, q, b, args.alpha))]
+
+    columns = [*itertools.chain(*_REPORT_LINES), "error"]
+    return _write_grid(args, columns, point, {"b": f"{b:.12g}"})
 
 
 def cmd_verify(args) -> int:
@@ -218,98 +243,67 @@ def cmd_verify(args) -> int:
     # would add about 6 ms to the startup of every other command.
     from . import oracles_suite
 
-    em = _Emitter(args, ["name", "closed_form", "brute_force", "abs_err", "rel_err", "pass"])
-    rows = oracles_suite.run_suite(seed=args.seed, inject_fault=args.inject_fault)
-    all_pass = True
-    for r in rows:
-        all_pass &= r["pass"]
-        em.row(name=r["name"], closed_form=f"{r['closed_form']:.12g}",
-               brute_force=f"{r['brute_force']:.12g}", abs_err=f"{r['abs_err']:.3g}",
-               rel_err=f"{r['rel_err']:.3g}", **{"pass": r["pass"]})
-    em.close()
-    return EXIT_OK if all_pass else EXIT_ORACLE
+    with _open_out(args.out) as fh:
+        writer = _csv_writer(fh, args, ["name", "closed_form", "brute_force", "abs_err", "rel_err", "pass"])
+        rows = oracles_suite.run_suite(seed=args.seed, inject_fault=args.inject_fault)
+        for r in rows:
+            writer.writerow({"name": r["name"], "closed_form": f"{r['closed_form']:.12g}",
+                             "brute_force": f"{r['brute_force']:.12g}", "abs_err": f"{r['abs_err']:.3g}",
+                             "rel_err": f"{r['rel_err']:.3g}", "pass": r["pass"]})
+    return EXIT_OK if all(r["pass"] for r in rows) else EXIT_ORACLE
 
 
-def _point_errors() -> tuple[type[Exception], ...]:
-    """The errors that end a Monte-Carlo grid point in an error row.  The pool's
-    error class is imported only once a point has failed, so that a serial run
-    never loads the process-pool modules."""
-    from concurrent.futures.process import BrokenProcessPool
-
-    return ValueError, ArithmeticError, MemoryError, BrokenProcessPool
+_MC_COLUMNS = ["regime", "n", "p", "q", "s_or_b", "trials", "rejections", "estimate",
+               "ci_low", "ci_high", "seed", "error"]
 
 
-def _write_mc(args, progress: str, points, error_row: dict) -> int:
-    """Rows of a Monte-Carlo command, one per (s_or_b, PowerEstimate) pair that
-    ``points(n, p, q)`` returns at each grid point.
-
-    ``progress`` is the stderr line for a point, formatted with ``a=args`` and
-    the point's n, p, q; the mean permuted statistics per trial follow it.  A
-    point that fails writes one row holding ``error_row`` and the error.
-    """
-    cols = ["regime", "n", "p", "q", "s_or_b", "trials", "rejections", "estimate",
-            "ci_low", "ci_high", "seed", "error"]
-    em = _Emitter(args, cols)
-    had_error = False
-    for n, p, q in _grid(args):
-        try:
-            curve = points(n, p, q)
-            perms = ",".join(f"{est.mean_permutations:.1f}" for _, est in curve)
-            print(f"{progress.format(a=args, n=n, p=p, q=q)} perms/trial={perms}", file=sys.stderr)
-            for s_or_b, est in curve:
-                em.row(regime=est.regime, n=n, p=p, q=q, s_or_b=s_or_b,
-                       trials=est.trials, rejections=est.rejections,
-                       estimate=f"{est.estimate:.6g}", ci_low=f"{est.ci_low:.6g}",
-                       ci_high=f"{est.ci_high:.6g}", seed=args.seed, error="")
-        except _point_errors() as exc:
-            had_error = True
-            em.row(**error_row, n=n, p=p, q=q, seed=args.seed, error=str(exc) or type(exc).__name__)
-    em.close()
-    return EXIT_NUMERIC if had_error else EXIT_OK
+def _mc_rows(args, progress: str, n: int, p: int, q: int, curve) -> list[dict]:
+    """The rows of a Monte-Carlo point, one per (s_or_b, PowerEstimate) pair
+    of ``curve``.  ``progress`` leads the point's stderr line; the mean
+    permuted statistics per trial follow it."""
+    perms = ",".join(f"{est.mean_permutations:.1f}" for _, est in curve)
+    print(f"{progress} perms/trial={perms}", file=sys.stderr)
+    return [{"regime": est.regime, "n": n, "p": p, "q": q, "s_or_b": s_or_b,
+             "trials": est.trials, "rejections": est.rejections, "estimate": f"{est.estimate:.6g}",
+             "ci_low": f"{est.ci_low:.6g}", "ci_high": f"{est.ci_high:.6g}", "seed": args.seed}
+            for s_or_b, est in curve]
 
 
 def cmd_power(args) -> int:
     b = _resolve_b(args) if args.regime == "lf" else 0.0
 
-    def points(n, p, q):
+    def point(n, p, q):
         mc = (args.trials, args.perms, args.seed, args.alpha, args.workers)
         if args.regime == "null":
             est = estimate_level(n, p, q, *mc)
         else:
             est = estimate_avg_power(n, p, q, b, *mc)
-        return [(f"{b:.12g}", est)]
+        return _mc_rows(args, f"power: regime={args.regime} n={n} p={p} q={q}", n, p, q, [(f"{b:.12g}", est)])
 
-    return _write_mc(args, "power: regime={a.regime} n={n} p={p} q={q}", points,
-                     {"regime": args.regime, "s_or_b": f"{b:.12g}"})
+    return _write_grid(args, _MC_COLUMNS, point, {"regime": args.regime, "s_or_b": f"{b:.12g}", "seed": args.seed})
 
 
 def cmd_phase(args) -> int:
-    def points(n, p, q):
+    def point(n, p, q):
         curve = phase_curve(n, p, q, args.grid_s, args.trials, args.perms, args.seed,
                             alpha=args.alpha, workers=args.workers)
-        return [(f"{s:g}", est) for s, est in curve]
+        return _mc_rows(args, f"phase: n={n} p={p} q={q} s-grid={args.grid_s}", n, p, q,
+                        [(f"{s:g}", est) for s, est in curve])
 
-    return _write_mc(args, "phase: n={n} p={p} q={q} s-grid={a.grid_s}", points,
-                     {"regime": "phase", "s_or_b": ""})
+    return _write_grid(args, _MC_COLUMNS, point, {"regime": "phase", "seed": args.seed})
 
 
 def cmd_divergence(args) -> int:
     b = _resolve_b(args)
-    fh = _open_out(args.out)
-    try:
-        rep = dv.minimax_power_upper(args.n, args.p, args.q, b, args.alpha)
-        print(f"n={args.n} p={args.p} q={args.q} b={b:.12g}",
-              f"chi2_exact={rep.chi2_exact:.12g}",
-              f"chi2_closed_bound={rep.chi2_closed_bound:.12g}",
-              f"tv_upper={rep.tv_upper:.12g}",
-              f"power_upper={rep.power_upper:.12g}",
-              f"pd_ok={rep.pd_ok} mgf_ok={rep.pd_ok} b_caps_ok={rep.b_caps_ok}", sep="\n", file=fh)
-    except (ValueError, ArithmeticError, MemoryError) as exc:
-        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        return EXIT_NUMERIC
-    finally:
-        if args.out:
-            fh.close()
+    with _open_out(args.out) as fh:
+        try:
+            rep = dv.minimax_power_upper(args.n, args.p, args.q, b, args.alpha)
+        except _point_errors() as exc:
+            print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+            return EXIT_NUMERIC
+        fields = _report_fields(args.n, args.p, args.q, b, rep)
+        for line in _REPORT_LINES:
+            print(*(f"{key}={fields[key]}" for key in line), file=fh)
     return EXIT_OK
 
 

@@ -226,7 +226,8 @@ def quad_form_pair(chi, p, q, a) -> tuple:
     acting on its X block and v and h on its Y block, and
     T(u,v,z) = 2(v'z)(u'z) - qa(u'z)^2 - pa(v'z)^2.  Used to validate the 4x4
     reduction on random z.  An (m, 4) chi with p, q, a of length m gives both
-    sides for m configurations, each with the bits of its own call.
+    sides for m configurations, each with the bits of its own call (not
+    always under OpenBLAS's ``Katmai`` kernels; see ``structured_cov._dot``).
     """
     chi = np.asarray(chi, float)
     uz, vz, gz, hz = np.moveaxis(chi, -1, 0)

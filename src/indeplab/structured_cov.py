@@ -44,7 +44,8 @@ class CovStack:
     to one width d, with p and a of length m.  ``dense_cov``, ``cov_inverse``,
     ``cov_det`` and ``cov_sqrt_apply`` take either and return a stack's
     results along the leading axis, each member's with the bits of its own
-    call at the width d; on the padding they act as the identity.
+    call at the width d (not always under ``Katmai`` kernels; see ``_dot``);
+    on the padding they act as the identity.
     """
 
     signs: np.ndarray
@@ -204,7 +205,9 @@ def _sqrt_factors(lf: CovStack) -> tuple:
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x'y over the last axes, one (1 x d)(d x 1) matmul per leading index:
-    the bits of the 1-d ``x @ y``, which a stacked einsum or sum lacks."""
+    the bits of the 1-d ``x @ y``, which a stacked einsum or sum lacks.  Under
+    OpenBLAS's ``Katmai`` kernels those bits depend on the operands' memory
+    alignment, so a stack member's can differ from its own call's."""
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
@@ -213,7 +216,7 @@ def cov_sqrt_apply(lf: CovStack, z: np.ndarray) -> np.ndarray:
 
     z is one vector of length d, a batch of shape (n, d) for one member, or
     one vector per member of a stack, shape (m, d).  One expression serves all
-    three: each vector gets the bits of its own one-vector call.
+    three: each vector gets the bits of its own one-vector call (see ``_dot``).
     """
     lam_plus, lam_minus, w_plus, w_minus = _sqrt_factors(lf)
     z = np.asarray(z, dtype=float)

@@ -32,6 +32,24 @@ def parse_csv(text):
     return lines[0], list(csv.DictReader(io.StringIO("\n".join(lines[1:]))))
 
 
+# The errors that end a point in an error row (divergence: in one stderr
+# line), and exit 3; any other error propagates.
+POINT_ERRORS = [ValueError, OverflowError, MemoryError, BrokenProcessPool]
+
+
+def _raising(error):
+    def fail(*args, **kwargs):
+        raise error
+    return fail
+
+
+def _assert_propagates(monkeypatch, target, argv):
+    monkeypatch.setattr(*target, _raising(TypeError))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        with pytest.raises(TypeError):
+            main(argv)
+
+
 class TestBound:
     def test_single_point_zero_signal(self, capsys):
         code, out, _ = run_cli(
@@ -73,13 +91,16 @@ class TestBound:
         _, rows = parse_csv(out)
         assert rows[0]["pd_ok"] == rows[0]["mgf_ok"] == "True"
 
-    def test_memory_error_is_an_error_row(self, capsys, monkeypatch):
-        monkeypatch.setattr(divergence, "chi_square_exact", _out_of_memory)
-        code, out, _ = run_cli(capsys, "bound", "--grid-n", "100", "--grid-p", "10,20", "--grid-q", "10")
+    @pytest.mark.parametrize("error", POINT_ERRORS)
+    def test_point_error_is_an_error_row(self, capsys, monkeypatch, error):
+        argv = ["bound", "--grid-n", "100", "--grid-p", "10,20", "--grid-q", "10"]
+        monkeypatch.setattr(divergence, "chi_square_exact", _raising(error))
+        code, out, _ = run_cli(capsys, *argv)
         assert code == EXIT_NUMERIC
         _, rows = parse_csv(out)
-        assert [r["error"] for r in rows] == ["MemoryError", "MemoryError"]
+        assert [r["error"] for r in rows] == [error.__name__, error.__name__]
         assert all(r["chi2_exact"] == "" for r in rows)
+        _assert_propagates(monkeypatch, (divergence, "chi_square_exact"), argv)
 
     def test_overflow_is_an_error_row(self, capsys):
         with warnings.catch_warnings(record=True) as caught:
@@ -98,10 +119,6 @@ class TestBound:
 
 def _no_work(*args, **kwargs):
     raise AssertionError("work ran before the output was opened")
-
-
-def _out_of_memory(*args, **kwargs):
-    raise MemoryError
 
 
 VERIFY_ARGV = {
@@ -293,18 +310,19 @@ class TestPowerAndPhase:
         level = stat_tests.estimate_level(30, 2, 2, 5, 19, 0, alpha=0.6)
         assert rows[0]["rejections"] == str(level.rejections)
 
-    def test_memory_error_is_an_error_row(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "estimate_level", _out_of_memory)
-        code, out, _ = run_cli(
-            capsys, "power", "--regime", "null", "--grid-n", "20", "--grid-p", "2,3", "--grid-q", "2",
-            "--trials", "100", "--perms", "19",
-        )
+    @pytest.mark.parametrize("error", POINT_ERRORS)
+    def test_point_error_is_an_error_row(self, capsys, monkeypatch, error):
+        argv = ["power", "--regime", "null", "--grid-n", "20", "--grid-p", "2,3", "--grid-q", "2",
+                "--trials", "100", "--perms", "19"]
+        monkeypatch.setattr(cli, "estimate_level", _raising(error))
+        code, out, _ = run_cli(capsys, *argv)
         assert code == EXIT_NUMERIC
         _, rows = parse_csv(out)
         assert [(r["regime"], r["p"], r["s_or_b"], r["error"]) for r in rows] == [
-            ("null", "2", "0", "MemoryError"), ("null", "3", "0", "MemoryError")
+            ("null", "2", "0", error.__name__), ("null", "3", "0", error.__name__)
         ]
         assert all(r["estimate"] == "" and r["seed"] == "0" for r in rows)
+        _assert_propagates(monkeypatch, (cli, "estimate_level"), argv)
 
     @pytest.mark.parametrize("command, regime", [("power", "null"), ("phase", "phase")])
     def test_broken_pool_is_an_error_row(self, capsys, monkeypatch, command, regime):
@@ -334,17 +352,20 @@ class TestPowerAndPhase:
         _, rows = parse_csv(out)
         assert [(r["regime"], r["error"]) for r in rows] == [(regime, "a child process terminated abruptly")]
 
-    def test_phase_error_row(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "phase_curve", _out_of_memory)
-        code, out, _ = run_cli(capsys, "phase", "--grid-n", "20", "--grid-p", "2", "--grid-q", "2")
+    @pytest.mark.parametrize("error", POINT_ERRORS)
+    def test_phase_error_row(self, capsys, monkeypatch, error):
+        argv = ["phase", "--grid-n", "20", "--grid-p", "2", "--grid-q", "2"]
+        monkeypatch.setattr(cli, "phase_curve", _raising(error))
+        code, out, _ = run_cli(capsys, *argv)
         assert code == EXIT_NUMERIC
         _, rows = parse_csv(out)
-        assert [(r["regime"], r["s_or_b"], r["error"]) for r in rows] == [("phase", "", "MemoryError")]
+        assert [(r["regime"], r["s_or_b"], r["error"]) for r in rows] == [("phase", "", error.__name__)]
+        _assert_propagates(monkeypatch, (cli, "phase_curve"), argv)
 
     def test_phase_checks_every_signal_before_any_trial(self, capsys, monkeypatch):
         # The default grid's s = 50 is not attainable at (40, 3, 2): its error
         # row comes before the trials of s = 0, 1, 5 and 25 would run.
-        monkeypatch.setattr(stat_tests, "_estimate", _out_of_memory)
+        monkeypatch.setattr(stat_tests, "_estimate", _raising(MemoryError))
         code, out, _ = run_cli(capsys, "phase", "--grid-n", "40", "--grid-p", "3", "--grid-q", "2",
                                "--trials", "40", "--perms", "39", "--seed", "4")
         assert code == EXIT_NUMERIC
@@ -367,11 +388,14 @@ class TestDivergenceCommand:
         assert code == EXIT_OK
         assert "chi2_exact=" in out and "power_upper=" in out
 
-    def test_memory_error_exits_numeric(self, capsys, monkeypatch):
-        monkeypatch.setattr(divergence, "chi_square_exact", _out_of_memory)
-        code, out, err = run_cli(capsys, "divergence", "--n", "100", "--p", "10", "--q", "10")
+    @pytest.mark.parametrize("error", POINT_ERRORS)
+    def test_point_error_exits_numeric(self, capsys, monkeypatch, error):
+        argv = ["divergence", "--n", "100", "--p", "10", "--q", "10"]
+        monkeypatch.setattr(divergence, "chi_square_exact", _raising(error))
+        code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_NUMERIC
-        assert out == "" and "MemoryError" in err
+        assert out == "" and err == f"error: {error.__name__}\n"
+        _assert_propagates(monkeypatch, (divergence, "chi_square_exact"), argv)
 
     def test_report_to_out(self, capsys, tmp_path):
         # --out was once accepted and ignored.

@@ -1,4 +1,4 @@
-"""Self-test of tools/csv_digests.py on a two-command subset."""
+"""Self-test of tools/csv_digests.py on a small command subset."""
 
 import importlib.util
 import json
@@ -12,6 +12,9 @@ _spec.loader.exec_module(csv_digests)
 COMMANDS = (
     "power --regime null --grid-n 20 --grid-p 2 --grid-q 2 --trials 20 --perms 19",
     "divergence --n 200 --p 10 --q 10",
+    # Both exit 3 with empty stdout; only their stderr lines differ.
+    "divergence --n 8000 --p 200 --q 1000 --b 3",
+    "divergence --n 10 --p 3 --q 3 --b 1e300",
 )
 
 
@@ -26,6 +29,7 @@ def test_two_runs_agree_and_an_edited_digest_is_reported(tmp_path, capsys):
         f"{command} --seed {seed}" for command in COMMANDS for seed in (0, 1)
     ] + ["request mc_level seed=0 index=0"]
     assert first["openblas core"] == csv_digests.openblas_core()
+    assert first[f"{COMMANDS[2]} --seed 0"] != first[f"{COMMANDS[3]} --seed 0"]
     same, edited = tmp_path / "same.json", tmp_path / "edited.json"
     same.write_text(json.dumps(first))
     name = f"{COMMANDS[1]} --seed 1"

@@ -323,6 +323,84 @@ class TestSequentialPermutationTest:
         assert 0 < est.permutations < 100 * 39
 
 
+# Every row permutation of Y at n = 7, the identity first.
+ALL_PERMS_7 = np.array(list(itertools.permutations(range(7))))
+
+
+def _all_stats_7(ds):
+    """The statistic at each of ``ALL_PERMS_7``, through the kernel."""
+    return stat_tests._stats(ds.x.T, np.ascontiguousarray(ds.y), ALL_PERMS_7)
+
+
+def _exact_share(ds):
+    """pi: the share of all n! row permutations of Y whose statistic is at
+    least the observed one (the identity's)."""
+    stats = _all_stats_7(ds)
+    return np.count_nonzero(stats >= stats[0]) / len(stats)
+
+
+def _binomial_cdf(limit, B, pi):
+    """P(Bin(B, pi) <= limit)."""
+    return math.fsum(math.comb(B, k) * pi**k * (1 - pi) ** (B - k) for k in range(limit + 1))
+
+
+def _null_dataset_rejected_with(B, limit):
+    """The first null dataset at n = 7, p = q = 2, in a fixed seed order, that
+    the test rejects with probability in [0.2, 0.8].  At a limit of -1 or B
+    the probability is 0 or 1 for any data, and the first dataset serves."""
+    for seed in itertools.count():
+        ds = Dataset(values=np.random.default_rng([7, seed]).standard_normal((7, 4)), p=2, q=2)
+        prob = _binomial_cdf(limit, B, _exact_share(ds))
+        if 0.2 <= prob <= 0.8 or limit in (-1, B):
+            return ds, prob
+
+
+class TestConditionalLevel:
+    """Given the data, the B permutations are uniform draws with replacement,
+    so the test rejects with probability P(Bin(B, pi) <= limit) exactly (Phipson
+    & Smyth 2010), and the sequential test, which decides as the full one does,
+    with the same.  At n = 7 pi is exact by enumeration, so the rejection
+    frequency over many streams is checked against the exact value in a band
+    fixed beforehand, |z| <= 4.5.  Where the probability is 0 or 1 the band is
+    the one count, so a few streams suffice; B = 199 takes fewer streams than
+    the rest to keep the class near 2 s."""
+
+    @pytest.mark.parametrize("B, alpha, limit, streams", [
+        (19, 0.05, 0, 4000),
+        (19, math.nextafter(0.05, 0), -1, 200),  # below 1 / (B + 1): never rejects
+        (19, 1.0, 19, 200),  # every count rejects
+        (39, 0.1, 3, 4000),  # alpha = (1 + limit) / (B + 1): a p-value equal to alpha rejects
+        (39, math.nextafter(0.1, 0), 2, 4000),
+        (199, 0.05, 9, 2000),
+    ])
+    def test_rejection_frequency_is_the_exact_probability(self, B, alpha, limit, streams):
+        assert rejection_limit(B, alpha) == limit
+        ds, prob = _null_dataset_rejected_with(B, limit)
+        seed = 100 * B + limit + 1
+        full = [permutation_test(ds, B, alpha, rng).reject for rng in stat_tests._trial_rngs(seed, 0, streams)]
+        seq = [permutation_test(ds, B, alpha, rng, stop_early=True).reject
+               for rng in stat_tests._trial_rngs(seed, 0, streams)]
+        assert seq == full
+        assert abs(sum(full) - streams * prob) <= 4.5 * math.sqrt(streams * prob * (1 - prob))
+
+    def test_level_is_at_most_alpha(self):
+        # Over null data the observed statistic's rank among the n! is
+        # uniform, so the level is the mean of P(Bin(B, r / n!) <= limit) over
+        # the ranks r of every permutation's statistic taken as the observed
+        # one.  At limit + 1 it would exceed alpha.
+        B, alpha = 199, 0.05
+        ds = Dataset(values=np.random.default_rng([7, 0]).standard_normal((7, 4)), p=2, q=2)
+        stats = _all_stats_7(ds)
+        # The share of statistics at least each one: n! less those below it.
+        shares = (len(stats) - np.searchsorted(np.sort(stats), stats)) / len(stats)
+
+        def level(limit):
+            return np.mean([_binomial_cdf(limit, B, pi) for pi in shares])
+
+        limit = rejection_limit(B, alpha)
+        assert alpha - 1 / len(stats) <= level(limit) <= alpha < level(limit + 1)
+
+
 def _frozen_cross_cov_stat(ds):
     """The statistic as one product on the Y block view, the form it took
     before it shared the permutation kernel."""

@@ -8,15 +8,16 @@ give two records that can be compared:
     python3 tools/csv_digests.py --compare parent.json change.json
 
 Each command of ``COMMANDS`` runs in-process through ``indeplab.cli.main`` at
-each seed of ``SEEDS``, and its stdout is hashed.  The request digests of the
-benchmark workloads (``perfbench/workloads.request``, requests
-``range(REQUESTS)`` at each seed of ``REQUEST_SEEDS``) are hashed as the
-benchmark worker hashes them: the concatenated ``--out`` files of the
-request's calls.  The record is ``{name: sha256}`` as JSON, led by the entry
-``"openblas core"``: the core type of numpy's OpenBLAS, whose kernels move
-``verify``'s digests.  ``--compare`` prints the names whose values differ, or
-that only one record has, and exits 1 if there are any; across two hosts a
-differing core comes first.
+each seed of ``SEEDS``, and its stdout, its stderr and its exit code are
+hashed together.  The request digests of the benchmark workloads
+(``perfbench/workloads.request``, requests ``range(REQUESTS)`` at each seed
+of ``REQUEST_SEEDS``) are hashed as the benchmark worker hashes them: the
+concatenated ``--out`` files of the request's calls.  The record is
+``{name: sha256}`` as JSON, led by the entry ``"openblas core"``: the core
+type of numpy's OpenBLAS, whose kernels move ``verify``'s digests.
+``--compare`` prints the names whose values differ, or that only one record
+has, and exits 1 if there are any; across two hosts a differing core comes
+first.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from indeplab import cli  # noqa: E402
 from perfbench import workloads  # noqa: E402
 
 MC = "--trials 40 --perms 39"
+MISSING_DIR = "/nonexistent-indeplab-dir"  # a directory that does not exist
 COMMANDS = (
     "power --regime null --grid-n 50 --grid-p 5 --grid-q 5 --trials 100 --perms 200",
     "power --regime null --grid-n 200 --grid-p 50 --grid-q 50 --trials 30 --perms 200",
@@ -63,6 +65,13 @@ COMMANDS = (
     "divergence --n 200 --p 10 --q 10",
     "divergence --n 8000 --p 2000 --q 250 --b 0.8",
     "verify",
+    # The failing paths: a point that overflows, a signal that cannot be
+    # reached, a failed oracle, and an --out that cannot be opened.
+    "divergence --n 8000 --p 200 --q 1000 --b 3",
+    f"phase --grid-n 40 --grid-p 3 --grid-q 2 --grid-s 0,50 {MC}",
+    "verify --inject-fault",
+    f"verify --out {MISSING_DIR}/out.csv",
+    f"divergence --n 20 --p 2 --q 2 --out {MISSING_DIR}/out.csv",
 )
 SEEDS = (0, 1, 7, 123)
 REQUEST_SEEDS = (0, 7)
@@ -81,12 +90,11 @@ def openblas_core() -> str:
 
 
 def command_digest(argv: list[str]) -> str:
-    """sha256 of the command's stdout, with its exit code appended when nonzero."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    """sha256 of the command's stdout, stderr and exit code, as a JSON list."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    text = out.getvalue() + (f"exit={code}\n" if code else "")
-    return hashlib.sha256(text.encode()).hexdigest()
+    return hashlib.sha256(json.dumps([out.getvalue(), err.getvalue(), code]).encode()).hexdigest()
 
 
 def request_digest(argvs: list[list[str]], scratch: Path) -> str:
