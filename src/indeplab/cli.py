@@ -3,11 +3,13 @@
 Output is CSV on stdout (or --out), except divergence's key=value report;
 progress goes to stderr.  Every run is fully determined by the master seed
 plus the configuration, which are embedded in a comment line at the top of
-the CSV.  The output is opened before any work, so an --out that cannot be
-written ends a command before it computes.  bound, power and phase run one
-loop over the grid points, n outermost.  A point that fails with a numerical
-error (ValueError, ArithmeticError), runs out of memory or loses its process
-pool writes one error row; divergence writes that error to stderr.
+the CSV.  The entries of a --config file become --key=value tokens ahead of
+the command line's flags, so argparse judges them as it judges flags.  The
+output is opened before any work, so an --out that cannot be written ends a
+command before it computes.  bound, power and phase run one loop over the
+grid points, n outermost.  A point that fails with a numerical error
+(ValueError, ArithmeticError), runs out of memory or loses its process pool
+writes one error row; divergence writes that error to stderr.
 
 Exit codes: 0 success, 1 config validation failure, 2 oracle failure,
 3 runtime numerical error (for a grid command: some row is an error row).
@@ -38,21 +40,6 @@ def _parse_grid(text: str) -> list[float]:
         return [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad comma-separated number list: {text!r}")
-
-
-def _load_config_file(path: str) -> dict[str, str]:
-    """Flat key=value file; blank lines and '#' comments ignored."""
-    out: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
-            key, val = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = val.strip()
-    return out
 
 
 # Built once per process: main runs many times in one process (a benchmark
@@ -125,7 +112,7 @@ def _validate(args: argparse.Namespace) -> list[str]:
         errs.append(f"kappa must be positive, got {args.kappa}")
     if not (0 <= args.seed < 2**64):
         errs.append("seed must fit in an unsigned 64-bit integer")
-    for name in ("trials", "perms", "workers", "n", "p", "q"):
+    for name in ("trials", "workers", "n", "p", "q"):  # perms has its own floor below
         if hasattr(args, name) and getattr(args, name) < 1:
             errs.append(f"{name} must be positive")
     if hasattr(args, "perms") and args.perms < 19:
@@ -309,43 +296,41 @@ def cmd_divergence(args) -> int:
 
 @functools.cache
 def _config_parser() -> argparse.ArgumentParser:
-    """The pre-parser that finds ``--config`` in argv; built once, like ``build_parser``."""
-    pre = argparse.ArgumentParser(add_help=False)
+    """The pre-parser that finds ``--config`` in argv; built once, like
+    ``build_parser``, and like every subcommand it takes no prefix of a flag."""
+    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     pre.add_argument("--config", nargs="?")  # a missing path is the full parser's error
     return pre
 
 
-def _config_tokens(argv: list[str]) -> tuple[list[str], list[str]]:
-    """``--key=value`` tokens for the entries of the ``--config`` file in argv,
-    and the entries' keys.
+def _config_tokens(argv: list[str]) -> list[str]:
+    """``--key=value`` tokens for the entries of the ``--config`` file in argv:
+    a flat key=value file, blank lines and '#' comments ignored, where the
+    last entry of a key wins.
 
     The ``=`` form keeps values such as ``-1,2`` from reading as flags.  A
     true ``inject_fault`` becomes the bare flag; any other value adds nothing.
     """
     path = _config_parser().parse_known_args(argv)[0].config
-    entries = _load_config_file(path) if path else {}
+    if not path:
+        return []
+    entries: dict[str, str] = {}
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
+            key, val = line.split("=", 1)
+            entries["--" + key.strip().replace("_", "-")] = val.strip()
     tokens = []
-    for key, val in entries.items():
-        flag = "--" + key.replace("_", "-")
-        if key != "inject_fault":
+    for flag, val in entries.items():
+        if flag != "--inject-fault":
             tokens.append(f"{flag}={val}")
         elif val.lower() in ("1", "true", "yes"):
             tokens.append(flag)
-    return tokens, list(entries)
-
-
-def _unknown_keys(parser: argparse.ArgumentParser, argv: list[str], keys: list[str]) -> list[str]:
-    """The config-file keys that name no flag of the subcommand argv[0].
-
-    Checked before parsing: argparse would reject such a token as an
-    unrecognized argument, not as a key of the file.
-    """
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    command = subparsers.choices.get(argv[0]) if argv else None
-    if command is None:
-        return []  # argparse reports a missing or unknown command itself
-    dests = {action.dest for action in command._actions}
-    return [key for key in keys if key not in dests]
+    return tokens
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -353,18 +338,17 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        tokens, keys = _config_tokens(argv)
-        unknown = _unknown_keys(parser, argv, keys)
         # File entries go just after the subcommand name, so the command
-        # line's own flags, parsed later, win.
-        args = None if unknown else parser.parse_args(argv[:1] + tokens + argv[1:])
+        # line's own flags, parsed later, win.  argparse rejects an entry
+        # that names no flag of the command, as it rejects such a flag.
+        args = parser.parse_args(argv[:1] + _config_tokens(argv) + argv[1:])
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SystemExit as exc:
         # argparse has printed its usage error (or the help, code 0).
         return EXIT_CONFIG if exc.code else EXIT_OK
-    errs = [f"unknown config key {key!r}" for key in unknown] or _validate(args)
+    errs = _validate(args)
     if errs:
         for e in errs:
             print(f"invalid config: {e}", file=sys.stderr)

@@ -7,17 +7,21 @@ permutations of Y; ``permutation_test`` runs the one loop of such products,
 and the observed statistic is the identity permutation's row of its first
 product, so that a drawn identity permutation ties with it exactly.  Power
 experiments average over freshly drawn sign directions, estimating the power
-against the uniform mixture alternative.
+against the uniform mixture alternative.  They run their trials in batches of
+32 through one batch runner, ``_trials``, in the serial loop and in every pool
+process alike; it returns the batch's totals (rejections, permuted
+statistics), which ``_estimate`` sums in one loop.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import os
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
@@ -301,13 +305,6 @@ def _phase_data(rng: np.random.Generator, n: int, p: int, q: int, sigma: float) 
     return Dataset(values=np.hstack([x, y]), p=p, q=q)
 
 
-def _trial(args) -> tuple[bool, int]:
-    """One Monte-Carlo trial: (reject, permuted statistics evaluated)."""
-    generate, params, rng, B, alpha = args
-    dec = permutation_test(generate(rng, *params), B, alpha, rng, stop_early=True)
-    return dec.reject, dec.permutations
-
-
 def _process_pool(workers: int):
     """A pool of ``workers`` processes.  Imported here, so that a serial run
     never loads ``multiprocessing``."""
@@ -316,46 +313,42 @@ def _process_pool(workers: int):
     return ProcessPoolExecutor(max_workers=workers)
 
 
-def _trials(batch: tuple) -> list[tuple[bool, int]]:
-    """The results of trials start..start + count - 1 of a batch descriptor
-    (generate, params, seed, start, count, B, alpha), in order: the one unit
-    of work of the serial loop and of a pool process."""
+def _trials(batch: tuple) -> tuple[int, int]:
+    """(rejections, permuted statistics) summed over trials start..start +
+    count - 1 of a batch descriptor (generate, params, seed, start, count, B,
+    alpha): the one unit of work of the serial loop and of a pool process."""
     generate, params, seed, start, count, B, alpha = batch
-    return [_trial((generate, params, rng, B, alpha)) for rng in _trial_rngs(seed, start, count)]
+    rej = perms = 0
+    for rng in _trial_rngs(seed, start, count):
+        dec = permutation_test(generate(rng, *params), B, alpha, rng, stop_early=True)
+        rej, perms = rej + dec.reject, perms + dec.permutations
+    return rej, perms
 
 
 def _pooled(pool, batches, workers: int):
-    """Trial results from ``pool``, in order, with at most 2 x ``workers``
+    """Batch totals from ``pool``, in order, with at most 2 x ``workers``
     batches submitted and not yet read, so that the arguments and results
     held do not grow with the number of trials."""
     pending = deque(pool.submit(_trials, batch) for batch in islice(batches, 2 * workers))
     while pending:
-        results = pending.popleft().result()
+        totals = pending.popleft().result()
         pending.extend(pool.submit(_trials, batch) for batch in islice(batches, 1))
-        yield from results
-
-
-def _tally(results) -> tuple[int, int]:
-    """(rejections, permuted statistics) summed over trial results as they come."""
-    rej = perms = 0
-    for reject, k in results:
-        rej, perms = rej + reject, perms + k
-    return rej, perms
+        yield totals
 
 
 def _estimate(generate, params: tuple, trials: int, B: int, alpha: float, seed: int,
               workers: int, regime: str) -> PowerEstimate:
     """Rejection rate over ``trials`` trials on data from ``generate(rng, *params)``,
-    run in batches of 32; each batch's descriptor is made, and its results
+    run in batches of 32; each batch's descriptor is made, and its totals
     summed, as the batch runs."""
     batches = ((generate, params, seed, start, min(32, trials - start), B, alpha)
                for start in range(0, trials, 32))
     workers = min(workers, os.cpu_count() or 1, trials)
-    if workers <= 1:
-        rej, perms = _tally(chain.from_iterable(map(_trials, batches)))
-    else:
-        with _process_pool(workers) as pool:
-            rej, perms = _tally(_pooled(pool, batches, workers))
+    rej = perms = 0
+    with _process_pool(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        totals = map(_trials, batches) if pool is None else _pooled(pool, batches, workers)
+        for batch_rej, batch_perms in totals:
+            rej, perms = rej + batch_rej, perms + batch_perms
     lo, hi = wilson_interval(rej, trials)
     return PowerEstimate(trials, rej, rej / trials, lo, hi, regime, perms)
 

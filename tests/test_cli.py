@@ -448,6 +448,12 @@ class TestValidation:
         assert out == ""
         assert "alpha" in err and "trials" in err and "perms" in err
 
+    def test_perms_below_one_reported_once(self, capsys):
+        # --perms 0 once broke both the positivity check and the floor of 19.
+        code, out, err = run_cli(capsys, "power", "--perms", "0")
+        assert code == EXIT_CONFIG
+        assert out == "" and err == "invalid config: perms must be at least 19\n"
+
     def test_bad_grid_entry(self, capsys):
         code, _, err = run_cli(capsys, "bound", "--grid-n", "10.5")
         assert code == EXIT_CONFIG
@@ -464,7 +470,9 @@ class TestValidation:
         (["divergence", "--n", "100", "--p", "10"], "--q"),
         # No prefix matching: phase has no --b, and --b is not taken as --beta.
         (["phase", "--b", "0.9"], "unrecognized arguments: --b"),
-    ], ids=["bad_choice", "bad_type", "missing_required", "flag_prefix"])
+        # Nor is --conf taken as --config: its path once was opened and read.
+        (["bound", "--conf", "/nonexistent.cfg"], "unrecognized arguments: --conf"),
+    ], ids=["bad_choice", "bad_type", "missing_required", "flag_prefix", "config_prefix"])
     def test_usage_error_exits_config(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_CONFIG
@@ -504,7 +512,7 @@ class TestValidation:
     @pytest.mark.parametrize("argv, target", [
         (["bound", "--grid-n", "10", "--grid-p", "2", "--grid-q", "2"], (divergence, "minimax_power_upper")),
         (["power", "--regime", "null", "--grid-n", "10", "--grid-p", "2", "--grid-q", "2", "--trials", "3",
-          "--perms", "19"], (stat_tests, "_trial")),
+          "--perms", "19"], (stat_tests, "_trials")),
         (["verify"], (oracles_suite, "run_suite")),
     ], ids=["bound", "power", "verify"])
     @pytest.mark.parametrize("where", ["missing_dir", "directory"])
@@ -569,8 +577,8 @@ class TestConfigFile:
     @pytest.mark.parametrize("command, entry, message", [
         ("power", "regime = nul", "invalid choice"),
         ("bound", "grid-n = 10.5x", "'10.5x'"),
-        # argparse alone would take `see` as a prefix of --seed.
-        ("bound", "see = 3", "unknown config key 'see'"),
+        # Not taken as a prefix of --seed: no parser takes a prefix of a flag.
+        ("bound", "see = 3", "unrecognized arguments: --see=3"),
         # The --key=value form keeps a leading '-' from reading as a flag.
         ("bound", "grid-p = -1,2", "grid_p entries must be positive integers, got -1.0"),
         ("bound", "kappa = nan", "kappa must be positive, got nan"),
@@ -586,6 +594,18 @@ class TestConfigFile:
     def test_inject_fault_from_file(self, tmp_path, capsys, value, expected):
         cfg = tmp_path / "fault.cfg"
         cfg.write_text(f"inject_fault = {value}\n")
+        code, _, _ = run_cli(capsys, "verify", "--config", str(cfg))
+        assert code == expected
+
+    # A key given twice takes its last value, also across its two spellings
+    # and for a switch, whose false value adds no flag.
+    @pytest.mark.parametrize("entries, expected", [
+        ("inject_fault = true\ninject-fault = no\n", EXIT_OK),
+        ("inject-fault = no\ninject_fault = true\n", EXIT_ORACLE),
+    ], ids=["last_off", "last_on"])
+    def test_last_entry_of_a_key_wins(self, tmp_path, capsys, entries, expected):
+        cfg = tmp_path / "fault.cfg"
+        cfg.write_text(entries)
         code, _, _ = run_cli(capsys, "verify", "--config", str(cfg))
         assert code == expected
 

@@ -15,6 +15,7 @@ COMMANDS = (
     # Both exit 3 with empty stdout; only their stderr lines differ.
     "divergence --n 8000 --p 200 --q 1000 --b 3",
     "divergence --n 10 --p 3 --q 3 --b 1e300",
+    f"bound --config {csv_digests.CONFIG_DIR}/see.cfg",
 )
 
 
@@ -30,6 +31,9 @@ def test_two_runs_agree_and_an_edited_digest_is_reported(tmp_path, capsys):
     ] + ["request mc_level seed=0 index=0"]
     assert first["openblas core"] == csv_digests.openblas_core()
     assert first[f"{COMMANDS[2]} --seed 0"] != first[f"{COMMANDS[3]} --seed 0"]
+    # The config file was written, and its entry is parsed as the flag is;
+    # the two runs' scratch directories differ, yet their records agree.
+    assert first[f"{COMMANDS[4]} --seed 0"] == csv_digests.command_digest(["bound", "--see=3", "--seed", "0"])
     same, edited = tmp_path / "same.json", tmp_path / "edited.json"
     same.write_text(json.dumps(first))
     name = f"{COMMANDS[1]} --seed 1"

@@ -344,12 +344,16 @@ def _binomial_cdf(limit, B, pi):
     return math.fsum(math.comb(B, k) * pi**k * (1 - pi) ** (B - k) for k in range(limit + 1))
 
 
-def _null_dataset_rejected_with(B, limit):
+def _null_dataset_rejected_with(B, limit, tied=False):
     """The first null dataset at n = 7, p = q = 2, in a fixed seed order, that
     the test rejects with probability in [0.2, 0.8].  At a limit of -1 or B
-    the probability is 0 or 1 for any data, and the first dataset serves."""
+    the probability is 0 or 1 for any data, and the first dataset serves.
+    With ``tied``, Y holds two distinct rows, four and three times."""
     for seed in itertools.count():
-        ds = Dataset(values=np.random.default_rng([7, seed]).standard_normal((7, 4)), p=2, q=2)
+        values = np.random.default_rng([7, seed]).standard_normal((7, 4))
+        if tied:
+            values[:, 2:] = values[[0, 0, 0, 0, 4, 4, 4], 2:]
+        ds = Dataset(values=values, p=2, q=2)
         prob = _binomial_cdf(limit, B, _exact_share(ds))
         if 0.2 <= prob <= 0.8 or limit in (-1, B):
             return ds, prob
@@ -376,7 +380,22 @@ class TestConditionalLevel:
     def test_rejection_frequency_is_the_exact_probability(self, B, alpha, limit, streams):
         assert rejection_limit(B, alpha) == limit
         ds, prob = _null_dataset_rejected_with(B, limit)
-        seed = 100 * B + limit + 1
+        self._check_frequency(ds, prob, B, alpha, 100 * B + limit + 1, streams)
+
+    def test_tied_statistics_count_as_at_least_the_observed(self):
+        # Each statistic is shared bit for bit by the 4! 3! = 144 permutations
+        # that give Y's rows the same order, so pi holds the observed one's 143
+        # ties besides the identity: a count of `>` in place of `>=` moves the
+        # probability from 0.334 to 0.568, about 31 standard deviations.
+        B, alpha = 39, 0.1
+        ds, prob = _null_dataset_rejected_with(B, rejection_limit(B, alpha), tied=True)
+        assert np.all(np.unique(_all_stats_7(ds), return_counts=True)[1] == 144)
+        self._check_frequency(ds, prob, B, alpha, 7, 4000)
+
+    @staticmethod
+    def _check_frequency(ds, prob, B, alpha, seed, streams):
+        """The full and the sequential test decide alike on each stream, and
+        reject on a share of them within |z| <= 4.5 of ``prob``."""
         full = [permutation_test(ds, B, alpha, rng).reject for rng in stat_tests._trial_rngs(seed, 0, streams)]
         seq = [permutation_test(ds, B, alpha, rng, stop_early=True).reject
                for rng in stat_tests._trial_rngs(seed, 0, streams)]
@@ -599,15 +618,15 @@ class TestWorkerCap:
         assert record == [4, 3, 2]
 
 
-def _constant_trial(args):
-    return False, 19
+def _constant_test(ds, B, alpha, rng, stop_early=False):
+    return stat_tests.TestDecision(0.0, math.nan, False, 19)
 
 
 class TestTrialMemory:
     def test_serial_memory_does_not_grow_with_trials(self, monkeypatch):
         # The trials' arguments and results were once held in two lists, about
         # 190 B a trial: 2.2 MB more at 20,000 trials than at 2,000.
-        monkeypatch.setattr(stat_tests, "_trial", _constant_trial)
+        monkeypatch.setattr(stat_tests, "permutation_test", _constant_test)
         peaks = []
         for trials in (2_000, 20_000):
             tracemalloc.start()
@@ -623,7 +642,7 @@ class TestTrialMemory:
         # With every 32-trial batch submitted up front, the process pool's
         # futures and arguments took about 200 B a trial: 3.9 MB more at
         # 20,000 trials than at 2,000.
-        monkeypatch.setattr(stat_tests, "_trial", _constant_trial)
+        monkeypatch.setattr(stat_tests, "permutation_test", _constant_test)
         monkeypatch.setattr(stat_tests.os, "cpu_count", lambda: 2)
         estimate_level(3, 1, 1, 64, 19, 0, workers=2)  # imports the pool's modules
         peaks = []
@@ -639,13 +658,19 @@ class TestTrialMemory:
 
     def test_pooled_results_are_every_trial_in_order(self):
         # Windows shorter and longer than the batches, and a ragged last batch.
+        # Each batch's totals are summed here from its trials' own tests.
         pool = _RecordingPool([], 2)
         for trials, workers in [(0, 2), (1, 1), (70, 1), (200, 3)]:
             batches = ((stat_tests._null_data, (10, 2, 2), 3, start, min(32, trials - start), 19, 0.1)
                        for start in range(0, trials, 32))
-            expected = [stat_tests._trial((stat_tests._null_data, (10, 2, 2), np.random.default_rng([3, i]),
-                                           19, 0.1))
-                        for i in range(trials)]
+            decisions = []
+            for i in range(trials):
+                rng = np.random.default_rng([3, i])
+                decisions.append(permutation_test(stat_tests._null_data(rng, 10, 2, 2), 19, 0.1, rng,
+                                                  stop_early=True))
+            expected = [(sum(d.reject for d in decisions[start:start + 32]),
+                         sum(d.permutations for d in decisions[start:start + 32]))
+                        for start in range(0, trials, 32)]
             assert list(stat_tests._pooled(pool, batches, workers)) == expected
 
 
@@ -719,7 +744,7 @@ class TestArgumentCheck:
         # phase_curve once divided by zero at p = 0, rejected every trial at
         # alpha = 1.5 and failed inside a trial at alpha = NaN; B < 19 once
         # raised only inside the first trial, after its dataset was drawn.
-        monkeypatch.setattr(stat_tests, "_trial", _no_trial)
+        monkeypatch.setattr(stat_tests, "_trials", _no_trial)
         with pytest.raises(ValueError):
             _ESTIMATORS[estimator](n, p, q, B, alpha)
 
@@ -734,7 +759,7 @@ class TestSeedCheck:
     def test_bad_seed_raises_before_any_pool_or_trial(self, monkeypatch, estimator, seed):
         # A negative seed once raised only inside the first trial, after
         # --workers 2 had started its pool.  The messages are SeedSequence's.
-        monkeypatch.setattr(stat_tests, "_trial", _no_trial)
+        monkeypatch.setattr(stat_tests, "_trials", _no_trial)
         monkeypatch.setattr(stat_tests, "_process_pool", _no_pool)
         monkeypatch.setattr(stat_tests.os, "cpu_count", lambda: 2)
         with pytest.raises((TypeError, ValueError)) as want:
@@ -779,7 +804,7 @@ class TestPowerEstimation:
         # reached a trial and failed on its non-finite data.  At (1466, 17, 21)
         # that b gives a^2 p q < 1 in floating point, yet a smallest eigenvalue
         # of 0.0: it once failed inside the first trial.
-        monkeypatch.setattr(stat_tests, "_trial", _no_trial)
+        monkeypatch.setattr(stat_tests, "_trials", _no_trial)
         with pytest.raises(ValueError):
             estimate_avg_power(n, p, q, b, trials=100, B=39, seed=0)
 
@@ -808,7 +833,7 @@ class TestPhaseCurve:
     def test_rejects_negative_signal(self, monkeypatch, grid):
         # Every s is checked before any trial: a NaN once ran all of s = 0
         # first, then failed inside a trial on non-finite data.
-        monkeypatch.setattr(stat_tests, "_trial", _no_trial)
+        monkeypatch.setattr(stat_tests, "_trials", _no_trial)
         with pytest.raises(ValueError, match="nonnegative"):
             phase_curve(50, 2, 2, grid, trials=100, B=39, seed=0)
 

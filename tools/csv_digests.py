@@ -9,15 +9,17 @@ give two records that can be compared:
 
 Each command of ``COMMANDS`` runs in-process through ``indeplab.cli.main`` at
 each seed of ``SEEDS``, and its stdout, its stderr and its exit code are
-hashed together.  The request digests of the benchmark workloads
-(``perfbench/workloads.request``, requests ``range(REQUESTS)`` at each seed
-of ``REQUEST_SEEDS``) are hashed as the benchmark worker hashes them: the
-concatenated ``--out`` files of the request's calls.  The record is
-``{name: sha256}`` as JSON, led by the entry ``"openblas core"``: the core
-type of numpy's OpenBLAS, whose kernels move ``verify``'s digests.
-``--compare`` prints the names whose values differ, or that only one record
-has, and exits 1 if there are any; across two hosts a differing core comes
-first.
+hashed together.  The ``CONFIG_FILES`` are written to a scratch directory
+first; a command names that directory ``CONFIG_DIR``, and so does its record
+name, so that neither depends on the scratch path.  The request digests of
+the benchmark workloads (``perfbench/workloads.request``, requests
+``range(REQUESTS)`` at each seed of ``REQUEST_SEEDS``) are hashed as the
+benchmark worker hashes them: the concatenated ``--out`` files of the
+request's calls.  The record is ``{name: sha256}`` as JSON, led by the
+entry ``"openblas core"``: the core type of numpy's OpenBLAS, whose kernels
+move ``verify``'s digests.  ``--compare`` prints the names whose values
+differ, or that only one record has, and exits 1 if there are any; across
+two hosts a differing core comes first.
 """
 
 from __future__ import annotations
@@ -42,6 +44,13 @@ from perfbench import workloads  # noqa: E402
 
 MC = "--trials 40 --perms 39"
 MISSING_DIR = "/nonexistent-indeplab-dir"  # a directory that does not exist
+CONFIG_DIR = "<config-dir>"  # stands for the scratch directory that holds CONFIG_FILES
+CONFIG_FILES = {
+    # Both spellings of a key, and a key given twice, whose last value counts.
+    "null.cfg": "# a level run\nregime = null\ntrials = 10\ngrid_n = 40\ngrid-p = 3\ngrid-q = 2\n"
+                "trials = 40\nperms = 39\n",
+    "see.cfg": "see = 3\n",  # a key that is no flag, but a prefix of --seed
+}
 COMMANDS = (
     "power --regime null --grid-n 50 --grid-p 5 --grid-q 5 --trials 100 --perms 200",
     "power --regime null --grid-n 200 --grid-p 50 --grid-q 50 --trials 30 --perms 200",
@@ -72,6 +81,10 @@ COMMANDS = (
     "verify --inject-fault",
     f"verify --out {MISSING_DIR}/out.csv",
     f"divergence --n 20 --p 2 --q 2 --out {MISSING_DIR}/out.csv",
+    # The config path, and a value that breaks one range check.
+    f"power --config {CONFIG_DIR}/null.cfg",
+    f"bound --config {CONFIG_DIR}/see.cfg",
+    "power --perms 0",
 )
 SEEDS = (0, 1, 7, 123)
 REQUEST_SEEDS = (0, 7)
@@ -114,11 +127,13 @@ def digests(commands=COMMANDS, seeds=SEEDS, names=workloads.WORKLOADS,
     """The OpenBLAS core, then {name: sha256} for each command at each seed,
     then each request."""
     record = {"openblas core": openblas_core()}
-    for command in commands:
-        for seed in seeds:
-            argv = command.split() + ["--seed", str(seed)]
-            record[" ".join(argv)] = command_digest(argv)
     with tempfile.TemporaryDirectory() as scratch:
+        for file_name, text in CONFIG_FILES.items():
+            (Path(scratch) / file_name).write_text(text)
+        for command in commands:
+            for seed in seeds:
+                argv = command.split() + ["--seed", str(seed)]
+                record[" ".join(argv)] = command_digest([arg.replace(CONFIG_DIR, scratch) for arg in argv])
         for name in names:
             for seed in request_seeds:
                 for index in range(requests):
