@@ -245,19 +245,20 @@ _MC_COLUMNS = ["regime", "n", "p", "q", "s_or_b", "trials", "rejections", "estim
 
 
 def _mc_rows(args, progress: str, n: int, p: int, q: int, curve) -> list[dict]:
-    """The rows of a Monte-Carlo point, one per (s_or_b, PowerEstimate) pair
-    of ``curve``.  ``progress`` leads the point's stderr line; the mean
-    permuted statistics per trial follow it."""
-    perms = ",".join(f"{est.mean_permutations:.1f}" for _, est in curve)
+    """The rows of a Monte-Carlo point, one per (regime, s_or_b,
+    PowerEstimate) triple of ``curve``.  ``progress`` leads the point's stderr
+    line; the mean permuted statistics per trial follow it."""
+    perms = ",".join(f"{est.mean_permutations:.1f}" for _, _, est in curve)
     print(f"{progress} perms/trial={perms}", file=sys.stderr)
-    return [{"regime": est.regime, "n": n, "p": p, "q": q, "s_or_b": s_or_b,
+    return [{"regime": regime, "n": n, "p": p, "q": q, "s_or_b": s_or_b,
              "trials": est.trials, "rejections": est.rejections, "estimate": f"{est.estimate:.6g}",
              "ci_low": f"{est.ci_low:.6g}", "ci_high": f"{est.ci_high:.6g}", "seed": args.seed}
-            for s_or_b, est in curve]
+            for regime, s_or_b, est in curve]
 
 
 def cmd_power(args) -> int:
     b = _resolve_b(args) if args.regime == "lf" else 0.0
+    regime = f"least_favorable(b={b:g})" if b else "null"
 
     def point(n, p, q):
         mc = (args.trials, args.perms, args.seed, args.alpha, args.workers)
@@ -265,7 +266,7 @@ def cmd_power(args) -> int:
             est = estimate_level(n, p, q, *mc)
         else:
             est = estimate_avg_power(n, p, q, b, *mc)
-        return _mc_rows(args, f"power: regime={args.regime} n={n} p={p} q={q}", n, p, q, [(f"{b:.12g}", est)])
+        return _mc_rows(args, f"power: regime={args.regime} n={n} p={p} q={q}", n, p, q, [(regime, f"{b:.12g}", est)])
 
     return _write_grid(args, _MC_COLUMNS, point, {"regime": args.regime, "s_or_b": f"{b:.12g}", "seed": args.seed})
 
@@ -275,7 +276,7 @@ def cmd_phase(args) -> int:
         curve = phase_curve(n, p, q, args.grid_s, args.trials, args.perms, args.seed,
                             alpha=args.alpha, workers=args.workers)
         return _mc_rows(args, f"phase: n={n} p={p} q={q} s-grid={args.grid_s}", n, p, q,
-                        [(f"{s:g}", est) for s, est in curve])
+                        [(f"s={s:g}", f"{s:g}", est) for s, est in curve])
 
     return _write_grid(args, _MC_COLUMNS, point, {"regime": "phase", "seed": args.seed})
 

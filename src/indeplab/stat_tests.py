@@ -9,14 +9,14 @@ product, so that a drawn identity permutation ties with it exactly.  Power
 experiments average over freshly drawn sign directions, estimating the power
 against the uniform mixture alternative.  They run their trials in batches of
 32 through one batch runner, ``_trials``, in the serial loop and in every pool
-process alike; it returns the batch's totals (rejections, permuted
-statistics), which ``_estimate`` sums in one loop.
+process alike; it draws a batch's trials in turn from one generator,
+``default_rng([seed, start])``, and returns the batch's totals (rejections,
+permuted statistics), which ``_estimate`` sums in one loop.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 import os
 from collections import deque
@@ -79,7 +79,6 @@ class PowerEstimate:
     estimate: float
     ci_low: float
     ci_high: float
-    regime: str
     permutations: int  # permuted statistics evaluated over all trials
 
     @property
@@ -212,77 +211,9 @@ def wilson_interval(rejections: int, trials: int, z: float = 1.959963984540054) 
     return lo, hi
 
 
-# numpy's SeedSequence hash (a pool of four 32-bit words) as PCG64 runs it to
-# seed ``default_rng([seed, i])``, vectorized over a batch of trials i.  The
-# hash constants do not depend on the entropy: ``_HASH_A`` chains them through
-# the 16 hashmix calls that fill and mix the pool, ``_HASH_B`` through the 8
-# words ``generate_state(4, np.uint64)`` makes of it.
-def _constant_chain(init: int, mult: int, calls: int) -> np.ndarray:
-    consts = [init]
-    for _ in range(calls):
-        consts.append(consts[-1] * mult & 0xFFFFFFFF)
-    return np.array(consts, np.uint32)[:, None]
-
-
-_HASH_A = _constant_chain(0x43B0D7E5, 0x931E8875, 16)
-_HASH_B = _constant_chain(0x8B51F9DD, 0x58F38DED, 8)
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_OTHER_WORDS = [[dst for dst in range(4) if dst != src] for src in range(4)]
-
-
-def _hashmix(words: np.ndarray, consts: np.ndarray) -> np.ndarray:
-    """SeedSequence's hash of ``words`` at each call whose constant goes from
-    ``consts[k]`` to ``consts[k + 1]``, one row per call."""
-    words = (words ^ consts[:-1]) * consts[1:]
-    words ^= words >> 16
-    return words
-
-
-@functools.cache
-def _state_words() -> type:
-    """A seed sequence type that hands PCG64 the words a SeedSequence would,
-    computed beforehand.  Made at first use, so that importing the package
-    does not import ``numpy.random`` (about 13 ms)."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class StateWords(ISeedSequence):
-        def __init__(self, words: np.ndarray):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.words
-
-    return StateWords
-
-
-def _trial_rngs(seed: int, start: int, count: int) -> list[np.random.Generator]:
-    """The generators of trials start..start + count - 1, each bitwise
-    ``np.random.default_rng([seed, i])``: an independent stream per trial,
-    deterministic in (seed, i) only, so results do not depend on execution
-    order or parallelism.  The batch is hashed at once; a seed of four or
-    more 32-bit words, or an i of two, overflows the pool of four and takes
-    ``default_rng`` itself."""
-    seed = int(seed)
-    if seed >= 1 << 96 or start + count > 1 << 32:
-        return [np.random.default_rng([seed, i]) for i in range(start, start + count)]
-    words = [seed >> k & 0xFFFFFFFF for k in range(0, max(seed.bit_length(), 1), 32)]
-    entropy = np.zeros((4, count), np.uint32)  # [seed words, i], zero-padded
-    entropy[:len(words)] = np.array(words, np.uint32)[:, None]
-    entropy[len(words)] = np.arange(start, start + count, dtype=np.uint64)
-    pool = _hashmix(entropy, _HASH_A[:5])
-    for src, dst in enumerate(_OTHER_WORDS):
-        mixed = pool[dst] * _MIX_L - _hashmix(pool[src], _HASH_A[4 + 3 * src:8 + 3 * src]) * _MIX_R
-        mixed ^= mixed >> 16
-        pool[dst] = mixed
-    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _HASH_B)
-    state_words = _state_words()
-    return [np.random.Generator(np.random.PCG64(state_words(words)))
-            for words in np.ascontiguousarray(state.T, "<u4").view("<u8").astype(np.uint64)]
-
-
 # Data generators for the trial runner: module-level so that they pickle by
-# name for the process pool.  Each draws from the trial's rng before the
-# permutation test does, in a fixed order.
+# name for the process pool.  Each draws from the batch's rng before the
+# trial's permutation test does, in a fixed order.
 def _null_data(rng: np.random.Generator, n: int, p: int, q: int) -> Dataset:
     return sample_dataset(None, n, rng, p=p, q=q)
 
@@ -316,10 +247,15 @@ def _process_pool(workers: int):
 def _trials(batch: tuple) -> tuple[int, int]:
     """(rejections, permuted statistics) summed over trials start..start +
     count - 1 of a batch descriptor (generate, params, seed, start, count, B,
-    alpha): the one unit of work of the serial loop and of a pool process."""
+    alpha): the one unit of work of the serial loop and of a pool process.
+    The trials draw in turn from one generator, ``default_rng([seed,
+    start])``, each its data and then its permutations; batches are the same
+    32-trial blocks however many processes run them, so the totals depend on
+    the seed and the configuration only."""
     generate, params, seed, start, count, B, alpha = batch
+    rng = np.random.default_rng([seed, start])
     rej = perms = 0
-    for rng in _trial_rngs(seed, start, count):
+    for _ in range(count):
         dec = permutation_test(generate(rng, *params), B, alpha, rng, stop_early=True)
         rej, perms = rej + dec.reject, perms + dec.permutations
     return rej, perms
@@ -337,7 +273,7 @@ def _pooled(pool, batches, workers: int):
 
 
 def _estimate(generate, params: tuple, trials: int, B: int, alpha: float, seed: int,
-              workers: int, regime: str) -> PowerEstimate:
+              workers: int) -> PowerEstimate:
     """Rejection rate over ``trials`` trials on data from ``generate(rng, *params)``,
     run in batches of 32; each batch's descriptor is made, and its totals
     summed, as the batch runs."""
@@ -350,7 +286,7 @@ def _estimate(generate, params: tuple, trials: int, B: int, alpha: float, seed: 
         for batch_rej, batch_perms in totals:
             rej, perms = rej + batch_rej, perms + batch_perms
     lo, hi = wilson_interval(rej, trials)
-    return PowerEstimate(trials, rej, rej / trials, lo, hi, regime, perms)
+    return PowerEstimate(trials, rej, rej / trials, lo, hi, perms)
 
 
 def _check_problem(n: int, p: int, q: int, B: int, alpha: float, seed: int) -> None:
@@ -374,7 +310,7 @@ def estimate_level(
 ) -> PowerEstimate:
     """Empirical type-I error over fresh null datasets."""
     _check_problem(n, p, q, B, alpha, seed)
-    return _estimate(_null_data, (n, p, q), trials, B, alpha, seed, workers, "null")
+    return _estimate(_null_data, (n, p, q), trials, B, alpha, seed, workers)
 
 
 def estimate_avg_power(
@@ -387,12 +323,11 @@ def estimate_avg_power(
     if not b >= 0:
         raise ValueError(f"b must be nonnegative, got {b}")
     if b == 0.0:
-        return _estimate(_null_data, (n, p, q), trials, B, alpha, seed, workers, "null")
+        return _estimate(_null_data, (n, p, q), trials, B, alpha, seed, workers)
     a = amplitude(n, p, q, b)
     if not positive_definite(p, q, a):
         raise ValueError("a^2 p q >= 1: alternative covariance not positive definite")
-    return _estimate(_lf_data, (n, p, q, a), trials, B, alpha, seed, workers,
-                     f"least_favorable(b={b:g})")
+    return _estimate(_lf_data, (n, p, q, a), trials, B, alpha, seed, workers)
 
 
 def phase_curve(
@@ -425,7 +360,7 @@ def phase_curve(
             )
         points.append((_phase_data, (n, p, q, math.sqrt(sigma_sq))))
     # seed + 1000003 * idx: disjoint per-point streams.
-    return [(s, _estimate(generate, params, trials, B, alpha, seed + 1000003 * idx, workers, f"s={s:g}"))
+    return [(s, _estimate(generate, params, trials, B, alpha, seed + 1000003 * idx, workers))
             for idx, (s, (generate, params)) in enumerate(zip(signal_grid, points))]
 
 

@@ -100,7 +100,8 @@ def LeastFavorableCov(u: np.ndarray, v: np.ndarray, a: float) -> CovStack:
 
 @dataclass(frozen=True)
 class Dataset:
-    """n samples of (X, Y) pairs stored as an n x (p+q) matrix."""
+    """n >= 1 samples of (X, Y) pairs, X of p >= 1 and Y of q >= 1 columns,
+    stored as an n x (p+q) matrix."""
 
     values: np.ndarray
     p: int
@@ -109,8 +110,12 @@ class Dataset:
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
+        if not all(isinstance(k, (int, np.integer)) and k >= 1 for k in (self.p, self.q)):
+            raise ValueError(f"p and q must be positive integers, got {self.p}, {self.q}")
         if values.ndim != 2 or values.shape[1] != self.p + self.q:
             raise ValueError(f"values must be n x (p+q) = n x {self.p + self.q}")
+        if values.shape[0] < 1:
+            raise ValueError("dataset must have at least one row")
         if not np.all(np.isfinite(values)):
             raise ValueError("dataset contains non-finite values")
 

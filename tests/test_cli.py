@@ -239,16 +239,16 @@ class TestVerify:
 
     @pytest.mark.parametrize("argv, digest", [
         ("power --regime lf --grid-n 40 --grid-p 3,7 --grid-q 2",
-         "ebec9f607270409437c85289466e3dacf256bc1c99d8b74c01031e76fb5a9c4c"),
+         "77617472f4cc2870cf5ccc1313317e4ad96a9282c8e927f212495c1e56b0b3d6"),
         ("power --regime null --grid-n 30 --grid-p 3 --grid-q 2",
-         "8c76af64bdb03d7618c7b187951e2d765e098d88515b64ccb1698af3a994d3dd"),
+         "a8dc6ab61f78e391dfa5d5f7fabe4421d93ec544230bc9e45339435dd9540cf0"),
         ("phase --grid-n 40 --grid-p 3 --grid-q 2 --grid-s 0,1,2",
-         "dd3158f93a41cb822fcca13f2d4a1738a15f3ea763ade2463d11c5c985bbb53b"),
+         "867aa6a526288612ad7fac34ddaec3c74e3c5ee630a807eb99249485340ea2c8"),
         # b = 0 and s = 0 take the same null generator.
         ("power --regime lf --b 0 --grid-n 40 --grid-p 3,7 --grid-q 2",
-         "19fca015dd701137afe7ab2913830b4fe1212a049f3336e5d26c9eaa8d0e2342"),
+         "45eceadb494e0bc986c0ef66a5a0a783cdffe17e76e99013c28dfd96c26de986"),
         ("phase --grid-n 40 --grid-p 3 --grid-q 2 --grid-s 0,1",
-         "1d3395135e964a9cf9b02a26b6f0705047615d26d1b686786a3d0f805c190a5a"),
+         "f33a2c7f43d64ef4b5f33a073e9b279cb2802c8b3e1f48b31266bfdb153fd9aa"),
     ], ids=["power_lf", "power_null", "phase", "power_lf_b0", "phase_s0"])
     def test_monte_carlo_golden_bytes(self, capsys, argv, digest):
         # A change to the sign or data draws, or to the permutation test's

@@ -396,9 +396,10 @@ class TestConditionalLevel:
     def _check_frequency(ds, prob, B, alpha, seed, streams):
         """The full and the sequential test decide alike on each stream, and
         reject on a share of them within |z| <= 4.5 of ``prob``."""
-        full = [permutation_test(ds, B, alpha, rng).reject for rng in stat_tests._trial_rngs(seed, 0, streams)]
-        seq = [permutation_test(ds, B, alpha, rng, stop_early=True).reject
-               for rng in stat_tests._trial_rngs(seed, 0, streams)]
+        full = [permutation_test(ds, B, alpha, np.random.default_rng([seed, i])).reject
+                for i in range(streams)]
+        seq = [permutation_test(ds, B, alpha, np.random.default_rng([seed, i]), stop_early=True).reject
+               for i in range(streams)]
         assert seq == full
         assert abs(sum(full) - streams * prob) <= 4.5 * math.sqrt(streams * prob * (1 - prob))
 
@@ -605,7 +606,7 @@ class TestWorkerCap:
         monkeypatch.setattr(stat_tests.os, "cpu_count", lambda: 4)
 
         def run(trials, workers):
-            return stat_tests._estimate(stat_tests._null_data, (10, 2, 2), trials, 19, 0.1, 3, workers, "null")
+            return stat_tests._estimate(stat_tests._null_data, (10, 2, 2), trials, 19, 0.1, 3, workers)
 
         serial = run(6, 1)
         assert record == []
@@ -663,36 +664,45 @@ class TestTrialMemory:
         for trials, workers in [(0, 2), (1, 1), (70, 1), (200, 3)]:
             batches = ((stat_tests._null_data, (10, 2, 2), 3, start, min(32, trials - start), 19, 0.1)
                        for start in range(0, trials, 32))
-            decisions = []
-            for i in range(trials):
-                rng = np.random.default_rng([3, i])
-                decisions.append(permutation_test(stat_tests._null_data(rng, 10, 2, 2), 19, 0.1, rng,
-                                                  stop_early=True))
-            expected = [(sum(d.reject for d in decisions[start:start + 32]),
-                         sum(d.permutations for d in decisions[start:start + 32]))
+            expected = [_totals(_loop_decisions(3, start, min(32, trials - start)))
                         for start in range(0, trials, 32)]
             assert list(stat_tests._pooled(pool, batches, workers)) == expected
 
 
-# Seeds at each 32-bit word count SeedSequence splits them into, phase_curve's
-# per-point seeds past 2^64, and one past the pool of four words (2^96 + 5).
-_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64 + 3 * 1000003, 2**96 + 5]
+def _loop_decisions(seed, start, count):
+    """The sequential tests of ``count`` null trials at (10, 2, 2), B = 19 and
+    alpha = 0.1, drawn in turn from one ``default_rng([seed, start])``, each
+    its data and then its permutations."""
+    rng = np.random.default_rng([seed, start])
+    return [permutation_test(stat_tests._null_data(rng, 10, 2, 2), 19, 0.1, rng, stop_early=True)
+            for _ in range(count)]
+
+
+def _totals(decisions):
+    return sum(d.reject for d in decisions), sum(d.permutations for d in decisions)
 
 
 class TestTrialStreams:
-    @pytest.mark.parametrize("seed", _SEEDS)
-    @pytest.mark.parametrize("start, count", [(0, 1), (0, 7), (64, 32), (2**32 - 33, 32), (2**32 - 1, 2)])
-    def test_batch_generators_are_default_rng(self, seed, start, count):
-        # The batch hash reproduces SeedSequence; a numpy that changed it
-        # fails here rather than in every Monte-Carlo digest.  An index of
-        # 2^32 and the seed 2^96 + 5 take default_rng itself.
-        rngs = stat_tests._trial_rngs(seed, start, count)
-        assert len(rngs) == count
-        for i, rng in zip(range(start, start + count), rngs):
-            want = np.random.default_rng([seed, i])
-            assert rng.bit_generator.state == want.bit_generator.state
-            assert np.array_equal(rng.standard_normal(3), want.standard_normal(3))
-            assert np.array_equal(rng.permutation(20), want.permutation(20))
+    # Seeds at each edge of one, two and three 32-bit words (phase_curve's
+    # per-point seeds pass 2^64) and one of four, and batch starts up to the
+    # last batch below 2^32 and the first at it.
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64 + 3 * 1000003, 2**96 + 5])
+    @pytest.mark.parametrize("start, count", [(0, 1), (0, 7), (64, 32), (2**32 - 32, 32), (2**32, 32)])
+    def test_batch_draws_from_one_generator(self, monkeypatch, seed, start, count):
+        # The observed statistics, one per data draw, pin the stream; the
+        # totals alone could agree by chance.
+        seen = []
+
+        def record(*args, **kwargs):
+            seen.append(permutation_test(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(stat_tests, "permutation_test", record)
+        totals = stat_tests._trials((stat_tests._null_data, (10, 2, 2), seed, start, count, 19, 0.1))
+        want = _loop_decisions(seed, start, count)
+        assert [(d.statistic, d.reject, d.permutations) for d in seen] == \
+            [(d.statistic, d.reject, d.permutations) for d in want]
+        assert totals == _totals(want)
 
     @pytest.mark.parametrize("estimator", ["level", "avg_power", "phase"])
     def test_serial_equals_pooled(self, monkeypatch, estimator):

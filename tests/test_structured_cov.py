@@ -243,6 +243,21 @@ class TestDataset:
         ds = Dataset(values=np.arange(12.0).reshape(3, 4), p=3, q=1)
         assert ds.x.shape == (3, 3) and ds.y.shape == (3, 1)
 
+    # Blocks that no test can run on: a negative p whose sum with q matches
+    # the columns once gave a 5 x 2 X and a 5 x 1 Y; q = 0 and zero rows made
+    # the sequential permutation test divide by zero.  Sizes that are not
+    # integers cannot slice the columns, even when whole.
+    @pytest.mark.parametrize("values, p, q", [
+        (np.ones((5, 3)), -1, 4),
+        (np.ones((5, 2)), 2, 0),
+        (np.ones((0, 4)), 2, 2),
+        (np.ones((5, 2)), 0, 2),
+        (np.ones((5, 4)), 2.0, 2),
+    ], ids=["negative_p", "zero_q", "zero_rows", "zero_p", "float_p"])
+    def test_rejects_untestable_blocks(self, values, p, q):
+        with pytest.raises(ValueError):
+            Dataset(values=values, p=p, q=q)
+
 
 def _hex(x):
     return [v.hex() for v in np.ravel(x).tolist()]

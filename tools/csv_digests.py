@@ -86,7 +86,9 @@ COMMANDS = (
     f"bound --config {CONFIG_DIR}/see.cfg",
     "power --perms 0",
 )
-SEEDS = (0, 1, 7, 123)
+# 2^64 - 1 is the largest seed the CLI takes: two 32-bit words, and phase's
+# per-point seeds past 2^64 take three.
+SEEDS = (0, 1, 7, 123, 2**64 - 1)
 REQUEST_SEEDS = (0, 7)
 REQUESTS = 3
 
