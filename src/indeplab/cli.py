@@ -133,6 +133,8 @@ def _validate(args: argparse.Namespace) -> list[str]:
                 errs.append(f"grid_s entries must be nonnegative, got {val}")
     if getattr(args, "b", None) is not None and not (0.0 <= args.b < math.inf):
         errs.append(f"b must be nonnegative, got {args.b}")
+    if getattr(args, "regime", None) == "null" and args.b is not None:
+        errs.append("b applies only to --regime lf")  # else it would enter the fingerprint unused
     return errs
 
 

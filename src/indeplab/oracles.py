@@ -19,7 +19,7 @@ from itertools import product
 
 import numpy as np
 
-from .structured_cov import Dataset, LeastFavorableCov, amplitude, dense_cov
+from .structured_cov import CovStack, Dataset, amplitude, dense_cov
 
 MAX_ENUM_DIM = 8  # 4^(p+q) quadruple enumeration cap
 MAX_MC_DIM = 5
@@ -80,8 +80,10 @@ def enumerate_chi_square(n: int, p: int, q: int, b: float) -> float:
 
 def _components(a: float, p: int, q: int) -> tuple[np.ndarray, list[float]]:
     """I - Sigma_c^-1 and log det Sigma_c for the 2^(p+q) sign components
-    Sigma_c = dense_cov(u, v, a), one LAPACK ``inv`` and ``det`` on the stack."""
-    sigma = np.array([dense_cov(LeastFavorableCov(u=u, v=v, a=a)) for u in _sign_vectors(p) for v in _sign_vectors(q)])
+    Sigma_c = dense_cov(u, v, a), one ``CovStack`` of all sign rows (u, v),
+    then one LAPACK ``inv`` and ``det`` on the stack."""
+    signs = _sign_vectors(p + q)
+    sigma = dense_cov(CovStack(signs=signs, p=np.full(len(signs), p), a=np.full(len(signs), a)))
     return np.eye(p + q) - np.linalg.inv(sigma), [math.log(det) for det in np.linalg.det(sigma).tolist()]
 
 
@@ -226,8 +228,8 @@ def quad_form_pair(chi, p, q, a) -> tuple:
     acting on its X block and v and h on its Y block, and
     T(u,v,z) = 2(v'z)(u'z) - qa(u'z)^2 - pa(v'z)^2.  Used to validate the 4x4
     reduction on random z.  An (m, 4) chi with p, q, a of length m gives both
-    sides for m configurations, each with the bits of its own call (not
-    always under OpenBLAS's ``Katmai`` kernels; see ``structured_cov._dot``).
+    sides for m configurations, each with the bits of its own call: the right
+    side is one ``einsum``, which sums in one order with no BLAS call.
     """
     chi = np.asarray(chi, float)
     uz, vz, gz, hz = np.moveaxis(chi, -1, 0)
@@ -236,7 +238,7 @@ def quad_form_pair(chi, p, q, a) -> tuple:
         return 2.0 * yz * xz - q * a * xz * xz - p * a * yz * yz
 
     lhs = T(uz, vz) + T(gz, hz)
-    rhs = (chi[..., None, :] @ _coupling_matrix(p, q, a) @ chi[..., :, None])[..., 0, 0]
+    rhs = np.einsum("...i,...ij,...j->...", chi, _coupling_matrix(p, q, a), chi)
     return lhs, rhs
 
 

@@ -44,8 +44,7 @@ class CovStack:
     to one width d, with p and a of length m.  ``dense_cov``, ``cov_inverse``,
     ``cov_det`` and ``cov_sqrt_apply`` take either and return a stack's
     results along the leading axis, each member's with the bits of its own
-    call at the width d (not always under ``Katmai`` kernels; see ``_dot``);
-    on the padding they act as the identity.
+    call at the width d; on the padding they act as the identity.
     """
 
     signs: np.ndarray
@@ -208,26 +207,21 @@ def _sqrt_factors(lf: CovStack) -> tuple:
     return lam_plus, lam_minus, up + vp, up - vp
 
 
-def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x'y over the last axes, one (1 x d)(d x 1) matmul per leading index:
-    the bits of the 1-d ``x @ y``, which a stacked einsum or sum lacks.  Under
-    OpenBLAS's ``Katmai`` kernels those bits depend on the operands' memory
-    alignment, so a stack member's can differ from its own call's."""
-    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
-
-
 def cov_sqrt_apply(lf: CovStack, z: np.ndarray) -> np.ndarray:
     """Apply the symmetric square root Sigma^(1/2) to z in O(d).
 
     z is one vector of length d, a batch of shape (n, d) for one member, or
     one vector per member of a stack, shape (m, d).  One expression serves all
-    three: each vector gets the bits of its own one-vector call (see ``_dot``).
+    three: numpy's ``einsum`` sums each w'z in one order, with no BLAS call,
+    wherever the vector sits in memory, so each vector gets the bits of its
+    own one-vector call.
     """
     lam_plus, lam_minus, w_plus, w_minus = _sqrt_factors(lf)
     z = np.asarray(z, dtype=float)
     cw_plus = _last(np.sqrt(lam_plus) - 1.0, 1) * w_plus
     cw_minus = _last(np.sqrt(lam_minus) - 1.0, 1) * w_minus
-    return z + _last(_dot(w_plus, z), 1) * cw_plus + _last(_dot(w_minus, z), 1) * cw_minus
+    dot_plus, dot_minus = (np.einsum("...i,...i->...", w, z) for w in (w_plus, w_minus))
+    return z + _last(dot_plus, 1) * cw_plus + _last(dot_minus, 1) * cw_minus
 
 
 def sample_dataset(

@@ -135,39 +135,39 @@ _spec.loader.exec_module(csv_digests)
 # sha256 of verify's stdout, by the OpenBLAS core type numpy's library runs.
 VERIFY_GOLDENS = {
     "SkylakeX": {
-        "seed0": "c429939b7e4632592891404ee7667d9d2b4abab693e0e818a9c619965e368ead",
+        "seed0": "9f70fd8a8ecf2e1fe5644dc7b6e039efc1091cb94928609b0d450bcf30e2e85a",
         "seed1": "af33ec93d3fe5283f44ee7cd254b720a9fd76e90b147da4cd7b79683c8f8c986",
-        "seed2758": "c4665462a17fe1f67b5a023b11a751a602248fa21043faad1cba11cdb89e6b95",
-        "seed_large": "c553dca8b0cb74ef8d65f2e589e1021c89497b91a65ad71c1b2420189382fd2a",
-        "inject_fault": "658b56d04b5823726667500eb91f9efebdc8d4d8eb7fad53d65d3ac8a23429c4",
+        "seed2758": "64ad438b7ef401fe7ee2df21f050fca6ba352e3eac2cc7c81ed09b18d0c4793f",
+        "seed_large": "b9938fe53c3f34296c07fe756c72fcc0f7cdd019708eb62d101290dc6fa6dbb4",
+        "inject_fault": "12b98c5abc5dad887e88f6c661242be592b3a1d19c05eccad357f00cd151c054",
     },
     "Haswell": {
-        "seed0": "d605f70fd23de8c7355624e829e11873f0463cb40baae0bfe4322aa829eea082",
+        "seed0": "fa89a1a59304fbaa28d08ad876ca20e00f04e7663df07a0b0e3693760eb8e15d",
         "seed1": "9e53d2dca45cace996684938a909dbf9cd0342a49aa77ce7c0695552570dc16a",
-        "seed2758": "17ea65bce0b2706ffa6b01e5ed31da7c4bb4806b04d1aab4a7757f08568cd25c",
+        "seed2758": "2634a4013a2bb801399f79b4e0024e53bcbdf539ac62a6725ec6496a899e8f67",
         "seed_large": "49706cc7c75aa6152773d525dd418fc6d8f709fcb7d00ca8de43c545f4b647fe",
-        "inject_fault": "c45713d224119d0476e2ab18379c5ce0be12508ec9d407dfef852e6fe5e2a541",
+        "inject_fault": "6c2ec2a7d2f1d2351651982248fb2a725825fd78ec4b41884b65f77bddd0f2ab",
     },
     "Sandybridge": {
-        "seed0": "9967c9f09d77e76024939836fddf4540f7886a8d4016f0833291ac37833e34f6",
-        "seed1": "1da633b84a576a25f165ac1820b7a1081f0c25f438b1d60f9553b096bf4781d4",
-        "seed2758": "58a42e49c61a603481ace9eece08291ca932b722ca51c8986f3aac042c5140e2",
+        "seed0": "eb714269a02eadb19458198111d7e13bff78731b8446441240d6fdedf608c69a",
+        "seed1": "266b30c14dd84ebf0035c11ab948361dd2cd11e8746807315b7d64d688fd6ed6",
+        "seed2758": "909fa7d1bcc31cf6495c3fe897ba1a47bbef4520ccdf2024efd5fc072f0941e7",
         "seed_large": "b5db760bfc6ed5ad73ceba502775e11aff57ff40002b384918b23546cc34c7e3",
-        "inject_fault": "6bc1dd75f5a2b76ce11dc108c2ac13c057a0cd57fc84a26c566e971c29ebc25a",
+        "inject_fault": "0b1e9af6b6df079b2a17450d8e11b58753da9363a3b852c571b172da0b414ea6",
     },
     "Nehalem": {
-        "seed0": "4613d70e910f7ef6ba7e681680ca4edd92c4a52ede278abf1010c036b2e1bd6e",
+        "seed0": "2d87504cb1dbb36c3f42d9c5a646d3ed15e676aae942adace1081eec01c69c55",
         "seed1": "d8631cc01888f9b8e58d834151e5f3224fa70072639b1450798df269df10dabd",
-        "seed2758": "5844bc61ed7f766e806d110d725bc9d5a9080a2e9311bc22bf5c5e18bf56f43b",
+        "seed2758": "9185bbdb79f65fc749a528261ba125e0c3a9ba39b2c5d5ef11487b7f5ccb4838",
         "seed_large": "3827c262de22e35a3919c7d9a49f4a8f3c5d227f42bdbfc09220e68341d593a9",
-        "inject_fault": "0739b270824e704b78fe7e371574e3f84f9ebe52d6ee24272de899a840c32db3",
+        "inject_fault": "7adea85197263ff1e7a656102c14b7a124804c51370bde0c1990d55e7b8f47d6",
     },
     "Katmai": {
-        "seed0": "88fdbc78fdd4bb5f7028da6b1c076bf8edfbb6bb1f38666a1dc78f4b97fbd934",
+        "seed0": "579ee64ea2c703913517c38d7b9b9ceb178143b95048119e49c7bfadb75607c8",
         "seed1": "6fe7c10fc6e713a991f7113fe86d778a366451c5c7d8723ca5c10398a921a238",
-        "seed2758": "d12afc27d4669fe25701785a3ed5c3b6cf961b250fca2b47cc8abde043971032",
+        "seed2758": "da7e159609082ed9c3509c4f32444dbd45cccdd36b26c9ffe31d4bfa8a7fc861",
         "seed_large": "11a6c855ed0da795b4b994b8b5eaf9b163edd7afa5d9dfe86919babe2afadaa9",
-        "inject_fault": "e92a578707588838078d5433bdfac4c26688357599ee4a0320f392826da8bb1a",
+        "inject_fault": "862e8d7968b8c1d64ea7ee38c51ecdce15256297444d57b72059c1d429d898a2",
     },
 }
 # The OPENBLAS_CORETYPE value that selects each core's kernels, newest first.
@@ -191,6 +191,44 @@ def _verify_digests() -> dict[str, str]:
             main(["verify", *argv])
         digests[case] = hashlib.sha256(out.getvalue().encode()).hexdigest()
     return digests
+
+
+def _stack_mismatches() -> list[str]:
+    """The results of a mixed-width ``CovStack`` and of a (200, 4)
+    ``quad_form_pair`` stack that differ from their members' own calls in
+    any bit, as "name[k]"."""
+    import numpy as np
+
+    from indeplab import oracles
+    from indeplab import structured_cov as sc
+
+    rng = np.random.default_rng(39)
+    m, d = 40, 19  # an odd width puts members at every 8-byte alignment
+    size = rng.integers(2, d + 1, size=m)
+    p = rng.integers(1, size)
+    signs = sc.random_signs(rng, m * d).reshape(m, d) * (np.arange(d) < size[:, None])
+    a = rng.uniform(0.0, 0.99, m) / np.sqrt(p * (size - p))
+    z = rng.standard_normal((m, d))
+
+    def results(lf, z):
+        return {"dense_cov": sc.dense_cov(lf), "cov_inverse": sc.cov_inverse(lf), "cov_det": sc.cov_det(lf),
+                "cov_sqrt_apply": sc.cov_sqrt_apply(lf, z)}
+
+    # Each own call takes fresh copies of its vectors, as a lone call's operands
+    # are, where a stack member sits at an offset of k rows.
+    stacked, bad = results(sc.CovStack(signs=signs, p=p, a=a), z), []
+    for k in range(m):
+        own = results(sc.CovStack(signs=signs[k], p=p[k], a=a[k]), z[k].copy())
+        bad += [f"{name}[{k}]" for name, value in own.items()
+                if np.asarray(value).tobytes() != stacked[name][k].tobytes()]
+    p, q = rng.integers(1, 7, size=(2, 200))
+    a = rng.uniform(0.01, 0.5, 200) / np.sqrt(p * q)
+    chi = rng.standard_normal((200, 4))
+    sides = oracles.quad_form_pair(chi, p, q, a)
+    for k in range(200):
+        single = oracles.quad_form_pair(chi[k].copy(), int(p[k]), int(q[k]), float(a[k]))
+        bad += [f"quad_form_pair[{k}]" for s, side in zip(single, sides) if float(s).hex() != float(side[k]).hex()]
+    return bad
 
 
 class TestVerify:
@@ -236,6 +274,17 @@ class TestVerify:
         result = _python("-c", code, env={"OPENBLAS_CORETYPE": CORE_OVERRIDES[core]})
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout) == [core, VERIFY_GOLDENS[core]]
+
+    @pytest.mark.parametrize("core", OTHER_CORES)
+    def test_stacks_match_member_calls_under_other_kernels(self, core):
+        # A stack member's bits once depended on its memory alignment under
+        # the Katmai kernels, which summed its dot products in BLAS.
+        code = (f"import json, sys; sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+                "import test_cli\n"
+                "print(json.dumps([test_cli.csv_digests.openblas_core(), test_cli._stack_mismatches()]))")
+        result = _python("-c", code, env={"OPENBLAS_CORETYPE": CORE_OVERRIDES[core]})
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == [core, []]
 
     @pytest.mark.parametrize("argv, digest", [
         ("power --regime lf --grid-n 40 --grid-p 3,7 --grid-q 2",
@@ -464,6 +513,12 @@ class TestValidation:
         assert code == EXIT_CONFIG
         assert "b must be nonnegative" in err
 
+    def test_b_under_null_regime(self, capsys):
+        # b once was ignored there, yet entered the fingerprint.
+        code, out, err = run_cli(capsys, "power", "--regime", "null", "--b", "0.5")
+        assert code == EXIT_CONFIG
+        assert out == "" and err == "invalid config: b applies only to --regime lf\n"
+
     @pytest.mark.parametrize("argv, message", [
         (["power", "--regime", "nul"], "invalid choice"),
         (["power", "--trials", "ten"], "--trials"),
@@ -582,7 +637,8 @@ class TestConfigFile:
         # The --key=value form keeps a leading '-' from reading as a flag.
         ("bound", "grid-p = -1,2", "grid_p entries must be positive integers, got -1.0"),
         ("bound", "kappa = nan", "kappa must be positive, got nan"),
-    ], ids=["bad_choice", "bad_type", "flag_prefix", "negative_list", "non_finite"])
+        ("power", "regime = null\nb = 0.5", "invalid config: b applies only to --regime lf\n"),
+    ], ids=["bad_choice", "bad_type", "flag_prefix", "negative_list", "non_finite", "b_under_null"])
     def test_bad_entry_exits_config(self, tmp_path, capsys, command, entry, message):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(entry + "\n")

@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("csv_digests", ROOT / "tools" / "csv_digests.py")
 csv_digests = importlib.util.module_from_spec(_spec)
@@ -26,10 +28,11 @@ def _record():
 def test_two_runs_agree_and_an_edited_digest_is_reported(tmp_path, capsys):
     first, second = _record(), _record()
     assert json.dumps(first) == json.dumps(second)
-    assert list(first) == ["openblas core"] + [
+    assert list(first) == ["openblas core", "numpy"] + [
         f"{command} --seed {seed}" for command in COMMANDS for seed in (0, 1)
     ] + ["request mc_level seed=0 index=0"]
     assert first["openblas core"] == csv_digests.openblas_core()
+    assert first["numpy"] == np.__version__
     assert first[f"{COMMANDS[2]} --seed 0"] != first[f"{COMMANDS[3]} --seed 0"]
     # The config file was written, and its entry is parsed as the flag is;
     # the two runs' scratch directories differ, yet their records agree.

@@ -297,17 +297,19 @@ def test_signs_draw_like_choice():
 
 
 def _frozen_quad_form_pair(u, v, g, h, a, z):
-    """``oracles.quad_form_pair`` as it was, taking the sign vectors and z."""
+    """``oracles.quad_form_pair`` on one configuration, taking the sign vectors
+    and z: each projection a numpy sum, as the suite's are, and the right side
+    the one-member ``einsum``."""
     p, q = u.size, v.size
     zx, zy = z[:p], z[p:]
 
     def T(uu, vv):
-        uz = float(uu @ zx)
-        vz = float(vv @ zy)
+        uz = float(np.sum(uu * zx))
+        vz = float(np.sum(vv * zy))
         return 2.0 * vz * uz - q * a * uz * uz - p * a * vz * vz
 
-    chi = np.array([u @ zx, v @ zy, g @ zx, h @ zy])
-    return T(u, v) + T(g, h), float(chi @ oracles._coupling_matrix(p, q, a) @ chi)
+    chi = np.array([np.sum(u * zx), np.sum(v * zy), np.sum(g * zx), np.sum(h * zy)])
+    return T(u, v) + T(g, h), float(np.einsum("i,ij,j->", chi, oracles._coupling_matrix(p, q, a), chi))
 
 
 def _per_iteration_rows(seed, inject_fault):

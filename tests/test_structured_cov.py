@@ -330,14 +330,6 @@ class TestCovStack:
         for i in range(n):
             assert _hex(batch[i]) == _hex(cov_sqrt_apply(lf, z[i]))
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 8), st.integers(2, 20), st.integers(0, 2**32 - 1))
-    def test_stacked_dot_matches_one_d_dot(self, m, d, seed):
-        # A stacked einsum or sum would round differently.
-        rng = np.random.default_rng(seed)
-        x, y = rng.standard_normal((2, m, d))
-        assert _hex(structured_cov._dot(x, y)) == _hex([float(x[k] @ y[k]) for k in range(m)])
-
     def test_padded_blocks(self):
         stack = CovStack(signs=[[1.0, -1.0, 1.0, 0.0], [-1.0, 1.0, 1.0, 1.0]], p=[1, 2], a=[0.1, 0.2])
         up, vp = stack.padded

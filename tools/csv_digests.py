@@ -15,11 +15,12 @@ name, so that neither depends on the scratch path.  The request digests of
 the benchmark workloads (``perfbench/workloads.request``, requests
 ``range(REQUESTS)`` at each seed of ``REQUEST_SEEDS``) are hashed as the
 benchmark worker hashes them: the concatenated ``--out`` files of the
-request's calls.  The record is ``{name: sha256}`` as JSON, led by the
-entry ``"openblas core"``: the core type of numpy's OpenBLAS, whose kernels
-move ``verify``'s digests.  ``--compare`` prints the names whose values
-differ, or that only one record has, and exits 1 if there are any; across
-two hosts a differing core comes first.
+request's calls.  The record is ``{name: sha256}`` as JSON, led by two
+entries: ``"openblas core"``, the core type of numpy's OpenBLAS, whose
+kernels move ``verify``'s dense-oracle digests, and ``"numpy"``, the version
+whose ``einsum`` loops round the stacked dot products.  ``--compare`` prints
+the names whose values differ, or that only one record has, and exits 1 if
+there are any; across two hosts a differing core or numpy comes first.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
+import numpy as np  # noqa: E402
 from numpy._core import _multiarray_umath  # noqa: E402
 
 from indeplab import cli  # noqa: E402
@@ -81,10 +83,12 @@ COMMANDS = (
     "verify --inject-fault",
     f"verify --out {MISSING_DIR}/out.csv",
     f"divergence --n 20 --p 2 --q 2 --out {MISSING_DIR}/out.csv",
-    # The config path, and a value that breaks one range check.
+    # The config path, a value that breaks one range check, and a flag that the
+    # regime does not take.
     f"power --config {CONFIG_DIR}/null.cfg",
     f"bound --config {CONFIG_DIR}/see.cfg",
     "power --perms 0",
+    "power --regime null --b 0.5",
 )
 # 2^64 - 1 is the largest seed the CLI takes: two 32-bit words, and phase's
 # per-point seeds past 2^64 take three.
@@ -126,9 +130,9 @@ def request_digest(argvs: list[list[str]], scratch: Path) -> str:
 
 def digests(commands=COMMANDS, seeds=SEEDS, names=workloads.WORKLOADS,
             request_seeds=REQUEST_SEEDS, requests=REQUESTS) -> dict[str, str]:
-    """The OpenBLAS core, then {name: sha256} for each command at each seed,
-    then each request."""
-    record = {"openblas core": openblas_core()}
+    """The OpenBLAS core and the numpy version, then {name: sha256} for each
+    command at each seed, then each request."""
+    record = {"openblas core": openblas_core(), "numpy": np.__version__}
     with tempfile.TemporaryDirectory() as scratch:
         for file_name, text in CONFIG_FILES.items():
             (Path(scratch) / file_name).write_text(text)
